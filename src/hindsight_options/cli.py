@@ -37,6 +37,7 @@ from .pricing import (
 from .replication import (
     SimulationConfig,
     discrete_backtest,
+    format_ledger_csv,
     hedge_path,
     load_price_table,
     run_growth_simulation,
@@ -247,15 +248,6 @@ def _cmd_hedge(args) -> int:
     path = simulate_paths(spec, args.T, steps, 1, measure=args.measure,
                           seed=args.seed)[0]
     ledger = hedge_path(spec, path, args.t0, args.T, mode=args.mode)
-    rows = []
-    n = ledger.fractions.shape[1]
-    header = (["time", "wealth", "cash"]
-              + [f"fraction_{i + 1}" for i in range(n)]
-              + [f"shares_{i + 1}" for i in range(n)])
-    for k in range(len(ledger.times)):
-        rows.append([float(ledger.times[k]), float(ledger.wealth[k]),
-                     float(ledger.cash[k]), *map(float, ledger.fractions[k]),
-                     *map(float, ledger.shares[k])])
     summary = {
         "terminal_wealth": float(ledger.wealth[-1]),
         "mode": args.mode,
@@ -268,7 +260,7 @@ def _cmd_hedge(args) -> int:
     params = dict(config=args.config, sigma=args.sigma, r=args.r, mu=args.mu,
                   s0=args.s0, t0=args.t0, T=args.T, steps=steps, mode=args.mode,
                   measure=args.measure, seed=args.seed)
-    artifacts = {"ledger.csv": _csv(header, rows),
+    artifacts = {"ledger.csv": format_ledger_csv(ledger),
                  "summary.json": _json(summary) + "\n"}
     _emit(args, "hedge", params, artifacts, "summary.json")
     return EXIT_OK

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -19,6 +19,9 @@ from .errors import ValidationError
 # Cholesky pivots below this fraction of the largest diagonal entry are
 # treated as a positive-definiteness failure (deterministic, scale-aware).
 _PD_PIVOT_TOL = 1e-12
+
+# Path-steps drawn (and, in the growth simulation, evaluated) per block.
+_BLOCK_PATH_STEPS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -166,6 +169,60 @@ def correlated_normals(corr: np.ndarray, count: int, seed: int) -> np.ndarray:
     return z @ lower.T
 
 
+def _check_path_args(horizon: float, steps: int, n_paths: int, measure: str,
+                     seed: int) -> None:
+    """Reject path-grid arguments that cannot give finite, seeded paths."""
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise ValidationError("horizon must be positive and finite")
+    if steps < 1:
+        raise ValidationError("steps must be >= 1")
+    if n_paths < 1:
+        raise ValidationError("n_paths must be >= 1")
+    if measure not in ("physical", "risk_neutral"):
+        raise ValidationError(f"unknown measure {measure!r}")
+    if seed < 0:
+        raise ValidationError("seed must be nonnegative")
+
+
+def _price_blocks(spec: MarketSpec, lower: np.ndarray, horizon: float, steps: int,
+                  n_paths: int, measure: str, seed: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Draw paths block by block for checked arguments; ``lower`` factors ``spec.corr``.
+
+    Yields ``(first, prices)`` where ``prices`` holds paths ``first, first + 1,
+    ...`` with shape (paths in block, steps + 1, n).  A block holds at most
+    ``_BLOCK_PATH_STEPS`` path-steps (at least one path), which bounds the
+    memory of the draw and of what callers evaluate per block.  Path i draws
+    from its own ``SeedSequence((seed, i))`` stream, so its prices do not
+    depend on ``n_paths`` or on the block it lands in.
+    """
+    dt = horizon / steps
+    growth = spec.mu if measure == "physical" else np.full(spec.n, spec.rate)
+    drift = (growth - 0.5 * spec.sigma**2) * dt
+    vol = spec.sigma * math.sqrt(dt)
+    log_s0 = np.log(spec.s0)
+    block = max(1, _BLOCK_PATH_STEPS // steps)
+
+    for first in range(0, n_paths, block):
+        stop = min(first + block, n_paths)
+        eps = np.empty((stop - first, steps, spec.n))
+        for row, i in enumerate(range(first, stop)):
+            rng = np.random.default_rng(np.random.SeedSequence((int(seed), i)))
+            rng.standard_normal(out=eps[row])
+        # A stacked matmul multiplies each path's draws on its own, exactly as
+        # a per-path product would, so blocking leaves every value unchanged.
+        eps = eps @ lower.T
+        eps *= vol
+        eps += drift
+        np.cumsum(eps, axis=1, out=eps)
+        eps += log_s0
+        prices = np.empty((stop - first, steps + 1, spec.n))
+        prices[:, 0] = spec.s0
+        np.exp(eps, out=prices[:, 1:])
+        if np.any(prices <= 0) or not np.all(np.isfinite(prices)):
+            raise ValidationError("simulated prices must be strictly positive and finite")
+        yield first, prices
+
+
 def simulate_paths(spec: MarketSpec, horizon: float, steps: int, n_paths: int,
                    measure: str = "physical", seed: int = 0) -> list[PricePath]:
     """Generate exact-lognormal GBM paths on a uniform grid over [0, horizon].
@@ -175,8 +232,9 @@ def simulate_paths(spec: MarketSpec, horizon: float, steps: int, n_paths: int,
     measure : {"physical", "risk_neutral"}
         Physical paths drift at ``mu``; risk-neutral paths drift at ``rate``.
     seed : int
-        Each path's stream is derived from (seed, path_index), so path i is
-        reproducible independently of ``n_paths`` and of evaluation order.
+        Nonnegative.  Each path's stream is derived from (seed, path_index),
+        so path i is reproducible independently of ``n_paths`` and of
+        evaluation order.
 
     Returns
     -------
@@ -184,33 +242,12 @@ def simulate_paths(spec: MarketSpec, horizon: float, steps: int, n_paths: int,
         ``n_paths`` paths, each with ``steps + 1`` grid points.
     """
     validate_market(spec)
-    if horizon <= 0:
-        raise ValidationError("horizon must be positive")
-    if steps < 1:
-        raise ValidationError("steps must be >= 1")
-    if n_paths < 1:
-        raise ValidationError("n_paths must be >= 1")
-    if measure not in ("physical", "risk_neutral"):
-        raise ValidationError(f"unknown measure {measure!r}")
-
-    times = np.linspace(0.0, horizon, steps + 1)
-    dt = horizon / steps
-    growth = spec.mu if measure == "physical" else np.full(spec.n, spec.rate)
-    drift = (growth - 0.5 * spec.sigma**2) * dt
-    vol = spec.sigma * math.sqrt(dt)
+    _check_path_args(horizon, steps, n_paths, measure, seed)
     lower = cholesky_with_tolerance(spec.corr)
-    log_s0 = np.log(spec.s0)
-
-    paths = []
-    for i in range(n_paths):
-        rng = np.random.default_rng(np.random.SeedSequence((int(seed), i)))
-        eps = rng.standard_normal((steps, spec.n)) @ lower.T
-        log_prices = log_s0 + np.cumsum(drift + vol * eps, axis=0)
-        prices = np.empty((steps + 1, spec.n))
-        prices[0] = spec.s0
-        prices[1:] = np.exp(log_prices)
-        paths.append(PricePath(times=times, prices=prices))
-    return paths
+    times = np.linspace(0.0, horizon, steps + 1)
+    return [PricePath(times=times, prices=prices)
+            for _, block in _price_blocks(spec, lower, horizon, steps, n_paths, measure, seed)
+            for prices in block]
 
 
 def save_market_spec(spec: MarketSpec, path: str) -> None:

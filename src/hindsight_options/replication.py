@@ -12,6 +12,7 @@ the account value tracks the quoted option price after a buy-in delay.
 from __future__ import annotations
 
 import datetime as dt
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +20,14 @@ from scipy.linalg import solve_triangular
 
 from .errors import ValidationError
 from .hindsight import kelly_rule
-from .market import MarketSpec, PricePath, cholesky_with_tolerance, simulate_paths, validate_market
+from .market import (
+    MarketSpec,
+    PricePath,
+    _check_path_args,
+    _price_blocks,
+    cholesky_with_tolerance,
+    validate_market,
+)
 from .pricing import norm_cdf
 
 _FD_REL_STEP = 1e-5  # central-difference step for unlevered hedge deltas
@@ -53,8 +61,8 @@ class SimulationConfig:
     scenario: str = "custom"
 
     def __post_init__(self) -> None:
-        if not 0 < self.warmup < self.T:
-            raise ValidationError("need 0 < warmup < T")
+        if not 0 < self.warmup < self.T < math.inf:
+            raise ValidationError("need 0 < warmup < T, with T finite")
         if self.steps_per_year < 1 or self.n_paths < 1:
             raise ValidationError("steps_per_year and n_paths must be >= 1")
 
@@ -121,15 +129,31 @@ def _grid_index(times: np.ndarray, value: float) -> int:
     raise ValidationError(f"time {value} is not a grid point of the path")
 
 
-def _levered_fraction_series(spec: MarketSpec, times: np.ndarray,
-                             prices: np.ndarray) -> np.ndarray:
-    """b(S, t) at every grid point; rows of shape (len(times), n)."""
+def _whitened_scores(spec: MarketSpec, lower: np.ndarray, times: np.ndarray,
+                     prices: np.ndarray) -> np.ndarray:
+    """w = L^{-1} z at every grid point (t > 0), as columns of shape (n, points).
+
+    ``prices`` has shape (..., len(times), n); the points are its rows in C order.
+    """
     z = ((np.log(prices / spec.s0) - (spec.rate - 0.5 * spec.sigma**2) * times[:, None])
          / (spec.sigma * np.sqrt(times)[:, None]))
-    lower = cholesky_with_tolerance(spec.corr)
-    w = solve_triangular(lower, z.T, lower=True)
+    return solve_triangular(lower, z.reshape(-1, spec.n).T, lower=True)
+
+
+def _levered_fraction_series(spec: MarketSpec, lower: np.ndarray, times: np.ndarray,
+                             prices: np.ndarray) -> np.ndarray:
+    """b(S, t) at every grid point; same shape as ``prices`` (..., len(times), n)."""
+    w = _whitened_scores(spec, lower, times, prices)
     y = solve_triangular(lower.T, w, lower=False)
-    return (y / spec.sigma[:, None]).T / np.sqrt(times)[:, None]
+    return (y / spec.sigma[:, None]).T.reshape(prices.shape) / np.sqrt(times)[:, None]
+
+
+def _log_levered_series(spec: MarketSpec, lower: np.ndarray, times: np.ndarray,
+                        prices: np.ndarray, T: float) -> np.ndarray:
+    """log C(S_t, t) at every grid point, assembled in log space; shape (..., len(times))."""
+    w = _whitened_scores(spec, lower, times, prices)
+    quad = np.sum(w * w, axis=0).reshape(prices.shape[:-1])
+    return 0.5 * spec.n * np.log(T / times) + spec.rate * times + 0.5 * quad
 
 
 def _unlevered_price_grid(spec: MarketSpec, t: np.ndarray, s: np.ndarray,
@@ -168,26 +192,19 @@ def _unlevered_fraction_series(spec: MarketSpec, times: np.ndarray,
     return fractions
 
 
-def _build_ledger(spec: MarketSpec, times: np.ndarray, prices: np.ndarray,
-                  fractions: np.ndarray, wealth: np.ndarray | None = None) -> HedgeLedger:
-    """Assemble a ledger; wealth is compounded self-financingly unless given."""
-    steps = len(times) - 1
-    if wealth is None:
-        rel = prices[1:] / prices[:-1] - 1.0
-        growth = np.exp(spec.rate * np.diff(times)) - 1.0
-        risky = np.sum(fractions[:-1] * rel, axis=1)
-        bond = (1.0 - np.sum(fractions[:-1], axis=1)) * growth
-        wealth = np.empty(steps + 1)
-        wealth[0] = 1.0
-        wealth[1:] = np.cumprod(1.0 + risky + bond)
-    shares = fractions * wealth[:, None] / prices
-    cash = wealth * (1.0 - np.sum(fractions, axis=1))
-    fractions = fractions.copy()
-    fractions[-1] = 0.0
-    shares[-1] = 0.0
-    cash[-1] = wealth[-1]
-    return HedgeLedger(times=times, wealth=wealth, fractions=fractions,
-                       shares=shares, cash=cash)
+def _close_positions(wealth: np.ndarray, fractions: np.ndarray,
+                     prices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Shares and cash held at each grid point, liquidating the final one.
+
+    Broadcasts over leading path axes.  Zeroes the final row of ``fractions``
+    in place: the account ends all in cash.
+    """
+    shares = fractions * wealth[..., None] / prices
+    cash = wealth * (1.0 - np.sum(fractions, axis=-1))
+    fractions[..., -1, :] = 0.0
+    shares[..., -1, :] = 0.0
+    cash[..., -1] = wealth[..., -1]
+    return shares, cash
 
 
 def hedge_path(spec: MarketSpec, path: PricePath, t_start: float, T: float,
@@ -210,14 +227,24 @@ def hedge_path(spec: MarketSpec, path: PricePath, t_start: float, T: float,
     times = path.times[i0:i1 + 1]
     prices = path.prices[i0:i1 + 1]
     if mode == "levered":
-        fractions = _levered_fraction_series(spec, times, prices)
+        lower = cholesky_with_tolerance(spec.corr)
+        fractions = _levered_fraction_series(spec, lower, times, prices)
     elif mode == "unlevered":
         if spec.n != 1:
             raise ValidationError("unlevered hedging is defined for one asset")
         fractions = _unlevered_fraction_series(spec, times, prices, T)
     else:
         raise ValidationError(f"unknown mode {mode!r}")
-    return _build_ledger(spec, times, prices, fractions)
+    rel = prices[1:] / prices[:-1] - 1.0
+    growth = np.exp(spec.rate * np.diff(times)) - 1.0
+    risky = np.sum(fractions[:-1] * rel, axis=1)
+    bond = (1.0 - np.sum(fractions[:-1], axis=1)) * growth
+    wealth = np.empty(len(times))
+    wealth[0] = 1.0
+    wealth[1:] = np.cumprod(1.0 + risky + bond)
+    shares, cash = _close_positions(wealth, fractions, prices)
+    return HedgeLedger(times=times, wealth=wealth, fractions=fractions,
+                       shares=shares, cash=cash)
 
 
 def run_growth_simulation(config: SimulationConfig) -> SimulationResult:
@@ -229,47 +256,45 @@ def run_growth_simulation(config: SimulationConfig) -> SimulationResult:
     account tracks the price: W_t = W_warmup * C(S_t, t) / C(S_warmup, warmup).
     The reported CAGR is continuously compounded and concentrates on the
     growth-optimal rate as T grows.
+
+    Paths are drawn and evaluated in blocks of a fixed path-step budget, so
+    memory beyond the ledgers stays bounded; path i still draws from its own
+    (seed, i) stream and equals path i of ``simulate_paths``.  The ledgers are
+    row views of shared arrays of shape (n_paths, grid points[, n]).
     """
     spec = validate_market(config.spec)
     steps = round(config.T * config.steps_per_year)
-    paths = simulate_paths(spec, config.T, steps, config.n_paths,
-                           measure="physical", seed=config.seed)
+    _check_path_args(config.T, steps, config.n_paths, "physical", config.seed)
+    times = np.linspace(0.0, config.T, steps + 1)
+    i_buy = _grid_index(times, config.warmup)
+    after = times[i_buy:]
+    lower = cholesky_with_tolerance(spec.corr)
+    basket_shares = (1.0 / spec.n) / spec.s0
     kelly, growth_rate = kelly_rule(spec)
 
-    ledgers = []
-    terminal = np.empty(config.n_paths)
-    for p, path in enumerate(paths):
-        i_buy = _grid_index(path.times, config.warmup)
-        times, prices = path.times, path.prices
-        basket_shares = (1.0 / spec.n) / spec.s0
-        wealth = np.empty(len(times))
-        wealth[:i_buy + 1] = prices[:i_buy + 1] @ basket_shares
+    wealth = np.empty((config.n_paths, steps + 1))
+    fractions = np.empty((config.n_paths, steps + 1, spec.n))
+    shares = np.empty_like(fractions)
+    cash = np.empty_like(wealth)
+    for first, prices in _price_blocks(spec, lower, config.T, steps, config.n_paths,
+                                       "physical", config.seed):
+        rows = slice(first, first + len(prices))
+        w, f = wealth[rows], fractions[rows]
+        w[:, :i_buy + 1] = prices[:, :i_buy + 1] @ basket_shares
+        log_c = _log_levered_series(spec, lower, after, prices[:, i_buy:], config.T)
+        w[:, i_buy:] = w[:, i_buy, None] * np.exp(log_c - log_c[:, :1])
+        f[:, :i_buy] = basket_shares * prices[:, :i_buy] / w[:, :i_buy, None]
+        f[:, i_buy:] = _levered_fraction_series(spec, lower, after, prices[:, i_buy:])
+        shares[rows], cash[rows] = _close_positions(w, f, prices)
 
-        after = slice(i_buy, None)
-        log_c = _log_levered_series(spec, times[after], prices[after], config.T)
-        wealth[i_buy:] = wealth[i_buy] * np.exp(log_c - log_c[0])
-
-        fractions = np.empty((len(times), spec.n))
-        fractions[:i_buy] = basket_shares * prices[:i_buy] / wealth[:i_buy, None]
-        fractions[i_buy:] = _levered_fraction_series(spec, times[after], prices[after])
-        ledgers.append(_build_ledger(spec, times, prices, fractions, wealth=wealth))
-        terminal[p] = wealth[-1]
-
+    ledgers = [HedgeLedger(times=times, wealth=wealth[p], fractions=fractions[p],
+                           shares=shares[p], cash=cash[p])
+               for p in range(config.n_paths)]
+    terminal = wealth[:, -1].copy()
     cagr = np.log(terminal) / config.T
     return SimulationResult(config=config, ledgers=ledgers, terminal_wealth=terminal,
                             cagr=cagr, kelly_fractions=kelly.b,
                             kelly_growth_rate=growth_rate)
-
-
-def _log_levered_series(spec: MarketSpec, times: np.ndarray, prices: np.ndarray,
-                        T: float) -> np.ndarray:
-    """log C(S_t, t) along a grid (t > 0), assembled in log space."""
-    z = ((np.log(prices / spec.s0) - (spec.rate - 0.5 * spec.sigma**2) * times[:, None])
-         / (spec.sigma * np.sqrt(times)[:, None]))
-    lower = cholesky_with_tolerance(spec.corr)
-    w = solve_triangular(lower, z.T, lower=True)
-    quad = np.sum(w * w, axis=0)
-    return 0.5 * spec.n * np.log(T / times) + spec.rate * times + 0.5 * quad
 
 
 def discrete_backtest(table: PriceTable, b, rebalance_interval: int = 1,
@@ -375,15 +400,23 @@ def load_price_table(path: str) -> PriceTable:
                       columns=tuple(header[1:]))
 
 
-def write_ledger_csv(ledger: HedgeLedger, path: str) -> None:
-    """Emit a ledger as CSV: time, wealth, cash, then fraction_i and shares_i."""
+def format_ledger_csv(ledger: HedgeLedger) -> str:
+    """A ledger as CSV text: time, wealth, cash, then fraction_i and shares_i.
+
+    Cells are shortest round-trip float reprs, one row per grid point.
+    """
     n = ledger.fractions.shape[1]
     header = (["time", "wealth", "cash"]
               + [f"fraction_{i + 1}" for i in range(n)]
               + [f"shares_{i + 1}" for i in range(n)])
+    table = np.column_stack([ledger.times, ledger.wealth, ledger.cash,
+                             ledger.fractions, ledger.shares])
+    lines = [",".join(header)]
+    lines.extend(",".join(map(repr, row)) for row in table.tolist())
+    return "\n".join(lines) + "\n"
+
+
+def write_ledger_csv(ledger: HedgeLedger, path: str) -> None:
+    """Write :func:`format_ledger_csv` of a ledger to ``path``."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for k in range(len(ledger.times)):
-            cells = [ledger.times[k], ledger.wealth[k], ledger.cash[k],
-                     *ledger.fractions[k], *ledger.shares[k]]
-            fh.write(",".join(repr(float(c)) for c in cells) + "\n")
+        fh.write(format_ledger_csv(ledger))

@@ -5,7 +5,14 @@ import math
 
 import pytest
 
-from hindsight_options import MarketSpec, price_levered, save_market_spec
+from hindsight_options import (
+    MarketSpec,
+    hedge_path,
+    price_levered,
+    save_market_spec,
+    simulate_paths,
+    write_ledger_csv,
+)
 from hindsight_options.cli import main
 
 
@@ -116,9 +123,14 @@ def test_simulate_and_hedge_small_runs(tmp_path, capsys):
 
     code, out, _ = run_cli(capsys, "hedge", "--sigma", "0.3", "--r", "0.02",
                            "--mu", "0.07", "--t0", "1", "--T", "2",
-                           "--steps", "400", "--seed", "11")
+                           "--steps", "400", "--seed", "11", "--out", str(tmp_path / "hedge"))
     assert code == 0
     assert json.loads(out)["terminal_wealth"] > 0
+    spec = MarketSpec.single(mu=0.07, sigma=0.3, rate=0.02)
+    path = simulate_paths(spec, 2.0, 400, 1, seed=11)[0]
+    write_ledger_csv(hedge_path(spec, path, 1.0, 2.0), str(tmp_path / "ledger.csv"))
+    assert ((tmp_path / "hedge" / "ledger.csv").read_bytes()
+            == (tmp_path / "ledger.csv").read_bytes())
 
 
 def test_verify_subcommand_passes(capsys):

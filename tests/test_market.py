@@ -1,6 +1,7 @@
 """Market spec validation and exact-lognormal path generation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,33 @@ from hindsight_options import (
     validate_market,
 )
 from hindsight_options.errors import ValidationError
+from hindsight_options.market import _BLOCK_PATH_STEPS, cholesky_with_tolerance
+
+CORR3 = [[1.0, 0.3, -0.2], [0.3, 1.0, 0.5], [-0.2, 0.5, 1.0]]
+SPECS_BY_N = {
+    1: MarketSpec.single(mu=0.07, sigma=0.3, rate=0.02, s0=5.0),
+    2: MarketSpec.pair(mu=(0.1, 0.05), sigma=(0.3, 0.5), rho=0.4, rate=0.03, s0=(2.0, 1.0)),
+    3: MarketSpec(n=3, mu=[0.05, 0.08, 0.1], sigma=[0.2, 0.4, 0.6], corr=CORR3,
+                  rate=0.01, s0=[1.0, 2.0, 3.0]),
+}
+
+
+def reference_paths(spec, horizon, steps, n_paths, measure, seed):
+    """Prices path by path, one generator and one product per path."""
+    dt = horizon / steps
+    growth = spec.mu if measure == "physical" else np.full(spec.n, spec.rate)
+    drift = (growth - 0.5 * spec.sigma**2) * dt
+    vol = spec.sigma * math.sqrt(dt)
+    lower = cholesky_with_tolerance(spec.corr)
+    paths = []
+    for i in range(n_paths):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, i)))
+        eps = rng.standard_normal((steps, spec.n)) @ lower.T
+        prices = np.empty((steps + 1, spec.n))
+        prices[0] = spec.s0
+        prices[1:] = np.exp(np.log(spec.s0) + np.cumsum(drift + vol * eps, axis=0))
+        paths.append(prices)
+    return paths
 
 
 def test_single_asset_identity_corr_is_valid():
@@ -135,11 +163,40 @@ def test_paths_are_reproducible_and_anchored():
         assert np.all(np.diff(pa.times) > 0)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("steps,extra_paths,measure", [
+    (1, 0, "physical"), (2000, 3, "risk_neutral"), (4096, 9, "physical"),
+])
+def test_simulate_paths_equals_the_per_path_loop(n, steps, extra_paths, measure):
+    # all but the 1-step case span more than one block of paths
+    spec = SPECS_BY_N[n]
+    n_paths = _BLOCK_PATH_STEPS // steps + extra_paths if extra_paths else 5
+    got = simulate_paths(spec, 2.5, steps, n_paths, measure=measure, seed=17)
+    want = reference_paths(spec, 2.5, steps, n_paths, measure, seed=17)
+    assert len(got) == n_paths
+    for path, prices in zip(got, want):
+        np.testing.assert_array_equal(path.prices, prices)
+        np.testing.assert_array_equal(path.times, np.linspace(0.0, 2.5, steps + 1))
+
+
 def test_path_index_stream_independent_of_n_paths():
     spec = MarketSpec.single(mu=0.05, sigma=0.3, rate=0.0)
     few = simulate_paths(spec, 1.0, 10, 2, seed=5)
     many = simulate_paths(spec, 1.0, 10, 6, seed=5)
     np.testing.assert_array_equal(few[1].prices, many[1].prices)
+
+    # one partial block, against full blocks and a partial last block
+    steps = 4096
+    block = _BLOCK_PATH_STEPS // steps
+    below = simulate_paths(spec, 1.0, steps, block - 1, seed=5)
+    straddle = simulate_paths(spec, 1.0, steps, block + 2, seed=5)
+    full = simulate_paths(spec, 1.0, steps, 2 * block, seed=5)
+    for i, path in enumerate(below):
+        np.testing.assert_array_equal(path.prices, straddle[i].prices)
+        np.testing.assert_array_equal(path.prices, full[i].prices)
+    for i in (block, block + 1):
+        np.testing.assert_array_equal(straddle[i].prices, full[i].prices)
+        assert not np.array_equal(full[i].prices, full[i - block].prices)
 
 
 def test_price_path_validation():
@@ -157,6 +214,13 @@ def test_simulate_paths_rejects_bad_arguments():
         simulate_paths(spec, 1.0, 0, 1)
     with pytest.raises(ValidationError):
         simulate_paths(spec, 1.0, 10, 1, measure="martingale")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for horizon in (math.nan, math.inf):
+            with pytest.raises(ValidationError, match="horizon"):
+                simulate_paths(spec, horizon, 10, 1)
+        with pytest.raises(ValidationError, match="seed"):
+            simulate_paths(spec, 1.0, 10, 1, seed=-1)
 
 
 def test_spec_file_round_trip(tmp_path):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from hindsight_options import (
     MarketSpec,
@@ -25,6 +26,7 @@ from hindsight_options import (
 )
 from hindsight_options.replication import PriceTable
 from hindsight_options.errors import ValidationError
+from hindsight_options.market import _BLOCK_PATH_STEPS, cholesky_with_tolerance
 
 SPEC = MarketSpec.single(mu=0.07, sigma=0.3, rate=0.02, s0=1.0)
 
@@ -204,6 +206,58 @@ def test_growth_simulation_agrees_with_an_explicit_hedge():
         assert abs(math.log(hedged.wealth[-1] / tracked[-1])) < 0.2
 
 
+def reference_growth_ledgers(config):
+    """Path-by-path growth ledgers: (wealth, fractions, shares, cash) per path."""
+    spec = config.spec
+    steps = round(config.T * config.steps_per_year)
+    i_buy = round(config.warmup * config.steps_per_year)
+    lower = cholesky_with_tolerance(spec.corr)
+    basket_shares = (1.0 / spec.n) / spec.s0
+    ledgers = []
+    for path in simulate_paths(spec, config.T, steps, config.n_paths, seed=config.seed):
+        times, prices = path.times, path.prices
+        t, s = times[i_buy:], prices[i_buy:]
+        z = ((np.log(s / spec.s0) - (spec.rate - 0.5 * spec.sigma**2) * t[:, None])
+             / (spec.sigma * np.sqrt(t)[:, None]))
+        w = solve_triangular(lower, z.T, lower=True)
+        log_c = (0.5 * spec.n * np.log(config.T / t) + spec.rate * t
+                 + 0.5 * np.sum(w * w, axis=0))
+        y = solve_triangular(lower.T, w, lower=False)
+
+        wealth = np.empty(len(times))
+        wealth[:i_buy + 1] = prices[:i_buy + 1] @ basket_shares
+        wealth[i_buy:] = wealth[i_buy] * np.exp(log_c - log_c[0])
+        fractions = np.empty((len(times), spec.n))
+        fractions[:i_buy] = basket_shares * prices[:i_buy] / wealth[:i_buy, None]
+        fractions[i_buy:] = (y / spec.sigma[:, None]).T / np.sqrt(t)[:, None]
+        shares = fractions * wealth[:, None] / prices
+        cash = wealth * (1.0 - np.sum(fractions, axis=1))
+        fractions[-1] = 0.0
+        shares[-1] = 0.0
+        cash[-1] = wealth[-1]
+        ledgers.append((times, wealth, fractions, shares, cash))
+    return ledgers
+
+
+@pytest.mark.parametrize("name", ["sim1", "sim2", "sim3"])
+def test_growth_simulation_equals_the_per_path_loop(name):
+    steps = 360
+    n_paths = _BLOCK_PATH_STEPS // steps + 3  # more than one block of paths
+    config = scenario_config(name, T=30.0, n_paths=n_paths, seed=23)
+    result = run_growth_simulation(config)
+    want = reference_growth_ledgers(config)
+    assert len(result.ledgers) == n_paths
+    for ledger, (times, wealth, fractions, shares, cash) in zip(result.ledgers, want):
+        np.testing.assert_array_equal(ledger.times, times)
+        np.testing.assert_array_equal(ledger.wealth, wealth)
+        np.testing.assert_array_equal(ledger.fractions, fractions)
+        np.testing.assert_array_equal(ledger.shares, shares)
+        np.testing.assert_array_equal(ledger.cash, cash)
+    terminal = np.array([ledger[1][-1] for ledger in want])
+    np.testing.assert_array_equal(result.terminal_wealth, terminal)
+    np.testing.assert_array_equal(result.cagr, np.log(terminal) / 30.0)
+
+
 def test_growth_simulation_cagr_concentrates_near_kelly():
     config = scenario_config("sim2", T=150.0, n_paths=60, seed=13)
     result = run_growth_simulation(config)
@@ -224,6 +278,10 @@ def test_simulation_config_validation():
                          steps_per_year=12, n_paths=1, seed=0)
     with pytest.raises(ValidationError):
         scenario_spec("sim9")
+    with pytest.raises(ValidationError):
+        scenario_config("sim1", T=math.inf)
+    with pytest.raises(ValidationError, match="seed"):
+        run_growth_simulation(scenario_config("sim1", T=10.0, n_paths=1, seed=-1))
 
 
 # ---------------------------------------------------------------------------
