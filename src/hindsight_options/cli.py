@@ -22,6 +22,7 @@ from .lattice import (
     LatticeSpec,
     LatticeState,
     demon_simulation,
+    format_demon_csv,
     lattice_payoff,
     lattice_price,
 )
@@ -184,9 +185,7 @@ def _cmd_lattice(args) -> int:
                   mode=args.mode, k=args.k, n=args.n, j=args.j, p=args.p,
                   seed=args.seed)
     if args.what == "demon":
-        ledger = demon_simulation(args.N, args.p, args.seed)
-        rows = [[int(s), int(k), float(st), float(w)] for s, k, st, w in ledger.rows()]
-        artifacts = {"demon.csv": _csv(["step", "upticks", "stock", "wealth"], rows)}
+        artifacts = {"demon.csv": format_demon_csv(demon_simulation(args.N, args.p, args.seed))}
         _emit(args, "lattice", params, artifacts, "demon.csv")
         return EXIT_OK
     spec = LatticeSpec(u=args.u, d=args.d, r_per=args.rper, n_steps=args.N)
@@ -333,24 +332,17 @@ def _cmd_curve(args) -> int:
                   mode=args.mode)
     sigmas = [float(tok) for tok in args.sigmas.replace(",", " ").split()]
     header_sigmas = [f"sigma_{s:g}" for s in sigmas]
+    grid = np.linspace(args.lo, args.hi, args.count)
     if args.what == "payoff":
-        grid = np.linspace(args.lo, args.hi, args.count)
-        rows = []
-        for s_val in grid:
-            row = [float(s_val)]
-            for sig in sigmas:
-                spec = MarketSpec.single(mu=args.r, sigma=sig, rate=args.r,
-                                         s0=args.s0)
-                row.append(intrinsic_value(spec, s_val, args.t, args.mode))
-            rows.append(row)
+        specs = [MarketSpec.single(mu=args.r, sigma=sig, rate=args.r, s0=args.s0)
+                 for sig in sigmas]
+        rows = [[float(s_val)] + [intrinsic_value(spec, s_val, args.t, args.mode)
+                                  for spec in specs] for s_val in grid]
         artifacts = {"payoff_curve.csv": _csv(["s"] + header_sigmas, rows)}
         _emit(args, "curve", params, artifacts, "payoff_curve.csv")
         return EXIT_OK
-    grid = np.linspace(args.lo, args.hi, args.count)
-    rows = []
-    for horizon in grid:
-        rows.append([float(horizon)]
-                    + [time0_unlevered_excess_growth(sig, horizon) for sig in sigmas])
+    rows = [[float(horizon)] + [time0_unlevered_excess_growth(sig, horizon) for sig in sigmas]
+            for horizon in grid]
     artifacts = {"regret_curve.csv": _csv(["T"] + header_sigmas, rows)}
     _emit(args, "curve", params, artifacts, "regret_curve.csv")
     return EXIT_OK

@@ -297,9 +297,14 @@ def demon_simulation(n_steps: int, p: float, seed: int) -> DemonLedger:
                        wealth=np.exp(log_c - log_c[0]))
 
 
+def format_demon_csv(ledger: DemonLedger) -> str:
+    """The demon ledger as CSV (step, upticks, stock, wealth); floats as shortest reprs."""
+    return "step,upticks,stock,wealth\n" + "".join(
+        f"{int(step)},{int(ups)},{float(stock)!r},{float(wealth)!r}\n"
+        for step, ups, stock, wealth in ledger.rows())
+
+
 def write_demon_csv(ledger: DemonLedger, path: str) -> None:
-    """Emit the demon ledger as CSV with columns step, upticks, stock, wealth."""
+    """Write :func:`format_demon_csv` of a demon ledger to ``path``."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("step,upticks,stock,wealth\n")
-        for step, ups, stock, wealth in ledger.rows():
-            fh.write(f"{int(step)},{int(ups)},{float(stock)!r},{float(wealth)!r}\n")
+        fh.write(format_demon_csv(ledger))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -43,6 +44,11 @@ class MarketSpec:
         Continuously-compounded risk-free rate, per year.
     s0 : np.ndarray, shape (n,)
         Initial prices; each > 0.
+    lower : np.ndarray, shape (n, n)
+        Cached lower Cholesky factor of ``corr``, factored on first use.
+
+    The arrays are read-only float copies (the caller's stay writable), so the
+    factor cannot go stale.  Construction does not validate the spec.
     """
 
     n: int
@@ -53,12 +59,19 @@ class MarketSpec:
     s0: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "mu", np.atleast_1d(np.asarray(self.mu, dtype=float)))
-        object.__setattr__(self, "sigma", np.atleast_1d(np.asarray(self.sigma, dtype=float)))
-        object.__setattr__(self, "corr", np.atleast_2d(np.asarray(self.corr, dtype=float)))
-        object.__setattr__(self, "s0", np.atleast_1d(np.asarray(self.s0, dtype=float)))
+        for name, ndmin in (("mu", 1), ("sigma", 1), ("corr", 2), ("s0", 1)):
+            value = np.array(getattr(self, name), dtype=float, ndmin=ndmin)
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "rate", float(self.rate))
         object.__setattr__(self, "n", int(self.n))
+
+    @cached_property
+    def lower(self) -> np.ndarray:
+        """Read-only lower Cholesky factor of ``corr``, factored once per spec."""
+        lower = cholesky_with_tolerance(self.corr)
+        lower.flags.writeable = False
+        return lower
 
     @classmethod
     def single(cls, mu: float, sigma: float, rate: float, s0: float = 1.0) -> "MarketSpec":
@@ -146,7 +159,7 @@ def validate_market(spec: MarketSpec) -> MarketSpec:
         raise ValidationError("correlation matrix must have a unit diagonal")
     if np.any(np.abs(corr) > 1.0 + 1e-12):
         raise ValidationError("correlation entries must lie in [-1, 1]")
-    cholesky_with_tolerance(corr)  # positive definiteness
+    spec.lower  # positive definiteness
     return spec
 
 
@@ -184,9 +197,9 @@ def _check_path_args(horizon: float, steps: int, n_paths: int, measure: str,
         raise ValidationError("seed must be nonnegative")
 
 
-def _price_blocks(spec: MarketSpec, lower: np.ndarray, horizon: float, steps: int,
-                  n_paths: int, measure: str, seed: int) -> Iterator[tuple[int, np.ndarray]]:
-    """Draw paths block by block for checked arguments; ``lower`` factors ``spec.corr``.
+def _price_blocks(spec: MarketSpec, horizon: float, steps: int, n_paths: int,
+                  measure: str, seed: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Draw paths block by block for a validated spec and checked arguments.
 
     Yields ``(first, prices)`` where ``prices`` holds paths ``first, first + 1,
     ...`` with shape (paths in block, steps + 1, n).  A block holds at most
@@ -210,7 +223,7 @@ def _price_blocks(spec: MarketSpec, lower: np.ndarray, horizon: float, steps: in
             rng.standard_normal(out=eps[row])
         # A stacked matmul multiplies each path's draws on its own, exactly as
         # a per-path product would, so blocking leaves every value unchanged.
-        eps = eps @ lower.T
+        eps = eps @ spec.lower.T
         eps *= vol
         eps += drift
         np.cumsum(eps, axis=1, out=eps)
@@ -243,10 +256,9 @@ def simulate_paths(spec: MarketSpec, horizon: float, steps: int, n_paths: int,
     """
     validate_market(spec)
     _check_path_args(horizon, steps, n_paths, measure, seed)
-    lower = cholesky_with_tolerance(spec.corr)
     times = np.linspace(0.0, horizon, steps + 1)
     return [PricePath(times=times, prices=prices)
-            for _, block in _price_blocks(spec, lower, horizon, steps, n_paths, measure, seed)
+            for _, block in _price_blocks(spec, horizon, steps, n_paths, measure, seed)
             for prices in block]
 
 

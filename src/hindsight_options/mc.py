@@ -27,7 +27,7 @@ from scipy.linalg import solve_triangular
 
 from .errors import ValidationError
 from .hindsight import z_score
-from .market import MarketSpec, cholesky_with_tolerance, validate_market
+from .market import MarketSpec, validate_market
 
 _CHUNK = 1 << 16
 
@@ -131,14 +131,13 @@ def _levered_value_fn(spec: MarketSpec, s, t: float, T: float, estimator: str):
     else:
         s_eval = T if t > T / 2 else 1.5 * t
     z_t = z_score(spec, s, t).z
-    lower = cholesky_with_tolerance(spec.corr)
-    inv_lower = solve_triangular(lower, np.eye(spec.n), lower=True)
+    inv_lower = solve_triangular(spec.lower, np.eye(spec.n), lower=True)
     w_t = math.sqrt(t / s_eval)
     w_y = math.sqrt(1.0 - t / s_eval)
     log_scale = spec.rate * t + 0.5 * spec.n * math.log(T / s_eval)
 
     def value(y: np.ndarray) -> np.ndarray:
-        z_s = w_t * z_t + w_y * (y @ lower.T)
+        z_s = w_t * z_t + w_y * (y @ spec.lower.T)
         half_quad = 0.5 * np.sum((z_s @ inv_lower.T) ** 2, axis=1)
         return np.exp(log_scale + half_quad)
 

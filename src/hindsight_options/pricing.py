@@ -24,7 +24,8 @@ All five satisfy the Black-Scholes identity
 sigma^2 S^2 gamma / 2 + r S delta + theta = r C exactly.  Quadratic forms are
 assembled in log space and exponentiated last so that deep-in-hindsight
 states (z' R^{-1} z / 2 of several hundred) do not overflow intermediate
-products.
+products.  A price, term or Greek that is still not representable in
+float64 raises :class:`ValidationError`; :func:`log_price_levered` stays finite.
 """
 
 from __future__ import annotations
@@ -36,14 +37,8 @@ import numpy as np
 from scipy.special import erfc
 
 from .errors import IrrationalPriceError, ValidationError
-from .hindsight import (
-    best_rule,
-    corr_quad,
-    corr_solve,
-    intrinsic_value,
-    log_intrinsic_value,
-    z_score,
-)
+from .hindsight import (_as_prices, _exp, _fractions, _log_levered, _representable, _z,
+                        intrinsic_value, log_intrinsic_value)
 from .market import MarketSpec
 
 _SQRT2 = math.sqrt(2.0)
@@ -94,8 +89,8 @@ class ImpliedVolRoots:
 
 
 def _check_horizon(t: float, T: float, *, strict_end: bool = False) -> None:
-    if t <= 0:
-        raise ValidationError("t must be positive (the price diverges as t -> 0+)")
+    if not (0 < t < math.inf and T < math.inf):
+        raise ValidationError("need finite T and t > 0 (the price diverges as t -> 0+)")
     if strict_end:
         if t >= T:
             raise ValidationError("need t < T")
@@ -112,17 +107,36 @@ def min_rational_price(n: int, t: float, T: float, rate: float) -> float:
 def log_price_levered(spec: MarketSpec, s, t: float, T: float) -> float:
     """log of the levered price; safe for states where the price overflows."""
     _check_horizon(t, T)
-    state = z_score(spec, s, t)
-    return (0.5 * spec.n * math.log(T / t) + spec.rate * t
-            + 0.5 * corr_quad(spec, state.z))
+    return float(_log_levered(spec, _as_prices(spec, s, t), t, T))
 
 
 def price_levered(spec: MarketSpec, s, t: float, T: float) -> Quote:
     """Levered price (T/t)^{n/2} V_t*; equals intrinsic value at t = T."""
-    log_c = log_price_levered(spec, s, t, T)
-    factor = (T / t) ** (0.5 * spec.n)
-    return Quote(price=math.exp(log_c), intrinsic=math.exp(log_c) / factor,
+    price = _exp(log_price_levered(spec, s, t, T), "log_price_levered")
+    try:
+        factor = (T / t) ** (0.5 * spec.n)
+    except OverflowError:
+        factor = math.inf
+    _representable(factor, "log_price_levered")
+    return Quote(price=price, intrinsic=price / factor,
                  universality_factor=factor, mode="levered", t=float(t), T=float(T))
+
+
+def _unlevered_terms(spec: MarketSpec, s: np.ndarray, t, T: float):
+    """Kernel of :func:`unlevered_terms` for checked s[..., 1], 0 < t[...] < T.
+
+    The middle term is inf or NaN where the levered price overflows.
+    """
+    sigma = float(spec.sigma[0])
+    z = _z(spec, s, t)[..., 0]
+    a = -z * np.sqrt(t / (T - t))
+    b = a + sigma * T / np.sqrt(T - t)
+    ratio = np.sqrt(T / t)
+    term1 = np.exp(spec.rate * t) * norm_cdf(a)
+    term2 = np.exp(_log_levered(spec, s, t, T)) * (
+        norm_cdf(a * ratio + sigma * np.sqrt(t * T / (T - t))) - norm_cdf(a * ratio))
+    term3 = (s[..., 0] / spec.s0[0]) * norm_cdf(sigma * np.sqrt(T - t) - b)
+    return term1, term2, term3
 
 
 def unlevered_terms(spec: MarketSpec, s, t: float, T: float) -> tuple[float, float, float]:
@@ -135,19 +149,9 @@ def unlevered_terms(spec: MarketSpec, s, t: float, T: float) -> tuple[float, flo
     if spec.n != 1:
         raise ValidationError("unlevered pricing is defined for one asset")
     _check_horizon(t, T, strict_end=True)
-    sigma = float(spec.sigma[0])
-    r = spec.rate
-    z = float(z_score(spec, s, t).z[0])
-    a = -z * math.sqrt(t / (T - t))
-    b = a + sigma * T / math.sqrt(T - t)
-    ratio = math.sqrt(T / t)
-    term1 = math.exp(r * t) * float(norm_cdf(a))
-    bracket = float(norm_cdf(a * ratio + sigma * math.sqrt(t * T / (T - t)))
-                    - norm_cdf(a * ratio))
-    term2 = math.exp(log_price_levered(spec, s, t, T)) * bracket
-    s_over_s0 = float(np.atleast_1d(s)[0]) / float(spec.s0[0])
-    term3 = s_over_s0 * float(norm_cdf(sigma * math.sqrt(T - t) - b))
-    return term1, term2, term3
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = _unlevered_terms(spec, _as_prices(spec, s, t), t, T)
+    return tuple(_representable([float(term) for term in terms], "log_price_levered"))
 
 
 def price_unlevered(spec: MarketSpec, s, t: float, T: float) -> Quote:
@@ -156,9 +160,6 @@ def price_unlevered(spec: MarketSpec, s, t: float, T: float) -> Quote:
     At t = T the option has expired and the quote is the unlevered intrinsic
     value; t > T is rejected.
     """
-    if spec.n != 1:
-        raise ValidationError("unlevered pricing is defined for one asset")
-    _check_horizon(t, T)
     intrinsic = intrinsic_value(spec, s, t, "unlevered")
     if t == T:
         return Quote(price=intrinsic, intrinsic=intrinsic, universality_factor=1.0,
@@ -183,27 +184,28 @@ def greeks(spec: MarketSpec, s, t: float, T: float) -> GreeksReport:
     if spec.n != 1:
         raise ValidationError("greeks are defined for one asset")
     _check_horizon(t, T, strict_end=True)
-    s_val = float(np.atleast_1d(s)[0])
+    s = _as_prices(spec, s, t)
+    s_val = float(s[0])
     sigma = float(spec.sigma[0])
     r = spec.rate
-    z = float(z_score(spec, s, t).z[0])
+    z = float(_z(spec, s, t)[0])
     w = sigma * math.sqrt(t)
-    c = math.exp(log_price_levered(spec, s, t, T))
+    c = _exp(float(_log_levered(spec, s, t, T)), "log_price_levered")
     delta = c * z / (s_val * w)
     gamma = c * (z * z - w * z + 1.0) / (s_val * s_val * w * w)
     theta = c * (r - (1.0 + z * z) / (2.0 * t) - z * (r - 0.5 * sigma * sigma) / w)
     vega = c * z * (w - z) / sigma
     rho = (1.0 - z / w) * c * t
+    _representable([delta, gamma, theta, vega, rho], "log_price_levered")
     return GreeksReport(delta=delta, gamma=gamma, theta=theta, vega=vega, rho=rho)
 
 
 def multi_delta(spec: MarketSpec, s, t: float, T: float) -> np.ndarray:
     """Replicating share holdings per asset: delta_i = C b_i(S, t) / S_i."""
     _check_horizon(t, T)
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    state = z_score(spec, s, t)
-    c = math.exp(log_price_levered(spec, s, t, T))
-    return c * corr_solve(spec, state.z) / (s * spec.sigma * math.sqrt(t))
+    s = _as_prices(spec, s, t)
+    c = _exp(float(_log_levered(spec, s, t, T)), "log_price_levered")
+    return _representable(c * _fractions(spec, s, t) / s, "log_price_levered")
 
 
 def implied_vols(observed_price: float, s: float, s0: float, t: float, T: float,
@@ -280,11 +282,6 @@ def time0_unlevered_excess_growth(sigma: float, T: float) -> float:
     return math.log(price_time0_unlevered(sigma, T)) / T
 
 
-def levered_fraction(spec: MarketSpec, s, t: float) -> np.ndarray:
-    """Wealth fractions of the replicating strategy: delta_i S_i / C = b_i(S, t)."""
-    return best_rule(spec, s, t, "levered").b
-
-
 __all__ = [
     "Quote", "GreeksReport", "ImpliedVolRoots",
     "norm_cdf", "min_rational_price",
@@ -292,5 +289,5 @@ __all__ = [
     "price_unlevered", "unlevered_terms", "price_time0_unlevered",
     "greeks", "multi_delta", "implied_vols",
     "excess_growth_bound", "time0_unlevered_excess_growth",
-    "levered_fraction", "log_intrinsic_value",
+    "log_intrinsic_value",
 ]

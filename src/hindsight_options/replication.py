@@ -16,19 +16,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import ValidationError
-from .hindsight import kelly_rule
-from .market import (
-    MarketSpec,
-    PricePath,
-    _check_path_args,
-    _price_blocks,
-    cholesky_with_tolerance,
-    validate_market,
-)
-from .pricing import norm_cdf
+from .hindsight import _fractions, _log_levered, kelly_rule
+from .market import MarketSpec, PricePath, _check_path_args, _price_blocks, validate_market
+from .pricing import _unlevered_terms
 
 _FD_REL_STEP = 1e-5  # central-difference step for unlevered hedge deltas
 _GRID_TOL = 1e-9
@@ -129,51 +121,6 @@ def _grid_index(times: np.ndarray, value: float) -> int:
     raise ValidationError(f"time {value} is not a grid point of the path")
 
 
-def _whitened_scores(spec: MarketSpec, lower: np.ndarray, times: np.ndarray,
-                     prices: np.ndarray) -> np.ndarray:
-    """w = L^{-1} z at every grid point (t > 0), as columns of shape (n, points).
-
-    ``prices`` has shape (..., len(times), n); the points are its rows in C order.
-    """
-    z = ((np.log(prices / spec.s0) - (spec.rate - 0.5 * spec.sigma**2) * times[:, None])
-         / (spec.sigma * np.sqrt(times)[:, None]))
-    return solve_triangular(lower, z.reshape(-1, spec.n).T, lower=True)
-
-
-def _levered_fraction_series(spec: MarketSpec, lower: np.ndarray, times: np.ndarray,
-                             prices: np.ndarray) -> np.ndarray:
-    """b(S, t) at every grid point; same shape as ``prices`` (..., len(times), n)."""
-    w = _whitened_scores(spec, lower, times, prices)
-    y = solve_triangular(lower.T, w, lower=False)
-    return (y / spec.sigma[:, None]).T.reshape(prices.shape) / np.sqrt(times)[:, None]
-
-
-def _log_levered_series(spec: MarketSpec, lower: np.ndarray, times: np.ndarray,
-                        prices: np.ndarray, T: float) -> np.ndarray:
-    """log C(S_t, t) at every grid point, assembled in log space; shape (..., len(times))."""
-    w = _whitened_scores(spec, lower, times, prices)
-    quad = np.sum(w * w, axis=0).reshape(prices.shape[:-1])
-    return 0.5 * spec.n * np.log(T / times) + spec.rate * times + 0.5 * quad
-
-
-def _unlevered_price_grid(spec: MarketSpec, t: np.ndarray, s: np.ndarray,
-                          T: float) -> np.ndarray:
-    """Unlevered price over aligned arrays of states with 0 < t < T."""
-    sigma = float(spec.sigma[0])
-    r = spec.rate
-    s0 = float(spec.s0[0])
-    z = (np.log(s / s0) - (r - 0.5 * sigma * sigma) * t) / (sigma * np.sqrt(t))
-    a = -z * np.sqrt(t / (T - t))
-    b = a + sigma * T / np.sqrt(T - t)
-    ratio = np.sqrt(T / t)
-    log_c = 0.5 * np.log(T / t) + r * t + 0.5 * z * z
-    term1 = np.exp(r * t) * norm_cdf(a)
-    term2 = np.exp(log_c) * (norm_cdf(a * ratio + sigma * np.sqrt(t * T / (T - t)))
-                             - norm_cdf(a * ratio))
-    term3 = (s / s0) * norm_cdf(sigma * np.sqrt(T - t) - b)
-    return term1 + term2 + term3
-
-
 def _unlevered_fraction_series(spec: MarketSpec, times: np.ndarray,
                                prices: np.ndarray, T: float) -> np.ndarray:
     """delta * S / C from central differences of the unlevered price.
@@ -186,9 +133,8 @@ def _unlevered_fraction_series(spec: MarketSpec, times: np.ndarray,
     t = times[live]
     s = prices[live, 0]
     h = _FD_REL_STEP * s
-    delta = (_unlevered_price_grid(spec, t, s + h, T)
-             - _unlevered_price_grid(spec, t, s - h, T)) / (2.0 * h)
-    fractions[live, 0] = delta * s / _unlevered_price_grid(spec, t, s, T)
+    up, down, mid = sum(_unlevered_terms(spec, np.stack([s + h, s - h, s])[..., None], t, T))
+    fractions[live, 0] = (up - down) / (2.0 * h) * s / mid
     return fractions
 
 
@@ -227,8 +173,7 @@ def hedge_path(spec: MarketSpec, path: PricePath, t_start: float, T: float,
     times = path.times[i0:i1 + 1]
     prices = path.prices[i0:i1 + 1]
     if mode == "levered":
-        lower = cholesky_with_tolerance(spec.corr)
-        fractions = _levered_fraction_series(spec, lower, times, prices)
+        fractions = _fractions(spec, prices, times)
     elif mode == "unlevered":
         if spec.n != 1:
             raise ValidationError("unlevered hedging is defined for one asset")
@@ -268,7 +213,6 @@ def run_growth_simulation(config: SimulationConfig) -> SimulationResult:
     times = np.linspace(0.0, config.T, steps + 1)
     i_buy = _grid_index(times, config.warmup)
     after = times[i_buy:]
-    lower = cholesky_with_tolerance(spec.corr)
     basket_shares = (1.0 / spec.n) / spec.s0
     kelly, growth_rate = kelly_rule(spec)
 
@@ -276,15 +220,15 @@ def run_growth_simulation(config: SimulationConfig) -> SimulationResult:
     fractions = np.empty((config.n_paths, steps + 1, spec.n))
     shares = np.empty_like(fractions)
     cash = np.empty_like(wealth)
-    for first, prices in _price_blocks(spec, lower, config.T, steps, config.n_paths,
+    for first, prices in _price_blocks(spec, config.T, steps, config.n_paths,
                                        "physical", config.seed):
         rows = slice(first, first + len(prices))
         w, f = wealth[rows], fractions[rows]
         w[:, :i_buy + 1] = prices[:, :i_buy + 1] @ basket_shares
-        log_c = _log_levered_series(spec, lower, after, prices[:, i_buy:], config.T)
+        log_c = _log_levered(spec, prices[:, i_buy:], after, config.T)
         w[:, i_buy:] = w[:, i_buy, None] * np.exp(log_c - log_c[:, :1])
         f[:, :i_buy] = basket_shares * prices[:, :i_buy] / w[:, :i_buy, None]
-        f[:, i_buy:] = _levered_fraction_series(spec, lower, after, prices[:, i_buy:])
+        f[:, i_buy:] = _fractions(spec, prices[:, i_buy:], after)
         shares[rows], cash[rows] = _close_positions(w, f, prices)
 
     ledgers = [HedgeLedger(times=times, wealth=wealth[p], fractions=fractions[p],

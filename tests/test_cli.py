@@ -7,10 +7,12 @@ import pytest
 
 from hindsight_options import (
     MarketSpec,
+    demon_simulation,
     hedge_path,
     price_levered,
     save_market_spec,
     simulate_paths,
+    write_demon_csv,
     write_ledger_csv,
 )
 from hindsight_options.cli import main
@@ -81,7 +83,17 @@ def test_missing_price_file_exits_4(capsys):
     assert "i/o error" in err
 
 
-def test_lattice_subcommands(capsys):
+def test_unrepresentable_or_nonfinite_quotes_exit_3(capsys):
+    deep = ["--sigma", "0.1", "--s", "1e30", "--t", "0.01", "--T", "2"]
+    for argv in (["price", *deep], ["price", "--mode", "unlevered", *deep],
+                 ["greeks", *deep],
+                 ["price", "--sigma", "0.1", "--s", "1", "--t", "1", "--T", "nan"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_lattice_subcommands(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "lattice", "--what", "payoff", "--N", "2",
                            "--j", "1", "--u", "2", "--d", "0.5", "--rper", "0")
     assert code == 0
@@ -94,11 +106,14 @@ def test_lattice_subcommands(capsys):
     assert json.loads(out)["price"] > 1.0
 
     code, out, _ = run_cli(capsys, "lattice", "--what", "demon", "--N", "6",
-                           "--p", "0.5", "--seed", "4")
+                           "--p", "0.5", "--seed", "4", "--out", str(tmp_path / "demon"))
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == "step,upticks,stock,wealth"
     assert len(lines) == 8
+    write_demon_csv(demon_simulation(6, 0.5, 4), str(tmp_path / "demon.csv"))
+    assert ((tmp_path / "demon" / "demon.csv").read_bytes()
+            == (tmp_path / "demon.csv").read_bytes())
 
 
 def test_backtest_subcommand(tmp_path, capsys):

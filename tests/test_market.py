@@ -46,6 +46,21 @@ def reference_paths(spec, horizon, steps, n_paths, measure, seed):
     return paths
 
 
+def test_spec_arrays_and_cached_factor_are_read_only():
+    mu = np.array([0.05, 0.08, 0.1])
+    corr = np.array(CORR3)
+    spec = MarketSpec(n=3, mu=mu, sigma=[0.2, 0.4, 0.6], corr=corr, rate=0.01,
+                      s0=[1.0, 2.0, 3.0])
+    assert spec.lower is spec.lower
+    np.testing.assert_array_equal(spec.lower, cholesky_with_tolerance(CORR3))
+    for array in (spec.mu, spec.sigma, spec.corr, spec.s0, spec.lower):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+    mu[0] = 0.5  # the caller's arrays are copied, not frozen
+    corr[0, 1] = corr[1, 0] = 0.0
+    assert spec.mu[0] == 0.05 and spec.corr[0, 1] == 0.3
+
+
 def test_single_asset_identity_corr_is_valid():
     spec = MarketSpec.single(mu=0.0, sigma=0.7, rate=0.0)
     assert validate_market(spec) is spec

@@ -25,6 +25,7 @@ from hindsight_options import (
     z_score,
 )
 from hindsight_options.errors import IrrationalPriceError, ValidationError
+from hindsight_options.hindsight import _fractions, _log_levered
 from hindsight_options.pricing import norm_cdf
 
 SPEC = MarketSpec.single(mu=0.0, sigma=0.2, rate=0.03, s0=100.0)
@@ -96,6 +97,11 @@ def test_price_diverges_at_time_zero():
         price_levered(SPEC, 100.0, 0.0, 1.0)
     with pytest.raises(ValidationError):
         price_levered(SPEC, 100.0, 1.5, 1.0)  # t > T
+    for t, T in ((1.0, math.nan), (math.nan, 2.0), (1.0, math.inf), (math.inf, math.inf)):
+        with pytest.raises(ValidationError, match="finite"):
+            price_levered(SPEC, 100.0, t, T)
+    with pytest.raises(ValidationError, match="finite"):
+        price_levered(SPEC, math.inf, 1.0, 2.0)
 
 
 def test_log_price_survives_huge_states():
@@ -104,6 +110,28 @@ def test_log_price_survives_huge_states():
     s = state_price(spec, 40.0, 1.0)
     log_c = log_price_levered(spec, s, 1.0, 4.0)
     assert log_c == pytest.approx(0.5 * math.log(4.0) + 0.02 + 800.0, rel=1e-12)
+    # the linear-space quantities overflow there: a domain error, not inf or OverflowError
+    for linear in (price_levered, multi_delta):
+        with pytest.raises(ValidationError, match="not representable in float64"):
+            linear(spec, s, 1.0, 4.0)
+    with pytest.raises(ValidationError, match="use log_intrinsic_value"):
+        intrinsic_value(spec, s, 1.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_scalar_quotes_equal_the_batched_kernels(n):
+    rng = np.random.default_rng(40 + n)
+    spec = random_spec(rng, n)
+    T = 2.5
+    t = rng.uniform(0.05, 1.0, 40) * T
+    s = np.exp(rng.normal(0.0, 0.6, (40, n)))
+    log_c = _log_levered(spec, s, t, T)
+    fractions = _fractions(spec, s, t)
+    for i in range(40):
+        c = math.exp(log_c[i])
+        assert price_levered(spec, s[i], t[i], T).price == c
+        np.testing.assert_array_equal(multi_delta(spec, s[i], t[i], T),
+                                      c * fractions[i] / s[i])
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +199,10 @@ def test_greeks_domain():
     with pytest.raises(ValidationError):
         greeks(MarketSpec.pair(mu=(0, 0), sigma=(0.2, 0.2), rho=0.0, rate=0.0),
                [1.0, 1.0], 0.5, 1.0)
+    with pytest.raises(ValidationError, match="not representable in float64"):
+        greeks(MarketSpec.single(mu=0.0, sigma=0.1, rate=0.0), 1e30, 0.01, 2.0)
+    with pytest.raises(ValidationError, match="finite"):
+        greeks(SPEC, 100.0, 0.5, math.nan)
 
 
 def test_multi_delta_reduces_and_matches_fd():
@@ -242,6 +274,13 @@ def test_unlevered_expiry_and_domain():
     with pytest.raises(ValidationError):
         price_unlevered(MarketSpec.pair(mu=(0, 0), sigma=(0.2, 0.2), rho=0.0, rate=0.0),
                         [1.0, 1.0], 0.5, 1.0)
+    # the levered factor of the middle term overflows (inf * 0 would be NaN)
+    for spec, s in ((MarketSpec.single(0.05, 0.1, 0.02), [1e3]),
+                    (MarketSpec.single(0.0, 0.1, 0.0), 1e30)):
+        with pytest.raises(ValidationError, match="not representable in float64"):
+            price_unlevered(spec, s, 0.01, 2.0)
+        with pytest.raises(ValidationError, match="not representable in float64"):
+            unlevered_terms(spec, s, 0.01, 2.0)
 
 
 def test_time0_price_values():

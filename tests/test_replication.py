@@ -10,6 +10,7 @@ from hindsight_options import (
     MarketSpec,
     PricePath,
     SimulationConfig,
+    best_rule,
     discrete_backtest,
     excess_growth_bound,
     hedge_path,
@@ -17,6 +18,8 @@ from hindsight_options import (
     load_price_table,
     log_intrinsic_value,
     log_price_levered,
+    multi_delta,
+    price_levered,
     price_unlevered,
     run_growth_simulation,
     scenario_config,
@@ -26,7 +29,9 @@ from hindsight_options import (
 )
 from hindsight_options.replication import PriceTable
 from hindsight_options.errors import ValidationError
+from hindsight_options import market
 from hindsight_options.market import _BLOCK_PATH_STEPS, cholesky_with_tolerance
+from hindsight_options.pricing import norm_cdf
 
 SPEC = MarketSpec.single(mu=0.07, sigma=0.3, rate=0.02, s0=1.0)
 
@@ -150,6 +155,59 @@ def test_unlevered_hedge_tracks_its_price():
         target = capture_target(spec, path, i0, 1.0, 2.0, mode="unlevered")
         errs.append(ledger.wealth[-1] / target - 1.0)
     assert float(np.mean(np.abs(errs))) < 0.01
+
+
+def reference_unlevered_fractions(spec, times, prices, T):
+    """delta * S / C by central differences of a standalone three-term price."""
+    sigma, r, s0 = float(spec.sigma[0]), spec.rate, float(spec.s0[0])
+
+    def price(t, s):
+        z = (np.log(s / s0) - (r - 0.5 * sigma * sigma) * t) / (sigma * np.sqrt(t))
+        a = -z * np.sqrt(t / (T - t))
+        b = a + sigma * T / np.sqrt(T - t)
+        ratio = np.sqrt(T / t)
+        log_c = 0.5 * np.log(T / t) + r * t + 0.5 * z * z
+        term1 = np.exp(r * t) * norm_cdf(a)
+        term2 = np.exp(log_c) * (norm_cdf(a * ratio + sigma * np.sqrt(t * T / (T - t)))
+                                 - norm_cdf(a * ratio))
+        term3 = (s / s0) * norm_cdf(sigma * np.sqrt(T - t) - b)
+        return term1 + term2 + term3
+
+    fractions = np.zeros((len(times), 1))
+    live = times < T
+    t, s = times[live], prices[live, 0]
+    h = 1e-5 * s
+    delta = (price(t, s + h) - price(t, s - h)) / (2.0 * h)
+    fractions[live, 0] = delta * s / price(t, s)
+    return fractions
+
+
+@pytest.mark.parametrize("spec", [SPEC, MarketSpec.single(mu=0.1, sigma=0.7, rate=0.04, s0=30.0)])
+def test_unlevered_hedge_fractions_equal_the_reference_formula(spec):
+    path = simulate_paths(spec, 3.0, 600, 1, seed=29)[0]
+    ledger = hedge_path(spec, path, 0.5, 3.0, mode="unlevered")
+    want = reference_unlevered_fractions(spec, ledger.times, path.prices[100:], 3.0)
+    np.testing.assert_array_equal(ledger.fractions, want)
+
+
+def test_one_factorization_per_spec(monkeypatch):
+    calls = []
+
+    def counting_cholesky(a):
+        calls.append(np.array(a))
+        return cholesky_with_tolerance(a)
+
+    monkeypatch.setattr(market, "cholesky_with_tolerance", counting_cholesky)
+    spec = MarketSpec.pair(mu=(0.1, 0.12), sigma=(0.3, 0.5), rho=0.2, rate=0.02)
+    s = np.array([1.2, 0.9])
+    price_levered(spec, s, 1.0, 2.0)
+    multi_delta(spec, s, 1.0, 2.0)
+    best_rule(spec, s, 1.0)
+    path = simulate_paths(spec, 2.0, 40, 1, seed=3)[0]
+    hedge_path(spec, path, 1.0, 2.0)
+    run_growth_simulation(SimulationConfig(spec=spec, T=10.0, warmup=2.0,
+                                           steps_per_year=4, n_paths=3, seed=1))
+    assert len(calls) == 1
 
 
 def test_hedge_path_domain_errors():
