@@ -165,8 +165,8 @@ def wealth_of_rule(spec: MarketSpec, s, t: float, rule: RebalancingRule) -> floa
     if b.shape != (spec.n,):
         raise ValidationError(f"rule has {b.shape[0]} fractions for {spec.n} assets")
     quad = float(b @ covariance(spec) @ b)
-    return math.exp((spec.rate - 0.5 * quad) * t
-                    + math.sqrt(t) * float(state.z @ (spec.sigma * b)))
+    return _exp((spec.rate - 0.5 * quad) * t + math.sqrt(t) * float(state.z @ (spec.sigma * b)),
+                "the log wealth (r - b' Sigma b / 2) t + sqrt(t) z' M b")
 
 
 def intrinsic_value(spec: MarketSpec, s, t: float, mode: str = "levered") -> float:

@@ -12,10 +12,10 @@ The levered payoff V_N(b(j, N)) collapses to (R/N)^N (j/q)^j ((N-j)/(1-q))^{N-j}
 with the 0^0 := 1 convention; the unlevered payoff clamps b(j, N) to [0, 1],
 which selects R^N below j = Nq and u^j d^{N-j} above j = Nq + N(u-d)q(1-q)/R.
 
-Prices are expected discounted payoffs under q.  Two independent routes are
-shipped: closed sums over terminal outcomes (log-space, log-gamma binomials,
-log-sum-exp accumulation, so N = 300 runs do not overflow) and exact backward
-induction, the reference for every interior state.
+Prices are expected discounted payoffs under q, in log space.  A closed sum
+over terminal outcomes (log-gamma binomials, log-sum-exp) prices one node in
+O(N); one backward sweep of C(k, n) = [q C(k+1, n+1) + (1-q) C(k, n+1)] / R
+prices every node in O(N^2) for the demon, the induction table and the hedge.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import numpy as np
 from scipy.special import gammaln, logsumexp, xlogy
 
 from .errors import ValidationError
+from .hindsight import _exp, _representable
 
 
 @dataclass(frozen=True)
@@ -132,7 +133,9 @@ def lattice_log_payoff(spec: LatticeSpec, j, mode: str = "levered") -> np.ndarra
 
 def lattice_payoff(spec: LatticeSpec, j: int, mode: str = "levered") -> float:
     """Terminal payoff of the option after j ups out of n_steps."""
-    return float(np.exp(lattice_log_payoff(spec, j, mode)[0]))
+    log_payoff = lattice_log_payoff(spec, j, mode)[0]
+    _exp(log_payoff, "lattice_log_payoff")
+    return float(np.exp(log_payoff))
 
 
 def lattice_log_price(spec: LatticeSpec, state: LatticeState, mode: str = "levered") -> float:
@@ -163,27 +166,35 @@ def lattice_log_price(spec: LatticeSpec, state: LatticeState, mode: str = "lever
 
 def lattice_price(spec: LatticeSpec, state: LatticeState, mode: str = "levered") -> float:
     """Price in state (k, n); at n = N this is the payoff itself."""
-    return math.exp(lattice_log_price(spec, state, mode))
+    return _exp(lattice_log_price(spec, state, mode), "lattice_log_price")
+
+
+def _log_node_rows(spec: LatticeSpec, mode: str = "levered"):
+    """Yield (n, log C(., n)) for n = N, ..., 0, sweeping back from the payoff row.
+
+    row_n = logaddexp(log q + row_{n+1}[1:], log(1-q) + row_{n+1}[:-1]) - log R.
+    """
+    log_up, log_down = math.log(spec.q), math.log1p(-spec.q)
+    log_gross = math.log(spec.gross_rate)
+    row = lattice_log_payoff(spec, np.arange(spec.n_steps + 1), mode)
+    yield spec.n_steps, row
+    for n in range(spec.n_steps - 1, -1, -1):
+        row = np.logaddexp(log_up + row[1:], log_down + row[:-1]) - log_gross
+        yield n, row
 
 
 def induction_price_table(spec: LatticeSpec, mode: str = "levered") -> list[np.ndarray]:
-    """Exact backward-induction prices at every node.
+    """Prices at every node, the exp of the log-space backward sweep.
 
     Returns ``table`` with ``table[n][k]`` the price after n steps and k ups;
-    ``table[N]`` is the payoff row.  This is the reference pricer: the
-    discounted price process is a q-martingale by construction,
-    C(k, n) = [q C(k+1, n+1) + (1-q) C(k, n+1)] / R.
-
-    Works in plain floats, so the payoff row must be representable; for very
-    deep levered lattices use :func:`lattice_log_price` instead.
+    ``table[N]`` is the payoff row.  The discounted price process is a
+    q-martingale by construction, C(k, n) = [q C(k+1, n+1) + (1-q) C(k, n+1)] / R.
+    A price not representable in float64 raises :class:`ValidationError`;
+    price single nodes of such lattices with :func:`lattice_log_price`.
     """
-    n_total, q, gross = spec.n_steps, spec.q, spec.gross_rate
-    table: list[np.ndarray] = [np.empty(0)] * (n_total + 1)
-    table[n_total] = np.exp(lattice_log_payoff(spec, np.arange(n_total + 1), mode))
-    for n in range(n_total - 1, -1, -1):
-        nxt = table[n + 1]
-        table[n] = (q * nxt[1:n + 2] + (1.0 - q) * nxt[:n + 1]) / gross
-    return table
+    rows = [row for _, row in _log_node_rows(spec, mode)][::-1]
+    _exp(max(float(row.max()) for row in rows), "lattice_log_price")
+    return [np.exp(row) for row in rows]
 
 
 def lattice_delta(spec: LatticeSpec, state: LatticeState, s: float,
@@ -234,28 +245,23 @@ def time0_unlevered_price(spec: LatticeSpec) -> float:
 
 
 def hedge_lattice_path(spec: LatticeSpec, moves: np.ndarray, mode: str = "levered",
-                       s0: float = 1.0, table: list[np.ndarray] | None = None) -> np.ndarray:
+                       s0: float = 1.0) -> np.ndarray:
     """Self-financing delta-hedge wealth along one path of up (1) / down (0) moves.
 
     Starts with wealth C(0, 0); exact replication makes the wealth equal the
     node price C(k, n) at every step, ending at the payoff.  Deltas come from
-    the closed sums unless a precomputed ``induction_price_table`` is given.
+    :func:`induction_price_table`.
     """
     moves = np.asarray(moves, dtype=int)
     if moves.shape != (spec.n_steps,) or np.any((moves != 0) & (moves != 1)):
         raise ValidationError(f"moves must be {spec.n_steps} entries of 0 or 1")
+    table = induction_price_table(spec, mode)
     wealth = np.empty(spec.n_steps + 1)
-    if table is None:
-        wealth[0] = lattice_price(spec, LatticeState(0, 0), mode)
-    else:
-        wealth[0] = table[0][0]
+    wealth[0] = table[0][0]
     s = s0
     k = 0
     for n, up in enumerate(moves):
-        if table is None:
-            delta = lattice_delta(spec, LatticeState(k, n), s, mode)
-        else:
-            delta = (table[n + 1][k + 1] - table[n + 1][k]) / (s * (spec.u - spec.d))
+        delta = (table[n + 1][k + 1] - table[n + 1][k]) / (s * (spec.u - spec.d))
         cash = wealth[n] - delta * s
         s = s * (spec.u if up else spec.d)
         k += int(up)
@@ -290,11 +296,12 @@ def demon_simulation(n_steps: int, p: float, seed: int) -> DemonLedger:
     ups = (rng.random(n_steps) < p).astype(int)
     k = np.concatenate([[0], np.cumsum(ups)])
     n = np.arange(n_steps + 1)
-    log_c = np.array([lattice_log_price(spec, LatticeState(int(ki), int(ni)))
-                      for ki, ni in zip(k, n)])
-    return DemonLedger(steps=n, upticks=k,
-                       stock=np.exp2((2 * k - n).astype(float)),
-                       wealth=np.exp(log_c - log_c[0]))
+    log_c = np.array([row[k[step]] for step, row in _log_node_rows(spec)])[::-1]
+    log_wealth = log_c - log_c[0]
+    _exp(float(log_wealth.max()), "lattice_log_price")
+    with np.errstate(over="ignore"):  # exp2 of an integer is exact until it overflows
+        stock = _representable(np.exp2((2 * k - n).astype(float)), "lattice_log_price")
+    return DemonLedger(steps=n, upticks=k, stock=stock, wealth=np.exp(log_wealth))
 
 
 def format_demon_csv(ledger: DemonLedger) -> str:

@@ -91,6 +91,8 @@ class ImpliedVolRoots:
 def _check_horizon(t: float, T: float, *, strict_end: bool = False) -> None:
     if not (0 < t < math.inf and T < math.inf):
         raise ValidationError("need finite T and t > 0 (the price diverges as t -> 0+)")
+    if not math.isfinite(T / t):
+        raise ValidationError("T / t overflows float64; need a finite ratio")
     if strict_end:
         if t >= T:
             raise ValidationError("need t < T")
@@ -101,7 +103,7 @@ def _check_horizon(t: float, T: float, *, strict_end: bool = False) -> None:
 def min_rational_price(n: int, t: float, T: float, rate: float) -> float:
     """Lowest rational levered price, (T/t)^{n/2} e^{rt}, attained at z = 0."""
     _check_horizon(t, T)
-    return math.exp(0.5 * n * math.log(T / t) + rate * t)
+    return _exp(0.5 * n * math.log(T / t) + rate * t, "log_price_levered")
 
 
 def log_price_levered(spec: MarketSpec, s, t: float, T: float) -> float:

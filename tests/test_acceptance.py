@@ -204,7 +204,7 @@ def test_criterion_05_lattice_exactness():
     for mode in ("levered", "unlevered"):
         table = induction_price_table(spec, mode)
         for row in bits:
-            wealth = hedge_lattice_path(spec, row, mode, table=table)
+            wealth = hedge_lattice_path(spec, row, mode)
             payoff = table[12][int(row.sum())]
             rel = abs(wealth[-1] - payoff) / payoff
             assert rel < 1e-10

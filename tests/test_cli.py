@@ -85,12 +85,17 @@ def test_missing_price_file_exits_4(capsys):
 
 def test_unrepresentable_or_nonfinite_quotes_exit_3(capsys):
     deep = ["--sigma", "0.1", "--s", "1e30", "--t", "0.01", "--T", "2"]
+    deep_lattice = ["lattice", "--N", "2000", "--u", "1.02", "--d", "0.98", "--rper", "0"]
     for argv in (["price", *deep], ["price", "--mode", "unlevered", *deep],
                  ["greeks", *deep],
-                 ["price", "--sigma", "0.1", "--s", "1", "--t", "1", "--T", "nan"]):
+                 ["price", "--sigma", "0.1", "--s", "1", "--t", "1", "--T", "nan"],
+                 [*deep_lattice, "--what", "price", "--k", "2000", "--n", "2000"],
+                 [*deep_lattice, "--what", "payoff", "--j", "2000"],
+                 ["lattice", "--what", "demon", "--N", "3000", "--p", "0.9", "--seed", "1"]):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (3, "")
         assert err.startswith("error: ") and "Traceback" not in err
+        assert len(err.splitlines()) == 1
 
 
 def test_lattice_subcommands(tmp_path, capsys):

@@ -129,6 +129,8 @@ def test_rebalancing_rule_validation():
         RebalancingRule(b=[1.2], mode="unlevered")
     with pytest.raises(ValidationError):
         RebalancingRule(b=[0.2, 0.3], mode="unlevered")
+    with pytest.raises(ValidationError, match="not representable in float64"):
+        wealth_of_rule(MarketSpec.single(0.0, 0.1, 0.0), 1e30, 0.01, RebalancingRule([50.0]))
 
 
 def test_all_cash_earns_the_riskfree_rate():

@@ -17,6 +17,7 @@ from hindsight_options import (
     induction_price_table,
     lattice_best_rule,
     lattice_delta,
+    lattice_log_price,
     lattice_payoff,
     lattice_price,
     price_time0_unlevered,
@@ -25,6 +26,7 @@ from hindsight_options import (
     write_demon_csv,
 )
 from hindsight_options.errors import ValidationError
+from hindsight_options.lattice import _log_node_rows
 
 GENERIC = LatticeSpec(u=1.25, d=0.85, r_per=0.03, n_steps=12)
 
@@ -137,6 +139,27 @@ def test_discounted_price_is_a_q_martingale():
                 assert here == pytest.approx((q * up + (1 - q) * dn) / gross, rel=1e-12)
 
 
+@pytest.mark.parametrize("mode", ["levered", "unlevered"])
+@pytest.mark.parametrize("spec", [LatticeSpec.crr(0.3, 0.03, 2.0, 300), shannon_spec(300)],
+                         ids=["crr", "shannon"])
+def test_sweep_equals_closed_sum_at_every_node(spec, mode):
+    worst = 0.0
+    for n, row in _log_node_rows(spec, mode):
+        assert row.shape == (n + 1,)
+        closed = [lattice_log_price(spec, LatticeState(k, n), mode) for k in range(n + 1)]
+        worst = max(worst, float(np.max(np.abs(row - closed))))
+    assert worst < 1e-11
+
+
+def test_deep_sweep_root_is_finite_where_the_table_overflows():
+    spec = LatticeSpec.crr(0.3, 0.03, 2.0, 2000)
+    root = dict(_log_node_rows(spec))[0]
+    assert root.shape == (1,) and math.isfinite(root[0])
+    assert root[0] == pytest.approx(lattice_log_price(spec, LatticeState(0, 0)), abs=1e-10)
+    with pytest.raises(ValidationError, match="use lattice_log_price"):
+        induction_price_table(spec)
+
+
 def test_american_exercise_never_pays():
     spec = LatticeSpec(u=1.15, d=0.9, r_per=0.01, n_steps=15)
     for mode in ("levered", "unlevered"):
@@ -181,7 +204,7 @@ def test_delta_hedge_replicates_sampled_paths(mode):
     rng = np.random.default_rng(31)
     for _ in range(40):
         moves = (rng.random(spec.n_steps) < 0.5).astype(int)
-        wealth = hedge_lattice_path(spec, moves, mode, s0=2.0, table=table)
+        wealth = hedge_lattice_path(spec, moves, mode, s0=2.0)
         # wealth tracks the node price exactly along the whole path
         k = np.concatenate([[0], np.cumsum(moves)])
         for n in range(spec.n_steps + 1):
@@ -231,6 +254,15 @@ def test_demon_all_up_path():
     assert ledger.wealth[-1] == pytest.approx(expected, rel=1e-12)
 
 
+def test_demon_wealth_matches_closed_sum_ratios():
+    sh = shannon_spec(1000)
+    ledger = demon_simulation(1000, 0.5, seed=12)
+    log_c0 = lattice_log_price(sh, LatticeState(0, 0))
+    closed = [math.exp(lattice_log_price(sh, LatticeState(int(k), int(n))) - log_c0)
+              for k, n in zip(ledger.upticks, ledger.steps)]
+    np.testing.assert_allclose(ledger.wealth, closed, rtol=1e-10, atol=0.0)
+
+
 def test_demon_is_deterministic():
     a = demon_simulation(50, 0.5, seed=9)
     b = demon_simulation(50, 0.5, seed=9)
@@ -270,3 +302,11 @@ def test_state_validation():
         lattice_payoff(GENERIC, 13)
     with pytest.raises(ValidationError):
         lattice_delta(GENERIC, LatticeState(2, 12), 1.0)
+    # values beyond float64 name the log-space API instead of returning inf
+    deep = LatticeSpec(u=1.02, d=0.98, r_per=0.0, n_steps=2000)
+    with pytest.raises(ValidationError, match="use lattice_log_price"):
+        lattice_price(deep, LatticeState(2000, 2000))
+    with pytest.raises(ValidationError, match="use lattice_log_payoff"):
+        lattice_payoff(deep, 2000)
+    with pytest.raises(ValidationError, match="use lattice_log_price"):
+        demon_simulation(3000, 0.9, seed=1)

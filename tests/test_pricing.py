@@ -102,6 +102,13 @@ def test_price_diverges_at_time_zero():
             price_levered(SPEC, 100.0, t, T)
     with pytest.raises(ValidationError, match="finite"):
         price_levered(SPEC, math.inf, 1.0, 2.0)
+    # T / t overflows although t and T are finite
+    flat = MarketSpec.single(0.0, 0.1, 0.0)
+    for call in (lambda: log_price_levered(flat, 1.0, 1e-300, 1e10),
+                 lambda: min_rational_price(3, 1e-300, 1e10, 0.0),
+                 lambda: excess_growth_bound(flat, 1.0, 1e-300, 1e10)):
+        with pytest.raises(ValidationError, match="finite"):
+            call()
 
 
 def test_log_price_survives_huge_states():
