@@ -36,7 +36,6 @@ from .lattice import (
 from .market import (
     MarketSpec,
     PricePath,
-    correlated_normals,
     covariance,
     load_market_spec,
     save_market_spec,

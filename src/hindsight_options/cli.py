@@ -26,7 +26,7 @@ from .lattice import (
     lattice_payoff,
     lattice_price,
 )
-from .market import MarketSpec, load_market_spec, validate_market
+from .market import MarketSpec, load_market_spec
 from .mc import mc_price
 from .pricing import (
     greeks,
@@ -97,13 +97,13 @@ def _build_spec(args) -> MarketSpec:
         elif args.r is not None:
             spec = MarketSpec(n=spec.n, mu=spec.mu, sigma=spec.sigma,
                               corr=spec.corr, rate=args.r, s0=spec.s0)
-        return validate_market(spec)
+        return spec
     if args.sigma is None:
         raise ValidationError("either --config or --sigma is required")
     rate = args.r if args.r is not None else 0.0
     mu = args.mu if args.mu is not None else rate
     s0 = args.s0 if args.s0 is not None else 1.0
-    return validate_market(MarketSpec.single(mu=mu, sigma=args.sigma, rate=rate, s0=s0))
+    return MarketSpec.single(mu=mu, sigma=args.sigma, rate=rate, s0=s0)
 
 
 def _parse_prices(text: str, n: int) -> np.ndarray:
@@ -301,8 +301,8 @@ def _cmd_verify(args) -> int:
         rate = rng.uniform(0.0, 0.05)
         horizon = rng.uniform(1.0, 4.0)
         t = rng.uniform(0.1, 0.9) * horizon
-        spec = validate_market(MarketSpec(n=n, mu=np.full(n, rate), sigma=sigma,
-                                          corr=corr, rate=rate, s0=np.ones(n)))
+        spec = MarketSpec(n=n, mu=np.full(n, rate), sigma=sigma, corr=corr,
+                          rate=rate, s0=np.ones(n))
         shock = rng.standard_normal(n) @ np.linalg.cholesky(corr).T
         s = np.exp((rate - 0.5 * sigma**2) * t + sigma * np.sqrt(t) * shock)
         modes = ["levered"] if n > 1 else ["levered", "unlevered"]

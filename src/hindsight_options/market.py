@@ -45,10 +45,12 @@ class MarketSpec:
     s0 : np.ndarray, shape (n,)
         Initial prices; each > 0.
     lower : np.ndarray, shape (n, n)
-        Cached lower Cholesky factor of ``corr``, factored on first use.
+        Lower Cholesky factor of ``corr``, factored at construction.
 
-    The arrays are read-only float copies (the caller's stay writable), so the
-    factor cannot go stale.  Construction does not validate the spec.
+    Construction validates the spec (:func:`validate_market`) and raises
+    ``ValidationError`` naming the first bad field, so every spec that exists
+    is valid.  The arrays are read-only float copies (the caller's stay
+    writable), so the factor cannot go stale.
     """
 
     n: int
@@ -60,15 +62,29 @@ class MarketSpec:
 
     def __post_init__(self) -> None:
         for name, ndmin in (("mu", 1), ("sigma", 1), ("corr", 2), ("s0", 1)):
-            value = np.array(getattr(self, name), dtype=float, ndmin=ndmin)
+            try:
+                value = np.array(getattr(self, name), dtype=float, ndmin=ndmin)
+            except (TypeError, ValueError):
+                raise ValidationError(f"{name} must be a rectangular array of numbers") from None
             value.flags.writeable = False
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "rate", float(self.rate))
-        object.__setattr__(self, "n", int(self.n))
+        try:
+            object.__setattr__(self, "rate", float(self.rate))
+        except (TypeError, ValueError):
+            raise ValidationError("rate must be a number") from None
+        try:
+            n = int(self.n)
+            integral = n == self.n
+        except (TypeError, ValueError, OverflowError):
+            integral = False
+        if not integral:
+            raise ValidationError(f"n (asset count) must be an integer, got {self.n!r}")
+        object.__setattr__(self, "n", n)
+        validate_market(self)
 
     @cached_property
     def lower(self) -> np.ndarray:
-        """Read-only lower Cholesky factor of ``corr``, factored once per spec."""
+        """Read-only lower Cholesky factor of ``corr``, factored once, at construction."""
         lower = cholesky_with_tolerance(self.corr)
         lower.flags.writeable = False
         return lower
@@ -169,19 +185,6 @@ def covariance(spec: MarketSpec) -> np.ndarray:
     return m @ spec.corr @ m
 
 
-def correlated_normals(corr: np.ndarray, count: int, seed: int) -> np.ndarray:
-    """Draw ``count`` i.i.d. rows of unit normals with correlation ``corr``.
-
-    Deterministic for a given seed.  Raises when the matrix fails the
-    tolerance-based Cholesky factorization.
-    """
-    corr = np.atleast_2d(np.asarray(corr, dtype=float))
-    lower = cholesky_with_tolerance(corr)
-    rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
-    z = rng.standard_normal((int(count), corr.shape[0]))
-    return z @ lower.T
-
-
 def _check_path_args(horizon: float, steps: int, n_paths: int, measure: str,
                      seed: int) -> None:
     """Reject path-grid arguments that cannot give finite, seeded paths."""
@@ -254,7 +257,6 @@ def simulate_paths(spec: MarketSpec, horizon: float, steps: int, n_paths: int,
     list[PricePath]
         ``n_paths`` paths, each with ``steps + 1`` grid points.
     """
-    validate_market(spec)
     _check_path_args(horizon, steps, n_paths, measure, seed)
     times = np.linspace(0.0, horizon, steps + 1)
     return [PricePath(times=times, prices=prices)
@@ -305,10 +307,9 @@ def load_market_spec(path: str) -> MarketSpec:
             raise ValidationError(f"{path}: key {key!r} given {len(rows)} times")
         return rows[0]
 
-    n = int(scalar_row("n")[0])
+    n = scalar_row("n")[0]
     corr_rows = values["corr"]
     if len(corr_rows) != n:
-        raise ValidationError(f"{path}: expected {n} corr rows, got {len(corr_rows)}")
-    spec = MarketSpec(n=n, mu=scalar_row("mu"), sigma=scalar_row("sigma"),
+        raise ValidationError(f"{path}: expected {n:g} corr rows, got {len(corr_rows)}")
+    return MarketSpec(n=n, mu=scalar_row("mu"), sigma=scalar_row("sigma"),
                       corr=corr_rows, rate=scalar_row("rate")[0], s0=scalar_row("s0"))
-    return validate_market(spec)

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .hindsight import _fractions, _log_levered, kelly_rule
-from .market import MarketSpec, PricePath, _check_path_args, _price_blocks, validate_market
+from .hindsight import _fractions, _log_levered, _representable, kelly_rule
+from .market import MarketSpec, PricePath, _check_path_args, _price_blocks
 from .pricing import _unlevered_terms
 
 _FD_REL_STEP = 1e-5  # central-difference step for unlevered hedge deltas
@@ -126,16 +126,18 @@ def _unlevered_fraction_series(spec: MarketSpec, times: np.ndarray,
     """delta * S / C from central differences of the unlevered price.
 
     The expired point t = T (if present) gets a zero fraction; no trade
-    happens there anyway.
+    happens there anyway.  Raises ``ValidationError`` where the prices
+    overflow float64.
     """
     fractions = np.zeros((len(times), 1))
     live = times < T
     t = times[live]
     s = prices[live, 0]
     h = _FD_REL_STEP * s
-    up, down, mid = sum(_unlevered_terms(spec, np.stack([s + h, s - h, s])[..., None], t, T))
-    fractions[live, 0] = (up - down) / (2.0 * h) * s / mid
-    return fractions
+    with np.errstate(over="ignore", invalid="ignore"):
+        up, down, mid = sum(_unlevered_terms(spec, np.stack([s + h, s - h, s])[..., None], t, T))
+        fractions[live, 0] = (up - down) / (2.0 * h) * s / mid
+    return _representable(fractions, "log_price_levered")
 
 
 def _close_positions(wealth: np.ndarray, fractions: np.ndarray,
@@ -163,7 +165,6 @@ def hedge_path(spec: MarketSpec, path: PricePath, t_start: float, T: float,
     central finite differences of the unlevered price.  The hedge trades on
     the path's own grid; t_start and T must be grid points.
     """
-    validate_market(spec)
     if t_start <= 0:
         raise ValidationError("t_start must be positive")
     if t_start >= T:
@@ -207,7 +208,7 @@ def run_growth_simulation(config: SimulationConfig) -> SimulationResult:
     (seed, i) stream and equals path i of ``simulate_paths``.  The ledgers are
     row views of shared arrays of shape (n_paths, grid points[, n]).
     """
-    spec = validate_market(config.spec)
+    spec = config.spec
     steps = round(config.T * config.steps_per_year)
     _check_path_args(config.T, steps, config.n_paths, "physical", config.seed)
     times = np.linspace(0.0, config.T, steps + 1)

@@ -177,6 +177,10 @@ def test_curve_tables(capsys):
     last = out.strip().splitlines()[-1].split(",")
     assert float(last[1]) == pytest.approx(0.0970, abs=1e-3)
 
+    code, out, err = run_cli(capsys, "curve", "--what", "payoff", "--sigmas", "-0.3")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
 
 def test_config_file_with_flag_overrides(tmp_path, capsys):
     spec = MarketSpec.single(mu=0.05, sigma=0.4, rate=0.01, s0=1.0)

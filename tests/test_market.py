@@ -5,11 +5,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hindsight_options import (
     MarketSpec,
     PricePath,
-    correlated_normals,
     covariance,
     load_market_spec,
     save_market_spec,
@@ -67,9 +68,8 @@ def test_single_asset_identity_corr_is_valid():
 
 
 def test_perfect_correlation_is_rejected():
-    spec = MarketSpec.pair(mu=(0.0, 0.0), sigma=(0.2, 0.3), rho=1.0, rate=0.0)
     with pytest.raises(ValidationError, match="positive definite"):
-        validate_market(spec)
+        MarketSpec.pair(mu=(0.0, 0.0), sigma=(0.2, 0.3), rho=1.0, rate=0.0)
 
 
 def test_sim3_style_pair_is_valid():
@@ -81,49 +81,89 @@ def test_sim3_style_pair_is_valid():
 
 @pytest.mark.parametrize("field,value", [
     ("sigma", [0.0]), ("sigma", [-0.1]), ("s0", [0.0]), ("s0", [-2.0]),
+    ("sigma", [math.nan]), ("sigma", [math.inf]), ("mu", [math.nan]), ("mu", [-math.inf]),
+    ("s0", [math.nan]), ("s0", [math.inf]), ("rate", math.nan), ("rate", math.inf),
+    ("mu", [0.0, 0.1]), ("mu", ["x"]), ("n", 2.5),
 ])
 def test_nonpositive_parameters_rejected(field, value):
     kwargs = dict(n=1, mu=[0.0], sigma=[0.2], corr=[[1.0]], rate=0.0, s0=[1.0])
     kwargs[field] = value
     with pytest.raises(ValidationError):
-        validate_market(MarketSpec(**kwargs))
+        MarketSpec(**kwargs)
 
 
 def test_asymmetric_and_nonsquare_corr_rejected():
-    bad = MarketSpec(n=2, mu=[0, 0], sigma=[0.2, 0.2],
-                     corr=[[1.0, 0.3], [0.1, 1.0]], rate=0.0, s0=[1, 1])
     with pytest.raises(ValidationError, match="symmetric"):
-        validate_market(bad)
-    nonsquare = MarketSpec(n=2, mu=[0, 0], sigma=[0.2, 0.2],
-                           corr=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], rate=0.0, s0=[1, 1])
+        MarketSpec(n=2, mu=[0, 0], sigma=[0.2, 0.2],
+                   corr=[[1.0, 0.3], [0.1, 1.0]], rate=0.0, s0=[1, 1])
     with pytest.raises(ValidationError):
-        validate_market(nonsquare)
+        MarketSpec(n=2, mu=[0, 0], sigma=[0.2, 0.2],
+                   corr=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], rate=0.0, s0=[1, 1])
 
 
-def test_correlated_normals_identity():
-    draws = correlated_normals(np.eye(2), 40_000, seed=1)
-    sample = np.corrcoef(draws.T)[0, 1]
-    assert abs(sample) < 3.0 / math.sqrt(40_000)
+_BAD = [math.nan, math.inf, -math.inf, 0.0, -0.5]
 
 
-def test_correlated_normals_sample_correlation():
-    corr = [[1.0, 0.2], [0.2, 1.0]]
-    draws = correlated_normals(corr, 1_000_000, seed=7)
-    sample = np.corrcoef(draws.T)[0, 1]
-    # standard error of a correlation estimate ~ (1 - rho^2) / sqrt(count)
-    assert 0.197 <= sample <= 0.203
+@st.composite
+def spec_fields(draw):
+    """Fields of a valid spec of 1-3 assets with up to two corruptions applied.
+
+    Uncorrupted draws are valid, and so are some corrupted ones (a zero or
+    negative drift or rate, a redrawn correlation), so both outcomes of the
+    property are exercised often.
+    """
+    n = draw(st.integers(1, 3))
+
+    def vector(elements):
+        return draw(st.lists(elements, min_size=n, max_size=n))
+
+    fields = dict(n=n, mu=vector(st.floats(-1.0, 1.0)), sigma=vector(st.floats(0.01, 5.0)),
+                  rate=draw(st.floats(-0.1, 0.1)), s0=vector(st.floats(0.01, 5.0)))
+    a = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n * (n + 1),
+                               max_size=n * (n + 1)))).reshape(n, n + 1)
+    cov = a @ a.T + 0.1 * np.eye(n)
+    d = 1.0 / np.sqrt(np.diag(cov))
+    corr = d[:, None] * cov * d[None, :]
+    np.fill_diagonal(corr, 1.0)
+    index = st.integers(0, n - 1)
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(["mu", "sigma", "s0", "rate", "corr", "n", "length",
+                                     "asymmetric", "indefinite"]))
+        if kind == "rate":
+            fields["rate"] = draw(st.sampled_from(_BAD))
+        elif kind in ("mu", "sigma", "s0"):
+            values = fields[kind] = list(fields[kind])
+            if values:  # a length corruption may have emptied it
+                values[draw(st.integers(0, len(values) - 1))] = draw(st.sampled_from(_BAD))
+        elif kind == "corr":
+            i, j = draw(index), draw(index)
+            corr[i, j] = corr[j, i] = draw(st.sampled_from(_BAD + [1.5]))
+        elif kind == "n":
+            fields["n"] = draw(st.sampled_from([0, n + 1, 2.5, math.nan]))
+        elif kind == "length":
+            name = draw(st.sampled_from(["mu", "sigma", "s0"]))
+            fields[name] = list(fields[name])[:-1] if draw(st.booleans()) else [*fields[name], 1.0]
+        elif kind == "asymmetric":
+            corr[draw(index), draw(index)] += 0.5
+        else:  # symmetric, unit diagonal, entries in [-1, 1]; often indefinite
+            for i in range(n):
+                for j in range(i):
+                    corr[i, j] = corr[j, i] = draw(st.floats(-1.0, 1.0))
+    fields["corr"] = corr
+    return fields
 
 
-def test_correlated_normals_deterministic():
-    corr = [[1.0, -0.4], [-0.4, 1.0]]
-    a = correlated_normals(corr, 1000, seed=42)
-    b = correlated_normals(corr, 1000, seed=42)
-    np.testing.assert_array_equal(a, b)
-
-
-def test_correlated_normals_cholesky_failure():
-    with pytest.raises(ValidationError):
-        correlated_normals([[1.0, 1.0], [1.0, 1.0]], 10, seed=0)
+@given(fields=spec_fields())
+@settings(max_examples=300, deadline=None)
+def test_every_constructed_spec_is_valid(fields):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            spec = MarketSpec(**fields)
+        except ValidationError:
+            return
+    assert validate_market(spec) is spec
+    assert np.all(np.isfinite(spec.lower)) and not spec.lower.flags.writeable
 
 
 def test_zero_vol_limit_is_deterministic_drift():
@@ -261,3 +301,8 @@ def test_spec_file_errors_name_the_line(tmp_path):
     missing.write_text("n = 1\nmu = 0.0\n")
     with pytest.raises(ValidationError, match="missing keys"):
         load_market_spec(str(missing))
+    ragged = tmp_path / "ragged.cfg"
+    ragged.write_text("n = 2\nmu = 0 0\nsigma = 0.2 0.2\ncorr = 1 0.3\ncorr = 0.3\n"
+                      "rate = 0\ns0 = 1 1\n")
+    with pytest.raises(ValidationError, match="corr"):
+        load_market_spec(str(ragged))

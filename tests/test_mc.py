@@ -130,6 +130,9 @@ def test_domain_checks():
     pair = MarketSpec.pair(mu=(0.0, 0.0), sigma=(0.2, 0.2), rho=0.0, rate=0.0)
     with pytest.raises(ValidationError, match="one asset"):
         mc_price(pair, [1.0, 1.0], 1.0, 2.0, "unlevered", n_paths=1000, seed=0)
+    with pytest.raises(ValidationError, match="not representable"):
+        mc_price(MarketSpec.single(0.0, 0.1, 0.0), [math.exp(60.0)], 1.0, 1.5,
+                 n_paths=1000, seed=1)
 
 
 def test_multi_asset_levered_estimate():

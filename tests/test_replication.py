@@ -220,6 +220,11 @@ def test_hedge_path_domain_errors():
         hedge_path(SPEC, path, 1.0005, 2.0)  # off-grid start
     with pytest.raises(ValidationError):
         hedge_path(SPEC, path, 1.0, 2.0, mode="covered")
+    # a price rising from 1 to e^40: the unlevered prices overflow float64
+    times = np.linspace(0.0, 2.0, 201)
+    deep = PricePath(times=times, prices=np.exp(20.0 * times))
+    with pytest.raises(ValidationError, match="not representable"):
+        hedge_path(MarketSpec.single(0.0, 0.1, 0.0), deep, 1.0, 2.0, mode="unlevered")
 
 
 def test_growth_simulation_matches_scenario_kellys():
