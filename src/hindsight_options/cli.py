@@ -64,14 +64,14 @@ def _json(record: dict) -> str:
     return json.dumps(record, sort_keys=True)
 
 
-def _csv(header: list[str], rows: list[list]) -> str:
+def _csv(header: list[str], rows) -> str:
     def cell(x) -> str:
         if isinstance(x, float):
             return repr(float(x))  # shortest round-trip, plain-float repr
         return str(x)
 
     lines = [",".join(header)]
-    lines.extend(",".join(cell(c) for c in row) for row in rows)
+    lines.extend(",".join(map(cell, row)) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -219,8 +219,7 @@ def _cmd_simulate(args) -> int:
                               n_paths=args.paths, seed=args.seed,
                               scenario=args.scenario)
     result = run_growth_simulation(config)
-    rows = [[p, float(result.terminal_wealth[p]), float(result.cagr[p])]
-            for p in range(config.n_paths)]
+    rows = zip(range(config.n_paths), result.terminal_wealth.tolist(), result.cagr.tolist())
     summary = {
         "scenario": args.scenario,
         "mean_cagr": result.mean_cagr,
@@ -270,7 +269,7 @@ def _cmd_backtest(args) -> int:
     fractions = [float(tok) for tok in args.b.replace(",", " ").split()]
     result = discrete_backtest(table, fractions, rebalance_interval=args.interval,
                                rate=args.rate)
-    rows = [[float(t), float(w)] for t, w in zip(result.times, result.wealth)]
+    rows = zip(result.times.tolist(), result.wealth.tolist())
     summary = {"cagr": result.cagr, "ruined": result.ruined,
                "ruin_index": result.ruin_index,
                "terminal_wealth": float(result.wealth[-1]),

@@ -107,19 +107,32 @@ def _whiten(spec: MarketSpec, z: np.ndarray) -> np.ndarray:
     return _solve(spec.lower, z.reshape(-1, spec.n).T, lower=True)
 
 
-def _log_levered(spec: MarketSpec, s: np.ndarray, t, T: float) -> np.ndarray:
-    """log C(S, t) = (n/2) log(T/t) + rt + z' R^{-1} z / 2."""
+def _whitened(spec: MarketSpec, s: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
+    """The state (z, w = L^{-1} z) that log C and b(S, t) both read."""
     z = _z(spec, s, t)
-    w = _whiten(spec, z)
+    return z, _whiten(spec, z)
+
+
+def _log_levered_of(spec: MarketSpec, z: np.ndarray, w: np.ndarray, t, T: float) -> np.ndarray:
+    """log C(S, t) = (n/2) log(T/t) + rt + z' R^{-1} z / 2, from :func:`_whitened`."""
     quad = np.sum(w * w, axis=0).reshape(z.shape[:-1])
     return 0.5 * spec.n * np.log(T / t) + spec.rate * t + 0.5 * quad
 
 
-def _fractions(spec: MarketSpec, s: np.ndarray, t) -> np.ndarray:
-    """Levered best rule b(S, t) = M^{-1} R^{-1} z / sqrt(t)."""
-    z = _z(spec, s, t)
-    y = _solve(spec.lower.T, _whiten(spec, z), lower=False)
+def _fractions_of(spec: MarketSpec, z: np.ndarray, w: np.ndarray, t) -> np.ndarray:
+    """Levered best rule b(S, t) = M^{-1} R^{-1} z / sqrt(t), from :func:`_whitened`."""
+    y = _solve(spec.lower.T, w, lower=False)
     return (y / spec.sigma[:, None]).T.reshape(z.shape) / np.sqrt(t)[..., None]
+
+
+def _log_levered(spec: MarketSpec, s: np.ndarray, t, T: float) -> np.ndarray:
+    """log C(S, t) of checked states."""
+    return _log_levered_of(spec, *_whitened(spec, s, t), t, T)
+
+
+def _fractions(spec: MarketSpec, s: np.ndarray, t) -> np.ndarray:
+    """b(S, t) of checked states."""
+    return _fractions_of(spec, *_whitened(spec, s, t), t)
 
 
 def corr_solve(spec: MarketSpec, z: np.ndarray) -> np.ndarray:

@@ -169,6 +169,8 @@ def validate_market(spec: MarketSpec) -> MarketSpec:
     corr = spec.corr
     if corr.shape != (n, n):
         raise ValidationError(f"correlation matrix must be {n}x{n}, got {corr.shape}")
+    if not np.all(np.isfinite(corr)):
+        raise ValidationError("correlation matrix must be finite")
     if not np.allclose(corr, corr.T, atol=1e-12):
         raise ValidationError("correlation matrix must be symmetric")
     if not np.allclose(np.diag(corr), 1.0, atol=1e-12):
@@ -311,5 +313,9 @@ def load_market_spec(path: str) -> MarketSpec:
     corr_rows = values["corr"]
     if len(corr_rows) != n:
         raise ValidationError(f"{path}: expected {n:g} corr rows, got {len(corr_rows)}")
-    return MarketSpec(n=n, mu=scalar_row("mu"), sigma=scalar_row("sigma"),
-                      corr=corr_rows, rate=scalar_row("rate")[0], s0=scalar_row("s0"))
+    fields = dict(n=n, mu=scalar_row("mu"), sigma=scalar_row("sigma"), corr=corr_rows,
+                  rate=scalar_row("rate")[0], s0=scalar_row("s0"))
+    try:
+        return MarketSpec(**fields)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None

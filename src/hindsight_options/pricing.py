@@ -37,8 +37,8 @@ import numpy as np
 from scipy.special import erfc
 
 from .errors import IrrationalPriceError, ValidationError
-from .hindsight import (_as_prices, _exp, _fractions, _log_levered, _representable, _z,
-                        intrinsic_value, log_intrinsic_value)
+from .hindsight import (_as_prices, _exp, _fractions_of, _log_levered, _log_levered_of,
+                        _representable, _whitened, _z, intrinsic_value, log_intrinsic_value)
 from .market import MarketSpec
 
 _SQRT2 = math.sqrt(2.0)
@@ -206,8 +206,9 @@ def multi_delta(spec: MarketSpec, s, t: float, T: float) -> np.ndarray:
     """Replicating share holdings per asset: delta_i = C b_i(S, t) / S_i."""
     _check_horizon(t, T)
     s = _as_prices(spec, s, t)
-    c = _exp(float(_log_levered(spec, s, t, T)), "log_price_levered")
-    return _representable(c * _fractions(spec, s, t) / s, "log_price_levered")
+    state = _whitened(spec, s, t)
+    c = _exp(float(_log_levered_of(spec, *state, t, T)), "log_price_levered")
+    return _representable(c * _fractions_of(spec, *state, t) / s, "log_price_levered")
 
 
 def implied_vols(observed_price: float, s: float, s0: float, t: float, T: float,

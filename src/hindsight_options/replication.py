@@ -14,11 +14,13 @@ from __future__ import annotations
 import datetime as dt
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
 from .errors import ValidationError
-from .hindsight import _fractions, _log_levered, _representable, kelly_rule
+from .hindsight import (_fractions, _fractions_of, _log_levered_of, _representable, _whitened,
+                        kelly_rule)
 from .market import MarketSpec, PricePath, _check_path_args, _price_blocks
 from .pricing import _unlevered_terms
 
@@ -226,10 +228,11 @@ def run_growth_simulation(config: SimulationConfig) -> SimulationResult:
         rows = slice(first, first + len(prices))
         w, f = wealth[rows], fractions[rows]
         w[:, :i_buy + 1] = prices[:, :i_buy + 1] @ basket_shares
-        log_c = _log_levered(spec, prices[:, i_buy:], after, config.T)
+        state = _whitened(spec, prices[:, i_buy:], after)
+        log_c = _log_levered_of(spec, *state, after, config.T)
         w[:, i_buy:] = w[:, i_buy, None] * np.exp(log_c - log_c[:, :1])
         f[:, :i_buy] = basket_shares * prices[:, :i_buy] / w[:, :i_buy, None]
-        f[:, i_buy:] = _fractions(spec, prices[:, i_buy:], after)
+        f[:, i_buy:] = _fractions_of(spec, *state, after)
         shares[rows], cash[rows] = _close_positions(w, f, prices)
 
     ledgers = [HedgeLedger(times=times, wealth=wealth[p], fractions=fractions[p],
@@ -256,6 +259,10 @@ def discrete_backtest(table: PriceTable, b, rebalance_interval: int = 1,
     annually compounded over the elapsed calendar span.
     """
     b = np.atleast_1d(np.asarray(b, dtype=float))
+    if not np.all(np.isfinite(b)):
+        raise ValidationError("fractions must be finite")
+    if not math.isfinite(rate):
+        raise ValidationError("rate must be finite")
     if rebalance_interval < 1:
         raise ValidationError("rebalance_interval must be >= 1")
     prices = table.prices[::rebalance_interval]
@@ -288,17 +295,71 @@ def load_price_table(path: str) -> PriceTable:
     """Read a chronological CSV: header row, then date-or-time plus prices.
 
     Column 1 is an ISO date or a numeric time in years; columns 2..n+1 are
-    prices.  Parse failures report the exact row and column.
+    prices.  Blank lines are skipped.  Times must be finite and increasing,
+    prices finite and positive.  Parse failures report the exact row and
+    column.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh]
-    if not lines:
+        text = fh.read()
+    if not text:
         raise ValidationError(f"{path}: empty file")
+    lines = text.split("\n")
+    del text
     header = [h.strip() for h in lines[0].split(",")]
     if len(header) < 2:
         raise ValidationError(f"{path}:1: need a time column and at least one price column")
-    n_cols = len(header)
+    parsed = _parse_rows_at_once(lines, len(header))
+    if parsed is None:
+        parsed = _parse_rows_by_cell(path, lines, len(header))
+    times, prices = parsed
+    if len(times) < 2:
+        raise ValidationError(f"{path}: need at least two data rows")
+    if np.any(np.diff(times) <= 0):
+        bad = int(np.argmax(np.diff(times) <= 0)) + 3  # +2 data offset, +1 next row
+        raise ValidationError(f"{path}:{bad}: rows must be in increasing time order")
+    return PriceTable(times=times - times[0], prices=prices, columns=tuple(header[1:]))
 
+
+def _parse_rows_at_once(lines: list[str], n_cols: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Raw times and prices of well-formed data rows, parsed as whole columns.
+
+    Returns None for anything :func:`_parse_rows_by_cell` must look at cell
+    by cell: a bad cell, a non-finite or non-positive value, a time column
+    mixing dates and numbers, or a spelling that ``float`` accepts but
+    numpy's reader does not (``1_000``, non-ASCII digits).  Where both
+    succeed they give the same bits: both round with the correctly rounded
+    string-to-double conversion.
+    """
+    body = [line for line in lines[1:] if line.strip()]
+    if len(body) < 2 or set(map(str.count, body, repeat(","))) != {n_cols - 1}:
+        return None
+    try:
+        prices = np.loadtxt(body, delimiter=",", usecols=range(1, n_cols),
+                            comments=None, ndmin=2)
+    except ValueError:
+        return None
+    stamps = [line.partition(",")[0].strip() for line in body]
+    try:
+        times = np.array(list(map(float, stamps)))
+    except ValueError:
+        # An all-digit stamp is a number and a basic ISO date at once; the
+        # cell-by-cell parse reads it as a number.
+        if any(map(str.isdigit, stamps)):
+            return None
+        try:
+            days = np.fromiter(map(dt.date.toordinal, map(dt.date.fromisoformat, stamps)),
+                               dtype=np.int64, count=len(stamps))
+        except ValueError:
+            return None
+        times = (days - days[0]) / 365.25
+    if not (np.all(np.isfinite(times)) and np.all((prices > 0) & (prices < math.inf))):
+        return None
+    return times, prices
+
+
+def _parse_rows_by_cell(path: str, lines: list[str],
+                        n_cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """Raw times and prices parsed cell by cell; raises at the first bad cell."""
     raw_times: list[float] = []
     rows: list[list[float]] = []
     base_date: dt.date | None = None
@@ -321,6 +382,9 @@ def load_price_table(path: str) -> PriceTable:
             if base_date is None:
                 base_date = date
             stamp = (date - base_date).days / 365.25
+        if not math.isfinite(stamp):
+            raise ValidationError(
+                f"{path}:{row_no}: column 1: times must be finite, got {stamp}")
         prices_row = []
         for col_no, cell in enumerate(cells[1:], start=2):
             try:
@@ -328,21 +392,16 @@ def load_price_table(path: str) -> PriceTable:
             except ValueError:
                 raise ValidationError(
                     f"{path}:{row_no}: column {col_no}: not a number: {cell!r}") from None
+            if not math.isfinite(value):
+                raise ValidationError(
+                    f"{path}:{row_no}: column {col_no}: prices must be finite, got {value}")
             if value <= 0:
                 raise ValidationError(
                     f"{path}:{row_no}: column {col_no}: prices must be positive, got {value}")
             prices_row.append(value)
         raw_times.append(stamp)
         rows.append(prices_row)
-
-    if len(rows) < 2:
-        raise ValidationError(f"{path}: need at least two data rows")
-    times = np.asarray(raw_times)
-    if np.any(np.diff(times) <= 0):
-        bad = int(np.argmax(np.diff(times) <= 0)) + 3  # +2 data offset, +1 next row
-        raise ValidationError(f"{path}:{bad}: rows must be in increasing time order")
-    return PriceTable(times=times - times[0], prices=np.asarray(rows),
-                      columns=tuple(header[1:]))
+    return np.asarray(raw_times), np.asarray(rows)
 
 
 def format_ledger_csv(ledger: HedgeLedger) -> str:

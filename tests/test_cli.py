@@ -130,6 +130,20 @@ def test_backtest_subcommand(tmp_path, capsys):
     assert summary["terminal_wealth"] == pytest.approx(1.125)
     assert summary["ruined"] is False
 
+    bad = {"nan": "time,px\n0.0,100\n1.0,nan\n", "inf": "time,px\n0.0,100\n1.0,inf\n",
+           "nan_time": "time,px\n0.0,100\nnan,200\n"}
+    for name, text in bad.items():
+        (tmp_path / f"{name}.csv").write_text(text)
+    for argv in ([str(tmp_path / "nan.csv"), "--b", "0.5"],
+                 [str(tmp_path / "inf.csv"), "--b", "0.5"],
+                 [str(tmp_path / "nan_time.csv"), "--b", "0.5"],
+                 [str(csv), "--b", "nan"],
+                 [str(csv), "--b", "0.5", "--rate", "inf"]):
+        code, out, err = run_cli(capsys, "backtest", "--prices", *argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert len(err.splitlines()) == 1
+
 
 def test_simulate_and_hedge_small_runs(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "simulate", "--scenario", "sim1", "--T", "20",

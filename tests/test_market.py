@@ -99,6 +99,11 @@ def test_asymmetric_and_nonsquare_corr_rejected():
     with pytest.raises(ValidationError):
         MarketSpec(n=2, mu=[0, 0], sigma=[0.2, 0.2],
                    corr=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], rate=0.0, s0=[1, 1])
+    with pytest.raises(ValidationError, match="correlation matrix must be finite"):
+        MarketSpec(n=1, mu=[0], sigma=[0.2], corr=[[math.nan]], rate=0.0, s0=[1])
+    with pytest.raises(ValidationError, match="correlation matrix must be finite"):
+        MarketSpec(n=2, mu=[0, 0], sigma=[0.2, 0.2],
+                   corr=[[1.0, math.nan], [math.nan, 1.0]], rate=0.0, s0=[1, 1])
 
 
 _BAD = [math.nan, math.inf, -math.inf, 0.0, -0.5]
@@ -306,3 +311,8 @@ def test_spec_file_errors_name_the_line(tmp_path):
                       "rate = 0\ns0 = 1 1\n")
     with pytest.raises(ValidationError, match="corr"):
         load_market_spec(str(ragged))
+    negative = tmp_path / "bad.spec"
+    negative.write_text("n = 1\nmu = 0\nsigma = -0.2\ncorr = 1\nrate = 0\ns0 = 1\n")
+    with pytest.raises(ValidationError) as err:
+        load_market_spec(str(negative))
+    assert str(err.value) == f"{negative}: volatilities must be strictly positive"

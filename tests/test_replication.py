@@ -1,5 +1,6 @@
 """Hedge ledgers, growth experiments, and the discrete backtester."""
 
+import datetime as dt
 import math
 
 import numpy as np
@@ -29,7 +30,8 @@ from hindsight_options import (
 )
 from hindsight_options.replication import PriceTable
 from hindsight_options.errors import ValidationError
-from hindsight_options import market
+from hindsight_options import hindsight, market, replication
+from hindsight_options.hindsight import _fractions, _log_levered
 from hindsight_options.market import _BLOCK_PATH_STEPS, cholesky_with_tolerance
 from hindsight_options.pricing import norm_cdf
 
@@ -321,6 +323,40 @@ def test_growth_simulation_equals_the_per_path_loop(name):
     np.testing.assert_array_equal(result.cagr, np.log(terminal) / 30.0)
 
 
+@pytest.mark.parametrize("name", ["sim1", "sim3"])
+def test_growth_simulation_whitens_each_block_once(name, monkeypatch):
+    # one whitening per block feeds log C and b(S, t), with the bits of the two evaluated apart
+    steps = 360
+    n_paths = _BLOCK_PATH_STEPS // steps + 3  # two blocks of paths
+    config = scenario_config(name, T=30.0, n_paths=n_paths, seed=31)
+    spec = config.spec
+    whitened = []
+
+    def counting_whiten(spec, z):
+        whitened.append(z.shape)
+        return whiten(spec, z)
+
+    whiten = hindsight._whiten
+    monkeypatch.setattr(hindsight, "_whiten", counting_whiten)
+    result = run_growth_simulation(config)
+    monkeypatch.undo()
+    times = result.ledgers[0].times
+    i_buy = round(config.warmup * config.steps_per_year)
+    blocks = list(market._price_blocks(spec, config.T, steps, n_paths, "physical", config.seed))
+    assert len(blocks) == 2
+    assert [shape for shape in whitened if len(shape) == 3] == [
+        (len(prices), steps + 1 - i_buy, spec.n) for _, prices in blocks]
+    for first, prices in blocks:
+        rows = slice(first, first + len(prices))
+        wealth = np.stack([led.wealth for led in result.ledgers[rows]])
+        fractions = np.stack([led.fractions for led in result.ledgers[rows]])
+        log_c = _log_levered(spec, prices[:, i_buy:], times[i_buy:], config.T)
+        np.testing.assert_array_equal(
+            wealth[:, i_buy:], wealth[:, i_buy, None] * np.exp(log_c - log_c[:, :1]))
+        np.testing.assert_array_equal(fractions[:, i_buy:-1],
+                                      _fractions(spec, prices[:, i_buy:-1], times[i_buy:-1]))
+
+
 def test_growth_simulation_cagr_concentrates_near_kelly():
     config = scenario_config("sim2", T=150.0, n_paths=60, seed=13)
     result = run_growth_simulation(config)
@@ -407,6 +443,12 @@ def test_backtest_validation():
         discrete_backtest(table, [0.5, 0.5])
     with pytest.raises(ValidationError):
         discrete_backtest(table, [0.5], rebalance_interval=0)
+    for b in ([math.nan], [math.inf], [-math.inf]):
+        with pytest.raises(ValidationError, match="fractions must be finite"):
+            discrete_backtest(table, b)
+    for rate in (math.nan, math.inf):
+        with pytest.raises(ValidationError, match="rate must be finite"):
+            discrete_backtest(table, [0.5], rate=rate)
 
 
 def test_load_price_table_numeric_and_dates(tmp_path):
@@ -440,6 +482,132 @@ def test_load_price_table_reports_positions(tmp_path):
     unordered.write_text("time,px\n0.0,100\n2.0,105\n1.0,99\n")
     with pytest.raises(ValidationError, match="increasing"):
         load_price_table(str(unordered))
+
+    # non-finite cells, in files that parse at once and in files that need
+    # the cell-by-cell parse (a 1_000 cell)
+    for body, where in [("0.0,100\n0.5,nan\n", "3: column 2: prices must be finite"),
+                        ("0.0,100\n0.5,inf\n", "3: column 2: prices must be finite"),
+                        ("0.0,1_000\n0.5,-inf\n", "3: column 2: prices must be finite"),
+                        ("0.0,100\nnan,105\n", "3: column 1: times must be finite"),
+                        ("0.0,1_000\ninf,105\n", "3: column 1: times must be finite"),
+                        ("0.0,1_000\n0.5,-2\n", "3: column 2: prices must be positive")]:
+        bad = tmp_path / "nonfinite.csv"
+        bad.write_text("time,px\n" + body)
+        with pytest.raises(ValidationError, match=f"nonfinite.csv:{where}"):
+            load_price_table(str(bad))
+
+
+def reference_load_price_table(path):
+    """The cell-by-cell CSV parser that load_price_table must agree with."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = [line.rstrip("\n") for line in fh]
+    if not lines:
+        raise ValidationError(f"{path}: empty file")
+    header = [h.strip() for h in lines[0].split(",")]
+    if len(header) < 2:
+        raise ValidationError(f"{path}:1: need a time column and at least one price column")
+    n_cols = len(header)
+    raw_times, rows, base_date = [], [], None
+    for row_no, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        cells = [c.strip() for c in line.split(",")]
+        if len(cells) != n_cols:
+            raise ValidationError(
+                f"{path}:{row_no}: expected {n_cols} columns, got {len(cells)}")
+        try:
+            stamp = float(cells[0])
+        except ValueError:
+            try:
+                date = dt.date.fromisoformat(cells[0])
+            except ValueError:
+                raise ValidationError(
+                    f"{path}:{row_no}: column 1: neither a number nor an ISO date: "
+                    f"{cells[0]!r}") from None
+            if base_date is None:
+                base_date = date
+            stamp = (date - base_date).days / 365.25
+        prices_row = []
+        for col_no, cell in enumerate(cells[1:], start=2):
+            try:
+                value = float(cell)
+            except ValueError:
+                raise ValidationError(
+                    f"{path}:{row_no}: column {col_no}: not a number: {cell!r}") from None
+            if value <= 0:
+                raise ValidationError(
+                    f"{path}:{row_no}: column {col_no}: prices must be positive, got {value}")
+            prices_row.append(value)
+        raw_times.append(stamp)
+        rows.append(prices_row)
+    if len(rows) < 2:
+        raise ValidationError(f"{path}: need at least two data rows")
+    times = np.asarray(raw_times)
+    if np.any(np.diff(times) <= 0):
+        bad = int(np.argmax(np.diff(times) <= 0)) + 3
+        raise ValidationError(f"{path}:{bad}: rows must be in increasing time order")
+    return PriceTable(times=times - times[0], prices=np.asarray(rows),
+                      columns=tuple(header[1:]))
+
+
+def _long_price_file(dated):
+    rng = np.random.default_rng(71)
+    prices = 100.0 * np.exp(np.cumsum(0.01 * rng.standard_normal((20_000, 3)), axis=0))
+    if dated:
+        stamps = [(dt.date(1990, 1, 1) + dt.timedelta(days=k)).isoformat() for k in range(20_000)]
+    else:
+        stamps = [repr(t) for t in np.cumsum(rng.uniform(1e-4, 1e-2, 20_000)).tolist()]
+    lines = [f"{stamp},{','.join(map(repr, row))}" for stamp, row in zip(stamps, prices.tolist())]
+    return "date,a,b,c\n" + "\n".join(lines) + "\n"
+
+
+WELL_FORMED = {
+    "iso": "date,spy,agg\n2020-01-01,300,100\n2020-02-29,310.5,101\n2021-01-01,340,99\n",
+    "numeric": "time,px\n0.0,100\n0.25,1e2\n0.5,98.125\n1.5,+7E-3\n",
+    "crlf_padded_blank": "time , a , b \r\n 0 ,  1.5 ,\t2\r\n\r\n  \r\n0.5, 3 ,4 \r\n1,5,6\r\n",
+    "repr_20000_dated": _long_price_file(dated=True),
+    "repr_20000_numeric": _long_price_file(dated=False),
+}
+CELL_BY_CELL = {
+    "underscore": "time,px\n0,1_000\n1,2_000.5\n",
+    "non_ascii_digits": "time,px\n0,\u0661\u0662\n1,13\n",
+    "mixed_time_column": "time,px\n2020-01-01,100\n0.5,101\n2021-01-01,102\n3,103\n",
+    "eight_digit_dates": "time,px\n2020-01-01,100\n20200105,101\n",
+}
+MALFORMED = [
+    "", "time\n0\n1\n", "time,px\n", "time,px\n0,1\n", "time,px\n0,1\n1,oops\n",
+    "time,px\n0,1\nlater,2\n", "time,px\n0,1\n1,2,3\n", "time,px\n0,1\n1\n",
+    "time,px\n0,1\n1,0\n", "time,px\n0,1\n1,-2\n", "time,px\n0,1\n2,2\n1,3\n",
+    "time,px\n0,1\n\n0,3\n", "time,px\n0,1\n1,\n", "date,px\n2020-01-01,1\n2020-13-01,2\n",
+]
+
+
+@pytest.mark.parametrize("name", sorted(WELL_FORMED) + sorted(CELL_BY_CELL))
+def test_load_price_table_equals_the_cell_by_cell_parser(tmp_path, monkeypatch, name):
+    csv = tmp_path / f"{name}.csv"
+    csv.write_bytes((WELL_FORMED | CELL_BY_CELL)[name].encode("utf-8"))
+    calls = []
+    by_cell = replication._parse_rows_by_cell
+    monkeypatch.setattr(replication, "_parse_rows_by_cell",
+                        lambda *args: calls.append(args) or by_cell(*args))
+    got = load_price_table(str(csv))
+    want = reference_load_price_table(str(csv))
+    assert got.times.tobytes() == want.times.tobytes()
+    assert got.prices.tobytes() == want.prices.tobytes()
+    assert got.prices.shape == want.prices.shape
+    assert got.columns == want.columns
+    assert bool(calls) == (name in CELL_BY_CELL)  # well-formed files parse at once
+
+
+@pytest.mark.parametrize("text", MALFORMED)
+def test_load_price_table_errors_equal_the_cell_by_cell_parser(tmp_path, text):
+    csv = tmp_path / "bad.csv"
+    csv.write_text(text, encoding="utf-8")
+    with pytest.raises(ValidationError) as want:
+        reference_load_price_table(str(csv))
+    with pytest.raises(ValidationError) as got:
+        load_price_table(str(csv))
+    assert str(got.value) == str(want.value)
 
 
 def test_ledger_csv_layout(tmp_path):
