@@ -317,9 +317,9 @@ def _cmd_verify(args) -> int:
             all_ok &= ok
             rows.append([mode, n, float(t), float(horizon), closed, est.mean,
                          est.std_error, gap / est.std_error if est.std_error else 0.0,
-                         "ok" if ok else "FAIL"])
+                         "ok" if ok else "FAIL", est.estimator, est.max_share])
     table = _csv(["mode", "n", "t", "T", "closed", "mc_mean", "mc_std_error",
-                  "gap_in_std_errors", "status"], rows)
+                  "gap_in_std_errors", "status", "estimator", "max_share"], rows)
     params = dict(n=args.n, states=args.states, paths=args.paths, seed=args.seed)
     _emit(args, "verify", params, {"verify.csv": table}, "verify.csv")
     return EXIT_OK if all_ok else EXIT_CHECK_FAILED

@@ -6,15 +6,24 @@ single simulation step, so estimates carry no discretization bias.
 
 Variance note: the levered payoff exp(z_T' R^{-1} z_T / 2) is heavy-tailed.
 Conditionally on the state at t, z_T = sqrt(t/T) z_t + sqrt(1 - t/T) y with y
-unit normal, so the squared payoff carries exp((1 - t/T) y' R^{-1} y); the
-plain estimator therefore has finite variance only when t > T/2.  For earlier
-states the tail from an intermediate time s is integrated analytically,
+unit normal, so the k-th power of the payoff is integrable only when
+k (1 - t/T) < 1: the plain estimator has finite variance for t > T/2, and a
+finite fourth moment, which makes its standard error reliable, only for
+t > 3T/4.  For earlier states the tail from an intermediate time s is
+integrated analytically,
 
     C(S_t, t) = e^{rt} (T/s)^{n/2} E_t[exp(z_s' R^{-1} z_s / 2)],
 
-and simulating only up to s = min(1.5 t, T) < 2t keeps the variance finite
-("partially exact" estimator).  Requesting the plain estimator for t <= T/2
-is refused rather than returning a silently unstable number.
+and simulating only up to s = min(1.25 t, T) keeps 1 - t/s <= 1/5 < 1/4
+("partially exact" estimator).  "auto" takes plain only for t > 3T/4;
+requesting plain for t <= T/2 is refused.
+
+Payoffs are evaluated in whitened coordinates: with x_t = L^{-1} z_t solved
+once, L^{-1} z_s = w_t x_t + w_y y, so the antithetic pair +-y pays
+exp(a +- c), a = a_0 + w_y^2 |y|^2 / 2, c = w_t w_y x_t . y.  The unlevered
+payoff (the best fixed fraction in hindsight, clipped to [0, 1]) has log
+rT + c (z_T - c/2) with c = clip(z_T, 0, w); draws that clamp to cash pay
+exactly discount * e^{rT}.
 """
 
 from __future__ import annotations
@@ -42,6 +51,10 @@ class McEstimate:
     std_error: float
     n_paths: int
     seed: int
+    estimator: str  # "plain" or "partial" (levered), "exact" (unlevered)
+    s_eval: float  # the time simulated to
+    n_obs: int  # observations; an antithetic pair is one
+    max_share: float  # largest single observation over the sum of all
 
 
 def _chunk_streams(seed: int, n_total: int, chunk: int):
@@ -76,8 +89,8 @@ def mc_price(spec: MarketSpec, s, t: float, T: float, mode: str = "levered",
         standard error is the honest one.
     estimator : {"auto", "plain", "partial"}
         Levered only.  "plain" simulates to T and refuses t <= T/2 (infinite
-        variance); "partial" integrates the tail from s = min(1.5 t, T);
-        "auto" picks plain whenever it is admissible.
+        variance); "partial" integrates the tail from s = min(1.25 t, T);
+        "auto" picks plain only for t > 3T/4 (finite fourth moment).
     """
     if not 0 <= t < T:
         raise ValidationError("need 0 <= t < T")
@@ -91,84 +104,85 @@ def mc_price(spec: MarketSpec, s, t: float, T: float, mode: str = "levered",
         raise ValidationError("too few paths for a standard error")
 
     if mode == "levered":
-        value_fn = _levered_value_fn(spec, s, t, T, estimator)
+        if t <= 0:
+            raise ValidationError("the levered price diverges as t -> 0+; price at t > 0")
+        if estimator == "plain" and t <= T / 2:
+            raise ValidationError(
+                "plain levered estimator has infinite variance for t <= T/2; "
+                "use estimator='partial' or 'auto'"
+            )
+        if estimator == "auto":
+            estimator = "plain" if t > 0.75 * T else "partial"
+        s_eval = T if estimator == "plain" else min(1.25 * t, T)
+        value = _levered_value_fn(spec, s, t, T, s_eval)
     elif mode == "unlevered":
-        value_fn = _unlevered_value_fn(spec, s, t, T)
+        estimator, s_eval = "exact", T
+        value = _unlevered_value_fn(spec, s, t, T)
     else:
         raise ValidationError(f"unknown mode {mode!r}")
 
     n_obs = n_paths // 2 if antithetic else n_paths
-    total = 0.0
-    total_sq = 0.0
+    total = total_sq = top = 0.0
     with np.errstate(over="ignore"):
         for rng, size in _chunk_streams(seed, n_obs, _CHUNK):
-            y = rng.standard_normal((size, spec.n))
-            if antithetic:
-                vals = 0.5 * (value_fn(y) + value_fn(-y))
-            else:
-                vals = value_fn(y)
+            vals = value(rng.standard_normal((size, spec.n)), antithetic)
             total += float(np.sum(vals))
             total_sq += float(np.sum(vals * vals))
+            top = max(top, float(np.max(vals)))
     if not math.isfinite(total_sq):
         raise ValidationError("Monte Carlo payoffs are not representable in float64")
     mean = total / n_obs
     var = max(total_sq - n_obs * mean * mean, 0.0) / (n_obs - 1)
     return McEstimate(mean=mean, std_error=math.sqrt(var / n_obs),
-                      n_paths=n_paths, seed=int(seed))
+                      n_paths=n_paths, seed=int(seed), estimator=estimator,
+                      s_eval=s_eval, n_obs=n_obs,
+                      max_share=top / total if total > 0 else 0.0)
 
 
-def _levered_value_fn(spec: MarketSpec, s, t: float, T: float, estimator: str):
-    """Discounted-payoff evaluator for i.i.d. unit-normal input rows."""
-    if t <= 0:
-        raise ValidationError("the levered price diverges as t -> 0+; price at t > 0")
-    if estimator == "plain":
-        if t <= T / 2:
-            raise ValidationError(
-                "plain levered estimator has infinite variance for t <= T/2; "
-                "use estimator='partial' or 'auto'"
-            )
-        s_eval = T
-    elif estimator == "partial":
-        s_eval = min(1.5 * t, T)
-    else:
-        s_eval = T if t > T / 2 else 1.5 * t
-    z_t = z_score(spec, s, t).z
-    inv_lower = solve_triangular(spec.lower, np.eye(spec.n), lower=True)
+def _levered_value_fn(spec: MarketSpec, s, t: float, T: float, s_eval: float):
+    """Discounted-payoff evaluator ``value(y, antithetic)`` for unit-normal rows y."""
+    x_t = solve_triangular(spec.lower, z_score(spec, s, t).z, lower=True)
     w_t = math.sqrt(t / s_eval)
     w_y = math.sqrt(1.0 - t / s_eval)
-    log_scale = spec.rate * t + 0.5 * spec.n * math.log(T / s_eval)
+    a_0 = (spec.rate * t + 0.5 * spec.n * math.log(T / s_eval)
+           + 0.5 * w_t * w_t * float(x_t @ x_t))
+    half_wy2 = 0.5 * w_y * w_y
+    k = (w_t * w_y) * x_t
 
-    def value(y: np.ndarray) -> np.ndarray:
-        z_s = w_t * z_t + w_y * (y @ spec.lower.T)
-        half_quad = 0.5 * np.sum((z_s @ inv_lower.T) ** 2, axis=1)
-        return np.exp(log_scale + half_quad)
+    def value(y: np.ndarray, antithetic: bool) -> np.ndarray:
+        a = a_0 + half_wy2 * np.einsum("ij,ij->i", y, y)
+        c = y @ k
+        if antithetic:
+            return 0.5 * (np.exp(a + c) + np.exp(a - c))
+        return np.exp(a + c)
 
     return value
 
 
 def _unlevered_value_fn(spec: MarketSpec, s, t: float, T: float):
+    """Discounted-payoff evaluator ``value(y, antithetic)`` for unit-normal rows y."""
     if spec.n != 1:
         raise ValidationError("unlevered pricing is defined for one asset")
-    sigma = float(spec.sigma[0])
-    r = spec.rate
-    s0 = float(spec.s0[0])
-    if t == 0:
-        log_s_t = math.log(s0)
-    else:
-        log_s_t = math.log(float(np.atleast_1d(s)[0]))
+    sigma, r, s0 = float(spec.sigma[0]), spec.rate, float(spec.s0[0])
+    if t > 0:
         z_score(spec, s, t)  # validates the state prices
+    log_s_t = math.log(float(np.atleast_1d(s)[0]) if t > 0 else s0)
     tau = T - t
-    drift = (r - 0.5 * sigma * sigma) * tau
-    vol = sigma * math.sqrt(tau)
     w = sigma * math.sqrt(T)
-    discount = math.exp(-r * tau)
+    mu_rn = r - 0.5 * sigma * sigma
+    # z_T = z_mid + k y: the hindsight z-score at T for the draw y
+    z_mid = (log_s_t - math.log(s0) + mu_rn * tau - mu_rn * T) / w
+    k = sigma * math.sqrt(tau) / w
+    cash = math.exp(-r * tau) * math.exp(r * T)
 
-    def value(y: np.ndarray) -> np.ndarray:
-        log_ratio = log_s_t - math.log(s0) + drift + vol * y[:, 0]
-        z_T = (log_ratio - (r - 0.5 * sigma * sigma) * T) / w
-        payoff = np.where(z_T <= 0.0, math.exp(r * T),
-                          np.where(z_T >= w, np.exp(log_ratio),
-                                   np.exp(r * T + 0.5 * z_T * z_T)))
-        return discount * payoff
+    def growth(z_T: np.ndarray) -> np.ndarray:
+        c = np.clip(z_T, 0.0, w)
+        return np.exp(c * (z_T - 0.5 * c))
+
+    def value(y: np.ndarray, antithetic: bool) -> np.ndarray:
+        ky = k * y[:, 0]
+        if antithetic:
+            return (0.5 * cash) * (growth(z_mid + ky) + growth(z_mid - ky))
+        return cash * growth(z_mid + ky)
 
     return value

@@ -272,21 +272,26 @@ def discrete_backtest(table: PriceTable, b, rebalance_interval: int = 1,
     if b.shape != (prices.shape[1],):
         raise ValidationError(f"expected {prices.shape[1]} fractions, got {b.shape[0]}")
 
-    rel = prices[1:] / prices[:-1] - 1.0
-    growth = 1.0 + rel @ b + (1.0 - float(np.sum(b))) * rate
-    wealth = np.concatenate([[1.0], np.cumprod(growth)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        rel = prices[1:] / prices[:-1] - 1.0
+        growth = 1.0 + rel @ b + (1.0 - float(np.sum(b))) * rate
+        wealth = np.concatenate([[1.0], np.cumprod(growth)])
     ruined = bool(np.any(growth <= 0.0))
-    ruin_index = None
+    ruin_index = int(np.argmax(growth <= 0.0)) + 1 if ruined else None
+    wealth = wealth[:ruin_index]
+    times = times[:ruin_index]
+    if not np.all(np.isfinite(wealth)):
+        raise ValidationError("backtest wealth is not representable in float64")
     if ruined:
-        ruin_index = int(np.argmax(growth <= 0.0)) + 1
-        wealth = wealth[:ruin_index]
-        times = times[:ruin_index]
         cagr = float("nan")
     else:
-        years = times[-1] - times[0]
-        if years <= 0:
-            raise ValidationError("price table spans no time")
-        cagr = float(wealth[-1] ** (1.0 / years) - 1.0)
+        years = float(times[-1]) - float(times[0])  # Python floats: inf, no warning
+        if not 0 < years < math.inf:
+            raise ValidationError("price table must span a positive, finite time")
+        with np.errstate(over="ignore"):
+            cagr = float(wealth[-1] ** (1.0 / years) - 1.0)
+        if not math.isfinite(cagr):
+            raise ValidationError("backtest CAGR is not representable in float64")
     return BacktestResult(times=times, wealth=wealth, cagr=cagr,
                           ruined=ruined, ruin_index=ruin_index)
 
@@ -314,10 +319,16 @@ def load_price_table(path: str) -> PriceTable:
     times, prices = parsed
     if len(times) < 2:
         raise ValidationError(f"{path}: need at least two data rows")
-    if np.any(np.diff(times) <= 0):
-        bad = int(np.argmax(np.diff(times) <= 0)) + 3  # +2 data offset, +1 next row
+    with np.errstate(over="ignore"):
+        steps = np.diff(times)
+        offsets = times - times[0]
+    if np.any(steps <= 0):
+        bad = int(np.argmax(steps <= 0)) + 3  # +2 data offset, +1 next row
         raise ValidationError(f"{path}:{bad}: rows must be in increasing time order")
-    return PriceTable(times=times - times[0], prices=prices, columns=tuple(header[1:]))
+    if not np.isfinite(offsets[-1]):  # increasing, so no step can overflow alone
+        bad = int(np.argmax(~np.isfinite(offsets))) + 2  # +2 data offset
+        raise ValidationError(f"{path}:{bad}: column 1: time span overflows float64")
+    return PriceTable(times=offsets, prices=prices, columns=tuple(header[1:]))
 
 
 def _parse_rows_at_once(lines: list[str], n_cols: int) -> tuple[np.ndarray, np.ndarray] | None:

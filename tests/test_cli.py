@@ -131,12 +131,16 @@ def test_backtest_subcommand(tmp_path, capsys):
     assert summary["ruined"] is False
 
     bad = {"nan": "time,px\n0.0,100\n1.0,nan\n", "inf": "time,px\n0.0,100\n1.0,inf\n",
-           "nan_time": "time,px\n0.0,100\nnan,200\n"}
+           "nan_time": "time,px\n0.0,100\nnan,200\n",
+           "doubling": "time,px\n0,100\n1,200\n2,400\n",
+           "wide_time": "time,px\n-1e308,100\n1e308,200\n"}
     for name, text in bad.items():
         (tmp_path / f"{name}.csv").write_text(text)
     for argv in ([str(tmp_path / "nan.csv"), "--b", "0.5"],
                  [str(tmp_path / "inf.csv"), "--b", "0.5"],
                  [str(tmp_path / "nan_time.csv"), "--b", "0.5"],
+                 [str(tmp_path / "doubling.csv"), "--b", "1e200"],
+                 [str(tmp_path / "wide_time.csv"), "--b", "0.5"],
                  [str(csv), "--b", "nan"],
                  [str(csv), "--b", "0.5", "--rate", "inf"]):
         code, out, err = run_cli(capsys, "backtest", "--prices", *argv)
@@ -172,8 +176,24 @@ def test_verify_subcommand_passes(capsys):
                            "--paths", "60000", "--seed", "3")
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines[0].startswith("mode,n,t,T,closed")
-    assert all(line.endswith(",ok") for line in lines[1:])
+    assert lines[0] == ("mode,n,t,T,closed,mc_mean,mc_std_error,gap_in_std_errors,"
+                        "status,estimator,max_share")
+    rows = [line.split(",") for line in lines[1:]]
+    assert len(rows) == 2
+    for row in rows:
+        assert row[8] == "ok"
+        assert row[9] == ("plain" if float(row[2]) > 0.75 * float(row[3]) else "partial")
+        assert 0.0 < float(row[10]) < 1.0
+
+
+def test_verify_heavy_tailed_state_passes(capsys):
+    # Failed at 4.65 standard errors while t in (T/2, 3T/4] took the plain
+    # estimator, whose standard error has infinite variance there.
+    code, out, _ = run_cli(capsys, "verify", "--n", "2", "--states", "3",
+                           "--paths", "2000000", "--seed", "75739799")
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert [row[8] for row in rows] == ["ok"] * 3
 
 
 def test_curve_tables(capsys):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from hindsight_options import (
     MarketSpec,
@@ -13,6 +14,13 @@ from hindsight_options import (
     price_unlevered,
 )
 from hindsight_options.errors import ValidationError
+from hindsight_options.hindsight import z_score
+from hindsight_options.mc import (
+    _CHUNK,
+    _chunk_streams,
+    _levered_value_fn,
+    _unlevered_value_fn,
+)
 
 SPEC = MarketSpec.single(mu=0.05, sigma=0.3, rate=0.02, s0=1.0)
 
@@ -143,3 +151,175 @@ def test_multi_asset_levered_estimate():
     closed = price_levered(spec, s, 1.5, 2.0).price
     est = mc_price(spec, s, 1.5, 2.0, "levered", n_paths=300_000, seed=6)
     assert abs(est.mean - closed) < 4.0 * est.std_error
+
+
+def test_auto_takes_plain_only_after_three_quarters_of_the_horizon():
+    T = 4.0
+    cases = [(3.0, "auto", "partial", 3.75),  # t = 3T/4 exactly
+             (math.nextafter(3.0, T), "auto", "plain", T),
+             (1.0, "auto", "partial", 1.25),
+             (2.5, "auto", "partial", 3.125),
+             (3.5, "partial", "partial", T),  # 1.25 t is past T
+             (2.5, "plain", "plain", T)]
+    for t, asked, used, s_eval in cases:
+        est = mc_price(SPEC, 1.0, t, T, "levered", n_paths=1000, seed=0, estimator=asked)
+        assert (est.estimator, est.s_eval, est.n_obs) == (used, s_eval, 500)
+    est = mc_price(SPEC, 1.0, 1.0, T, "unlevered", n_paths=1001, seed=0, antithetic=False)
+    assert (est.estimator, est.s_eval, est.n_obs) == ("exact", T, 1001)
+
+
+# The evaluators as they were before the whitened pair form; the new ones must
+# give the same per-observation values up to rounding.
+
+def reference_levered_value_fn(spec, s, t, T, s_eval):
+    z_t = z_score(spec, s, t).z
+    inv_lower = solve_triangular(spec.lower, np.eye(spec.n), lower=True)
+    w_t = math.sqrt(t / s_eval)
+    w_y = math.sqrt(1.0 - t / s_eval)
+    log_scale = spec.rate * t + 0.5 * spec.n * math.log(T / s_eval)
+
+    def value(y):
+        z_s = w_t * z_t + w_y * (y @ spec.lower.T)
+        half_quad = 0.5 * np.sum((z_s @ inv_lower.T) ** 2, axis=1)
+        return np.exp(log_scale + half_quad)
+
+    return value
+
+
+def reference_unlevered_value_fn(spec, s, t, T):
+    sigma = float(spec.sigma[0])
+    r = spec.rate
+    s0 = float(spec.s0[0])
+    log_s_t = math.log(s0) if t == 0 else math.log(float(np.atleast_1d(s)[0]))
+    tau = T - t
+    drift = (r - 0.5 * sigma * sigma) * tau
+    vol = sigma * math.sqrt(tau)
+    w = sigma * math.sqrt(T)
+    discount = math.exp(-r * tau)
+
+    def value(y):
+        log_ratio = log_s_t - math.log(s0) + drift + vol * y[:, 0]
+        z_T = (log_ratio - (r - 0.5 * sigma * sigma) * T) / w
+        payoff = np.where(z_T <= 0.0, math.exp(r * T),
+                          np.where(z_T >= w, np.exp(log_ratio),
+                                   np.exp(r * T + 0.5 * z_T * z_T)))
+        return discount * payoff
+
+    return value
+
+
+def reference_values(value, y, antithetic):
+    return 0.5 * (value(y) + value(-y)) if antithetic else value(y)
+
+
+def reference_mc(value, n, n_paths, seed, antithetic=True):
+    """The chunk loop of mc_price around a reference evaluator."""
+    n_obs = n_paths // 2 if antithetic else n_paths
+    total = total_sq = 0.0
+    for rng, size in _chunk_streams(seed, n_obs, _CHUNK):
+        vals = reference_values(value, rng.standard_normal((size, n)), antithetic)
+        total += float(np.sum(vals))
+        total_sq += float(np.sum(vals * vals))
+    mean = total / n_obs
+    var = max(total_sq - n_obs * mean * mean, 0.0) / (n_obs - 1)
+    return mean, math.sqrt(var / n_obs)
+
+
+def random_state(rng, n):
+    sigma = rng.uniform(0.15, 0.8, size=n)
+    a = rng.standard_normal((n, n + 2))
+    cov = a @ a.T
+    d = 1.0 / np.sqrt(np.diag(cov))
+    corr = d[:, None] * cov * d[None, :]
+    rate = rng.uniform(0.0, 0.05)
+    spec = MarketSpec(n=n, mu=np.full(n, rate), sigma=sigma, corr=corr, rate=rate,
+                      s0=np.ones(n))
+    T = rng.uniform(1.0, 4.0)
+    t = rng.uniform(0.1, 0.9) * T
+    shock = rng.standard_normal(n) @ spec.lower.T
+    s = np.exp((rate - 0.5 * sigma**2) * t + sigma * np.sqrt(t) * shock)
+    return spec, s, t, T
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("estimator", ["plain", "partial"])
+@pytest.mark.parametrize("antithetic", [True, False])
+def test_whitened_levered_values_match_the_reference(n, estimator, antithetic):
+    rng = np.random.default_rng((n, len(estimator), antithetic))
+    for _ in range(20):
+        spec, s, t, T = random_state(rng, n)
+        s_eval = T if estimator == "plain" else min(1.25 * t, T)
+        y = rng.standard_normal((500, n))
+        new = _levered_value_fn(spec, s, t, T, s_eval)(y, antithetic)
+        old = reference_values(reference_levered_value_fn(spec, s, t, T, s_eval), y,
+                               antithetic)
+        np.testing.assert_allclose(new, old, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("antithetic", [True, False])
+def test_unlevered_values_match_the_reference_in_all_three_regions(antithetic):
+    rng = np.random.default_rng(31)
+    y = np.linspace(-8.0, 8.0, 801)[:, None]
+    regions = np.zeros(3, dtype=int)
+    for i in range(30):
+        spec, s, t, T = random_state(rng, 1)
+        t = 0.0 if i % 10 == 0 else t  # time 0 starts from s0
+        new = _unlevered_value_fn(spec, s, t, T)(y, antithetic)
+        old = reference_values(reference_unlevered_value_fn(spec, s, t, T), y, antithetic)
+        np.testing.assert_allclose(new, old, rtol=1e-12, atol=0.0)
+        sigma, r = float(spec.sigma[0]), spec.rate
+        w = sigma * math.sqrt(T)
+        log_s = 0.0 if t == 0 else math.log(float(s[0]))
+        z_T = (log_s + (r - 0.5 * sigma**2) * (T - t) + sigma * math.sqrt(T - t) * y[:, 0]
+               - (r - 0.5 * sigma**2) * T) / w
+        regions += [np.sum(z_T <= 0.0), np.sum((z_T > 0.0) & (z_T < w)), np.sum(z_T >= w)]
+    assert np.all(regions > 0)
+
+
+def test_all_cash_state_is_bit_identical_to_the_reference_loop():
+    # Every draw lands deep in the cash region, so each observation is the
+    # constant discount * e^{rT} and the estimate must not move by a bit.
+    # e^{-r(T-t)} e^{rT} and e^{rt} round apart in the last three states
+    for rate, t, T in [(0.03, 1.8, 2.0), (0.03, 2.7, 3.1), (0.07, 0.95, 1.3),
+                       (0.011, 3.3, 3.7)]:
+        spec = MarketSpec.single(mu=rate, sigma=0.2, rate=rate, s0=1.0)
+        s = state_at(spec, -30.0, t)
+        for antithetic in (True, False):
+            est = mc_price(spec, s, t, T, "unlevered", n_paths=100_000, seed=9,
+                           antithetic=antithetic)
+            ref = reference_mc(reference_unlevered_value_fn(spec, s, t, T), 1, 100_000, 9,
+                               antithetic)
+            assert (est.mean, est.std_error) == ref
+            assert est.mean == pytest.approx(math.exp(rate * t), rel=1e-12)
+
+
+def test_estimates_read_the_unchanged_streams():
+    rng = np.random.default_rng(77)
+    for n in (1, 3):
+        spec, s, t, T = random_state(rng, n)
+        for antithetic in (True, False):
+            est = mc_price(spec, s, t, T, "levered", n_paths=150_000, seed=4,
+                           antithetic=antithetic)
+            ref = reference_levered_value_fn(spec, s, t, T, est.s_eval)
+            mean, se = reference_mc(ref, n, 150_000, 4, antithetic)
+            assert est.mean == pytest.approx(mean, rel=1e-12)
+            assert est.std_error == pytest.approx(se, rel=1e-12)
+    spec, s, t, T = random_state(rng, 1)
+    est = mc_price(spec, s, t, T, "unlevered", n_paths=150_000, seed=4)
+    mean, se = reference_mc(reference_unlevered_value_fn(spec, s, t, T), 1, 150_000, 4)
+    assert est.mean == pytest.approx(mean, rel=1e-12)
+    assert est.std_error == pytest.approx(se, rel=1e-12)
+
+
+def test_max_share_is_the_largest_observation_over_the_sum():
+    s = state_at(SPEC, 0.5, 1.0)
+    est = mc_price(SPEC, s, 1.0, 2.0, "levered", n_paths=2000, seed=5)
+    y = next(_chunk_streams(5, 1000, _CHUNK))[0].standard_normal((1000, 1))
+    vals = reference_values(reference_levered_value_fn(SPEC, s, 1.0, 2.0, est.s_eval),
+                            y, True)
+    assert est.max_share == pytest.approx(vals.max() / vals.sum(), rel=1e-12)
+    assert 1.0 / 1000 < est.max_share < 1.0
+    # every payoff underflows to 0 (e^{rt} with rt = -1000): no share, no error
+    spec = MarketSpec.single(mu=-100.0, sigma=0.2, rate=-100.0, s0=1.0)
+    est = mc_price(spec, 1e-300, 10.0, 10.5, "unlevered", n_paths=1000, seed=1)
+    assert (est.mean, est.max_share) == (0.0, 0.0)

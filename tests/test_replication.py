@@ -449,6 +449,20 @@ def test_backtest_validation():
     for rate in (math.nan, math.inf):
         with pytest.raises(ValidationError, match="rate must be finite"):
             discrete_backtest(table, [0.5], rate=rate)
+    # finite inputs whose wealth or CAGR overflows
+    doubling = table_from([100.0, 200.0, 400.0], times=[0.0, 1.0, 2.0])
+    with pytest.raises(ValidationError, match="wealth is not representable"):
+        discrete_backtest(doubling, [1e200])
+    with pytest.raises(ValidationError, match="wealth is not representable"):
+        discrete_backtest(table_from([1e-300, 1e300]), [0.5])
+    with pytest.raises(ValidationError, match="CAGR is not representable"):
+        discrete_backtest(table_from([100.0, 200.0], times=[0.0, 1e-6]), [1.0])
+    for times in ([0.0, 0.0], [-1e308, 1e308]):
+        with pytest.raises(ValidationError, match="positive, finite time"):
+            discrete_backtest(table_from([100.0, 200.0], times=times), [0.5])
+    # a ruined account keeps its finite prefix
+    ruined = discrete_backtest(table_from([100.0, 10.0, 1e-300, 1e300]), [2.0])
+    assert ruined.ruined and np.all(np.isfinite(ruined.wealth))
 
 
 def test_load_price_table_numeric_and_dates(tmp_path):
@@ -495,6 +509,15 @@ def test_load_price_table_reports_positions(tmp_path):
         bad.write_text("time,px\n" + body)
         with pytest.raises(ValidationError, match=f"nonfinite.csv:{where}"):
             load_price_table(str(bad))
+
+    # finite times whose offsets from the first row overflow, in both parses
+    for body in ("-1e308,100\n1e308,200\n", "-1e308,1_000\n0,150\n1e308,200\n"):
+        wide = tmp_path / "wide.csv"
+        wide.write_text("time,px\n" + body)
+        row = len(body.splitlines()) + 1
+        with pytest.raises(ValidationError,
+                           match=f"wide.csv:{row}: column 1: time span overflows"):
+            load_price_table(str(wide))
 
 
 def reference_load_price_table(path):
