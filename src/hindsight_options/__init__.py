@@ -51,6 +51,7 @@ from .pricing import (
     greeks,
     implied_vols,
     log_price_levered,
+    log_price_unlevered,
     min_rational_price,
     multi_delta,
     price_levered,

@@ -145,6 +145,11 @@ def _emit(args, command: str, params: dict, artifacts: dict[str, str],
             json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
+def _usage_error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_USAGE
+
+
 def _cmd_price(args) -> int:
     spec = _build_spec(args)
     s = _parse_prices(args.s, spec.n)
@@ -191,14 +196,14 @@ def _cmd_lattice(args) -> int:
     spec = LatticeSpec(u=args.u, d=args.d, r_per=args.rper, n_steps=args.N)
     if args.what == "payoff":
         if args.j is None:
-            raise ValidationError("--j is required for payoff")
+            return _usage_error("--j is required for payoff")
         value = lattice_payoff(spec, args.j, args.mode)
         record = {"payoff": value, "j": args.j, "N": args.N, "mode": args.mode}
         _emit(args, "lattice", params, {"payoff.json": _json(record) + "\n"},
               "payoff.json")
         return EXIT_OK
     if args.k is None or args.n is None:
-        raise ValidationError("--k and --n are required for price")
+        return _usage_error("--k and --n are required for price")
     value = lattice_price(spec, LatticeState(args.k, args.n), args.mode)
     record = {"price": value, "k": args.k, "n": args.n, "N": args.N,
               "mode": args.mode}

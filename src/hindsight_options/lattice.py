@@ -133,9 +133,7 @@ def lattice_log_payoff(spec: LatticeSpec, j, mode: str = "levered") -> np.ndarra
 
 def lattice_payoff(spec: LatticeSpec, j: int, mode: str = "levered") -> float:
     """Terminal payoff of the option after j ups out of n_steps."""
-    log_payoff = lattice_log_payoff(spec, j, mode)[0]
-    _exp(log_payoff, "lattice_log_payoff")
-    return float(np.exp(log_payoff))
+    return _exp(lattice_log_payoff(spec, j, mode)[0], "lattice_log_payoff")
 
 
 def lattice_log_price(spec: LatticeSpec, state: LatticeState, mode: str = "levered") -> float:

@@ -10,7 +10,18 @@ so the price exceeds intrinsic value by the deterministic universality factor
 (T/t)^{n/2} and the option is never rationally exercised early.  For one
 asset with the hindsight optimization restricted to b in [0, 1], the price is
 a sum of three cumulative-normal terms, one per clamp regime of the terminal
-best rule.
+best rule.  With tau = T - t, a = -z sqrt(t/tau), x1 = -z sqrt(T/tau) and
+x2 = x1 + sigma sqrt(tT/tau),
+
+    P(S, t) = e^{rt} Phi(a) + C(S, t) [Phi(x2) - Phi(x1)]
+              + (S/S0) Phi(-a - sigma t / sqrt(tau)).
+
+Each term is computed as a log (log Phi by scipy's ``log_ndtr``, the
+difference of cdfs on the upper tails when x1 >= 0, so it does not cancel)
+and the three are combined by log-sum-exp.  Deep out-of-the-money quotes
+keep full relative accuracy, and :func:`log_price_unlevered` stays finite
+where the price overflows.  The unlevered hedge fraction S (dP/dS) / P is
+analytic and built from the same pieces.
 
 Greeks for the one-asset levered price (w = sigma sqrt(t)):
 
@@ -25,7 +36,8 @@ sigma^2 S^2 gamma / 2 + r S delta + theta = r C exactly.  Quadratic forms are
 assembled in log space and exponentiated last so that deep-in-hindsight
 states (z' R^{-1} z / 2 of several hundred) do not overflow intermediate
 products.  A price, term or Greek that is still not representable in
-float64 raises :class:`ValidationError`; :func:`log_price_levered` stays finite.
+float64 raises :class:`ValidationError`; :func:`log_price_levered` and
+:func:`log_price_unlevered` stay finite.
 """
 
 from __future__ import annotations
@@ -34,19 +46,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
+from scipy.special import log_ndtr
 
 from .errors import IrrationalPriceError, ValidationError
 from .hindsight import (_as_prices, _exp, _fractions_of, _log_levered, _log_levered_of,
                         _representable, _whitened, _z, intrinsic_value, log_intrinsic_value)
 from .market import MarketSpec
 
-_SQRT2 = math.sqrt(2.0)
-
-
-def norm_cdf(x):
-    """Cumulative standard normal via erfc; accurate in both tails."""
-    return 0.5 * erfc(-np.asarray(x, dtype=float) / _SQRT2)
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -124,21 +131,50 @@ def price_levered(spec: MarketSpec, s, t: float, T: float) -> Quote:
                  universality_factor=factor, mode="levered", t=float(t), T=float(T))
 
 
-def _unlevered_terms(spec: MarketSpec, s: np.ndarray, t, T: float):
-    """Kernel of :func:`unlevered_terms` for checked s[..., 1], 0 < t[...] < T.
+def _log_unlevered_terms(spec: MarketSpec, s: np.ndarray, t, T: float):
+    """Logs of the cash, interior and hold terms for checked s[..., 1], 0 < t[...] < T.
 
-    The middle term is inf or NaN where the levered price overflows.
+    Returns the three logs, log P = their log-sum-exp, and the pieces
+    (z, log C, x1, x2) that :func:`_unlevered_fractions` reads.
     """
     sigma = float(spec.sigma[0])
-    z = _z(spec, s, t)[..., 0]
-    a = -z * np.sqrt(t / (T - t))
-    b = a + sigma * T / np.sqrt(T - t)
-    ratio = np.sqrt(T / t)
-    term1 = np.exp(spec.rate * t) * norm_cdf(a)
-    term2 = np.exp(_log_levered(spec, s, t, T)) * (
-        norm_cdf(a * ratio + sigma * np.sqrt(t * T / (T - t))) - norm_cdf(a * ratio))
-    term3 = (s[..., 0] / spec.s0[0]) * norm_cdf(sigma * np.sqrt(T - t) - b)
-    return term1, term2, term3
+    tau = T - t
+    state = _whitened(spec, s, t)
+    z = state[0][..., 0]
+    log_c = _log_levered_of(spec, *state, t, T)
+    a = -z * np.sqrt(t / tau)
+    x1 = -z * np.sqrt(T / tau)
+    x2 = x1 + sigma * np.sqrt(t * T / tau)
+    # Phi(x2) - Phi(x1) = Phi(hi) - Phi(lo) with lo < 0: never two cdfs near 1.
+    upper = x1 >= 0.0
+    log_hi = log_ndtr(np.where(upper, -x1, x2))
+    d = log_ndtr(np.where(upper, -x2, x1)) - log_hi
+    # log(1 - e^d) needs only absolute accuracy here, which log(-expm1(d)) has
+    # for every d < 0.  Where d rounds to 0 the difference is below rounding
+    # and the term is taken as 0.
+    log_gap = np.log(-np.expm1(d), out=np.full_like(d, -np.inf), where=d < 0.0)
+    log_terms = (spec.rate * t + log_ndtr(a),
+                 log_c + log_hi + log_gap,
+                 np.log(s[..., 0] / spec.s0[0]) + log_ndtr(-a - sigma * t / np.sqrt(tau)))
+    log_p = np.logaddexp(np.logaddexp(log_terms[0], log_terms[1]), log_terms[2])
+    return log_terms, log_p, (z, log_c, x1, x2)
+
+
+def _unlevered_fractions(spec: MarketSpec, s: np.ndarray, t, T: float) -> np.ndarray:
+    """Hedge fraction S (dP/dS) / P of the unlevered price, same domain as the terms.
+
+        S dP/dS = hold + b interior + k C [e^{-x1^2/2} - e^{-x2^2/2}],
+
+    with b = z / (sigma sqrt(t)) and k = sqrt(tau/t) / (sigma sqrt(2 pi T));
+    the cdf limits' own derivatives cancel between neighbouring terms.  Each
+    piece enters as exp(log piece - log P), so nothing overflows.
+    """
+    sigma = float(spec.sigma[0])
+    (_, log_interior, log_hold), log_p, (z, log_c, x1, x2) = _log_unlevered_terms(spec, s, t, T)
+    k = np.sqrt((T - t) / t) / (sigma * _SQRT_2PI * math.sqrt(T))
+    return (np.exp(log_hold - log_p)
+            + z / (sigma * np.sqrt(t)) * np.exp(log_interior - log_p)
+            + k * (np.exp(log_c - 0.5 * x1 * x1 - log_p) - np.exp(log_c - 0.5 * x2 * x2 - log_p)))
 
 
 def unlevered_terms(spec: MarketSpec, s, t: float, T: float) -> tuple[float, float, float]:
@@ -151,9 +187,23 @@ def unlevered_terms(spec: MarketSpec, s, t: float, T: float) -> tuple[float, flo
     if spec.n != 1:
         raise ValidationError("unlevered pricing is defined for one asset")
     _check_horizon(t, T, strict_end=True)
-    with np.errstate(over="ignore", invalid="ignore"):
-        terms = _unlevered_terms(spec, _as_prices(spec, s, t), t, T)
-    return tuple(_representable([float(term) for term in terms], "log_price_levered"))
+    log_terms, _, _ = _log_unlevered_terms(spec, _as_prices(spec, s, t), t, T)
+    return tuple(_exp(float(log_term), "log_price_unlevered") for log_term in log_terms)
+
+
+def log_price_unlevered(spec: MarketSpec, s, t: float, T: float) -> float:
+    """log of the unlevered price; safe for states where the price overflows.
+
+    At t = T the option has expired and this is the log of the unlevered
+    intrinsic value; t > T is rejected.
+    """
+    if spec.n != 1:
+        raise ValidationError("unlevered pricing is defined for one asset")
+    _check_horizon(t, T)
+    if t == T:
+        return log_intrinsic_value(spec, s, t, "unlevered")
+    _, log_p, _ = _log_unlevered_terms(spec, _as_prices(spec, s, t), t, T)
+    return float(log_p)
 
 
 def price_unlevered(spec: MarketSpec, s, t: float, T: float) -> Quote:
@@ -162,23 +212,25 @@ def price_unlevered(spec: MarketSpec, s, t: float, T: float) -> Quote:
     At t = T the option has expired and the quote is the unlevered intrinsic
     value; t > T is rejected.
     """
+    price = _exp(log_price_unlevered(spec, s, t, T), "log_price_unlevered")
     intrinsic = intrinsic_value(spec, s, t, "unlevered")
-    if t == T:
-        return Quote(price=intrinsic, intrinsic=intrinsic, universality_factor=1.0,
-                     mode="unlevered", t=float(t), T=float(T))
-    price = sum(unlevered_terms(spec, s, t, T))
     return Quote(price=price, intrinsic=intrinsic,
                  universality_factor=price / intrinsic,
                  mode="unlevered", t=float(t), T=float(T))
 
 
-def price_time0_unlevered(sigma: float, T: float) -> float:
-    """Time-0 unlevered price, 1 + sigma sqrt(T / (2 pi)); rate-free."""
+def _time0_premium(sigma: float, T: float) -> float:
+    """sigma sqrt(T / (2 pi)): the time-0 unlevered price less its cash floor of 1."""
     if sigma <= 0:
         raise ValidationError("sigma must be positive")
     if T < 0:
         raise ValidationError("T must be nonnegative")
-    return 1.0 + sigma * math.sqrt(T / (2.0 * math.pi))
+    return sigma * math.sqrt(T) / _SQRT_2PI
+
+
+def price_time0_unlevered(sigma: float, T: float) -> float:
+    """Time-0 unlevered price, 1 + sigma sqrt(T / (2 pi)); rate-free."""
+    return 1.0 + _time0_premium(sigma, T)
 
 
 def greeks(spec: MarketSpec, s, t: float, T: float) -> GreeksReport:
@@ -282,14 +334,14 @@ def time0_unlevered_excess_growth(sigma: float, T: float) -> float:
     """Regret rate of a time-0 unlevered buyer: log(1 + sigma sqrt(T/(2 pi))) / T."""
     if T <= 0:
         raise ValidationError("T must be positive")
-    return math.log(price_time0_unlevered(sigma, T)) / T
+    return math.log1p(_time0_premium(sigma, T)) / T
 
 
 __all__ = [
     "Quote", "GreeksReport", "ImpliedVolRoots",
-    "norm_cdf", "min_rational_price",
+    "min_rational_price",
     "log_price_levered", "price_levered",
-    "price_unlevered", "unlevered_terms", "price_time0_unlevered",
+    "log_price_unlevered", "price_unlevered", "unlevered_terms", "price_time0_unlevered",
     "greeks", "multi_delta", "implied_vols",
     "excess_growth_bound", "time0_unlevered_excess_growth",
     "log_intrinsic_value",

@@ -22,9 +22,8 @@ from .errors import ValidationError
 from .hindsight import (_fractions, _fractions_of, _log_levered_of, _representable, _whitened,
                         kelly_rule)
 from .market import MarketSpec, PricePath, _check_path_args, _price_blocks
-from .pricing import _unlevered_terms
+from .pricing import _unlevered_fractions
 
-_FD_REL_STEP = 1e-5  # central-difference step for unlevered hedge deltas
 _GRID_TOL = 1e-9
 
 
@@ -123,25 +122,6 @@ def _grid_index(times: np.ndarray, value: float) -> int:
     raise ValidationError(f"time {value} is not a grid point of the path")
 
 
-def _unlevered_fraction_series(spec: MarketSpec, times: np.ndarray,
-                               prices: np.ndarray, T: float) -> np.ndarray:
-    """delta * S / C from central differences of the unlevered price.
-
-    The expired point t = T (if present) gets a zero fraction; no trade
-    happens there anyway.  Raises ``ValidationError`` where the prices
-    overflow float64.
-    """
-    fractions = np.zeros((len(times), 1))
-    live = times < T
-    t = times[live]
-    s = prices[live, 0]
-    h = _FD_REL_STEP * s
-    with np.errstate(over="ignore", invalid="ignore"):
-        up, down, mid = sum(_unlevered_terms(spec, np.stack([s + h, s - h, s])[..., None], t, T))
-        fractions[live, 0] = (up - down) / (2.0 * h) * s / mid
-    return _representable(fractions, "log_price_levered")
-
-
 def _close_positions(wealth: np.ndarray, fractions: np.ndarray,
                      prices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Shares and cash held at each grid point, liquidating the final one.
@@ -163,9 +143,11 @@ def hedge_path(spec: MarketSpec, path: PricePath, t_start: float, T: float,
 
     Starts with $1.  Levered mode bets the hindsight-optimal fractions; the
     terminal wealth approximates V_T*/C(S_{t_start}, t_start) as the grid
-    refines.  Unlevered mode (one asset) bets delta * S / C with delta from
-    central finite differences of the unlevered price.  The hedge trades on
-    the path's own grid; t_start and T must be grid points.
+    refines.  Unlevered mode (one asset) bets S (dP/dS) / P, the analytic
+    delta of the unlevered price P in log space, so it stays finite on states
+    whose price overflows.  A fraction f for which 1 - f rounds to 1 is held
+    as zero, and so is the expired point t = T.  The hedge trades on the
+    path's own grid; t_start and T must be grid points.
     """
     if t_start <= 0:
         raise ValidationError("t_start must be positive")
@@ -180,7 +162,13 @@ def hedge_path(spec: MarketSpec, path: PricePath, t_start: float, T: float,
     elif mode == "unlevered":
         if spec.n != 1:
             raise ValidationError("unlevered hedging is defined for one asset")
-        fractions = _unlevered_fraction_series(spec, times, prices, T)
+        fractions = np.zeros((len(times), 1))
+        live = times < T
+        held = _representable(_unlevered_fractions(spec, prices[live], times[live], T),
+                              "log_price_unlevered")
+        # Deep in the cash region f can be subnormal, and so would its shares
+        # be; holding none keeps the ledger's fraction, shares and cash agreed.
+        fractions[live, 0] = np.where(1.0 - held == 1.0, 0.0, held)
     else:
         raise ValidationError(f"unknown mode {mode!r}")
     rel = prices[1:] / prices[:-1] - 1.0

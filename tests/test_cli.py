@@ -4,6 +4,7 @@ import json
 import math
 
 import pytest
+from mpmath import mp, mpf
 
 from hindsight_options import (
     MarketSpec,
@@ -45,6 +46,12 @@ def test_unlevered_price_and_greeks(capsys):
     assert code == 0
     assert json.loads(out)["price"] == pytest.approx(1.25604703, rel=1e-7)
 
+    # the levered factor of the interior term overflows; the quote is about S/S0
+    code, out, _ = run_cli(capsys, "price", "--mode", "unlevered", "--sigma", "0.1",
+                           "--s", "1e30", "--t", "0.01", "--T", "2")
+    assert code == 0
+    assert json.loads(out)["price"] == pytest.approx(1e30, rel=1e-12)
+
     code, out, _ = run_cli(capsys, "greeks", "--sigma", "0.2", "--r", "0.03",
                            "--s0", "100", "--s", "105", "--t", "0.5", "--T", "1")
     assert code == 0
@@ -76,6 +83,15 @@ def test_usage_error_exits_2(capsys):
     assert exc.value.code == 2
 
 
+def test_lattice_without_its_state_flags_exits_2(capsys):
+    for argv in (["lattice", "--what", "price", "--N", "50"],
+                 ["lattice", "--what", "price", "--N", "50", "--k", "3"],
+                 ["lattice", "--what", "payoff", "--N", "50"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 def test_missing_price_file_exits_4(capsys):
     code, _, err = run_cli(capsys, "backtest", "--prices", "/nonexistent/x.csv",
                            "--b", "0.5")
@@ -86,8 +102,9 @@ def test_missing_price_file_exits_4(capsys):
 def test_unrepresentable_or_nonfinite_quotes_exit_3(capsys):
     deep = ["--sigma", "0.1", "--s", "1e30", "--t", "0.01", "--T", "2"]
     deep_lattice = ["lattice", "--N", "2000", "--u", "1.02", "--d", "0.98", "--rper", "0"]
-    for argv in (["price", *deep], ["price", "--mode", "unlevered", *deep],
-                 ["greeks", *deep],
+    for argv in (["price", *deep], ["greeks", *deep],
+                 ["price", "--mode", "unlevered", "--sigma", "0.1", "--r", "400",
+                  "--s", "1", "--t", "1.8", "--T", "2"],
                  ["price", "--sigma", "0.1", "--s", "1", "--t", "1", "--T", "nan"],
                  [*deep_lattice, "--what", "price", "--k", "2000", "--n", "2000"],
                  [*deep_lattice, "--what", "payoff", "--j", "2000"],
@@ -214,6 +231,20 @@ def test_curve_tables(capsys):
     code, out, err = run_cli(capsys, "curve", "--what", "payoff", "--sigmas", "-0.3")
     assert (code, out) == (3, "")
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_regret_curve_is_exact_at_tiny_horizons(capsys):
+    # log(1 + x) rounds 1 + x; at T = 1e-320 it printed 0.0 for a rate of ~1.2e159
+    code, out, _ = run_cli(capsys, "curve", "--what", "regret", "--sigmas", "0.3",
+                           "--lo", "1e-320", "--hi", "1e-20", "--count", "2")
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert [float(T) for T, _ in rows] == [1e-320, 1e-20]
+    for T, rate in rows:
+        with mp.workdps(30):
+            T = mpf(float(T))
+            want = float(mp.log1p(mpf(0.3) * mp.sqrt(T / (2 * mp.pi))) / T)
+        assert float(rate) == pytest.approx(want, rel=1e-14)
 
 
 def test_config_file_with_flag_overrides(tmp_path, capsys):

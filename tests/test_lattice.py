@@ -114,6 +114,18 @@ def test_terminal_state_price_is_the_payoff():
         for k in (0, 5, 12):
             assert (lattice_price(GENERIC, LatticeState(k, 12), mode)
                     == pytest.approx(lattice_payoff(GENERIC, k, mode), rel=1e-12))
+    # one exp for both: bit for bit at every terminal node of a deep lattice,
+    # and the same domain error where the levered payoff overflows
+    deep = LatticeSpec.crr(0.3, 0.03, 2.0, 2000)
+    for mode in ("levered", "unlevered"):
+        for j in range(2001):
+            try:
+                payoff = lattice_payoff(deep, j, mode)
+            except ValidationError:
+                with pytest.raises(ValidationError):
+                    lattice_price(deep, LatticeState(j, 2000), mode)
+                continue
+            assert lattice_price(deep, LatticeState(j, 2000), mode) == payoff
 
 
 @pytest.mark.parametrize("mode", ["levered", "unlevered"])

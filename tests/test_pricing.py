@@ -7,14 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import ndtr
 
 from hindsight_options import (
     MarketSpec,
+    PricePath,
     excess_growth_bound,
     greeks,
+    hedge_path,
     implied_vols,
     intrinsic_value,
     log_price_levered,
+    log_price_unlevered,
     min_rational_price,
     multi_delta,
     price_levered,
@@ -26,7 +30,8 @@ from hindsight_options import (
 )
 from hindsight_options.errors import IrrationalPriceError, ValidationError
 from hindsight_options.hindsight import _fractions, _log_levered
-from hindsight_options.pricing import norm_cdf
+from hindsight_options.pricing import _log_unlevered_terms, _unlevered_fractions
+from unlevered_reference import mp_log_unlevered_price, mp_unlevered_fraction
 
 SPEC = MarketSpec.single(mu=0.0, sigma=0.2, rate=0.03, s0=100.0)
 
@@ -139,6 +144,19 @@ def test_scalar_quotes_equal_the_batched_kernels(n):
         assert price_levered(spec, s[i], t[i], T).price == c
         np.testing.assert_array_equal(multi_delta(spec, s[i], t[i], T),
                                       c * fractions[i] / s[i])
+    if n == 1:
+        log_terms, log_p, _ = _log_unlevered_terms(spec, s, t, T)
+        for i in range(40):
+            assert price_unlevered(spec, s[i], t[i], T).price == math.exp(log_p[i])
+            assert unlevered_terms(spec, s[i], t[i], T) == tuple(math.exp(x[i]) for x in log_terms)
+        # the hedge sees the same states in time order, then the expired point
+        order = np.argsort(t)
+        path = PricePath(times=np.concatenate([[0.0], t[order], [T]]),
+                         prices=np.concatenate([[1.0], s[order, 0], [1.0]]))
+        ledger = hedge_path(spec, path, float(t[order[0]]), T, mode="unlevered")
+        held = _unlevered_fractions(spec, s, t, T)[order]
+        np.testing.assert_array_equal(ledger.fractions[:-1, 0],
+                                      np.where(1.0 - held == 1.0, 0.0, held))
 
 
 # ---------------------------------------------------------------------------
@@ -276,18 +294,44 @@ def test_unlevered_decomposition_and_ordering():
 def test_unlevered_expiry_and_domain():
     q = price_unlevered(SPEC, 130.0, 2.0, 2.0)
     assert q.price == intrinsic_value(SPEC, 130.0, 2.0, "unlevered")
+    assert math.exp(log_price_unlevered(SPEC, 130.0, 2.0, 2.0)) == q.price
     with pytest.raises(ValidationError):
         price_unlevered(SPEC, 100.0, 2.5, 2.0)
     with pytest.raises(ValidationError):
         price_unlevered(MarketSpec.pair(mu=(0, 0), sigma=(0.2, 0.2), rho=0.0, rate=0.0),
                         [1.0, 1.0], 0.5, 1.0)
-    # the levered factor of the middle term overflows (inf * 0 would be NaN)
-    for spec, s in ((MarketSpec.single(0.05, 0.1, 0.02), [1e3]),
+    # the levered factor of the interior term overflows; the price is about S/S0
+    for spec, s in ((MarketSpec.single(0.05, 0.1, 0.02), 1e3),
                     (MarketSpec.single(0.0, 0.1, 0.0), 1e30)):
-        with pytest.raises(ValidationError, match="not representable in float64"):
-            price_unlevered(spec, s, 0.01, 2.0)
-        with pytest.raises(ValidationError, match="not representable in float64"):
-            unlevered_terms(spec, s, 0.01, 2.0)
+        assert price_unlevered(spec, s, 0.01, 2.0).price == pytest.approx(s, rel=1e-12)
+        assert sum(unlevered_terms(spec, s, 0.01, 2.0)) == pytest.approx(s, rel=1e-12)
+    # e^{rt} with rt = 720: only the log is representable
+    spec = MarketSpec.single(0.0, 0.1, 400.0)
+    assert log_price_unlevered(spec, 1.0, 1.8, 2.0) == pytest.approx(720.0, abs=1e-12)
+    for linear in (price_unlevered, unlevered_terms):
+        with pytest.raises(ValidationError, match="not representable in float64; use log_price_unlevered"):
+            linear(spec, 1.0, 1.8, 2.0)
+
+
+def test_unlevered_log_price_and_hedge_fraction_match_mpmath():
+    rng = np.random.default_rng(11)
+    gaps, fraction_gaps = [], []
+    for i in range(300):
+        sigma, r = rng.uniform(0.1, 0.8), rng.uniform(0.0, 0.06)
+        T = rng.uniform(0.5, 4.0)
+        t = rng.uniform(0.05, 0.95) * T
+        s = math.exp(rng.normal(0.0, 1.5))
+        spec = MarketSpec.single(mu=r, sigma=sigma, rate=r)
+        gaps.append(log_price_unlevered(spec, s, t, T) - mp_log_unlevered_price(sigma, r, 1.0, s, t, T))
+        if i % 5 == 0:  # a fraction is a share of wealth: compared absolutely
+            fraction = float(_unlevered_fractions(spec, np.array([s]), t, T))
+            fraction_gaps.append(fraction - mp_unlevered_fraction(sigma, r, 1.0, s, t, T))
+    assert max(map(abs, gaps)) <= 1e-9
+    assert max(map(abs, fraction_gaps)) <= 1e-10
+    # deep out of the money (z = -9.24): a linear-space Phi(x2) - Phi(x1) cancels here
+    spec = MarketSpec.single(mu=0.026, sigma=0.243, rate=0.026)
+    want = math.exp(mp_log_unlevered_price(0.243, 0.026, 1.0, 0.3096, 0.273, 2.719))
+    assert price_unlevered(spec, 0.3096, 0.273, 2.719).price == pytest.approx(want, rel=1e-9)
 
 
 def test_time0_price_values():
@@ -310,7 +354,7 @@ def test_truncated_gaussian_integral_identity():
         numeric, _ = quad(lambda y: math.exp(-alpha * y * y + beta * y), a, b)
         root = math.sqrt(2.0 * alpha)
         closed = (math.sqrt(math.pi / alpha) * math.exp(beta**2 / (4 * alpha))
-                  * (norm_cdf(b * root - beta / root) - norm_cdf(a * root - beta / root)))
+                  * (ndtr(b * root - beta / root) - ndtr(a * root - beta / root)))
         assert numeric == pytest.approx(float(closed), rel=1e-9, abs=1e-12)
 
 

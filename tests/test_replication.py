@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
+from scipy.special import ndtr
 
 from hindsight_options import (
     MarketSpec,
@@ -33,7 +34,7 @@ from hindsight_options.errors import ValidationError
 from hindsight_options import hindsight, market, replication
 from hindsight_options.hindsight import _fractions, _log_levered
 from hindsight_options.market import _BLOCK_PATH_STEPS, cholesky_with_tolerance
-from hindsight_options.pricing import norm_cdf
+from unlevered_reference import mp_unlevered_fraction
 
 SPEC = MarketSpec.single(mu=0.07, sigma=0.3, rate=0.02, s0=1.0)
 
@@ -169,10 +170,10 @@ def reference_unlevered_fractions(spec, times, prices, T):
         b = a + sigma * T / np.sqrt(T - t)
         ratio = np.sqrt(T / t)
         log_c = 0.5 * np.log(T / t) + r * t + 0.5 * z * z
-        term1 = np.exp(r * t) * norm_cdf(a)
-        term2 = np.exp(log_c) * (norm_cdf(a * ratio + sigma * np.sqrt(t * T / (T - t)))
-                                 - norm_cdf(a * ratio))
-        term3 = (s / s0) * norm_cdf(sigma * np.sqrt(T - t) - b)
+        term1 = np.exp(r * t) * ndtr(a)
+        term2 = np.exp(log_c) * (ndtr(a * ratio + sigma * np.sqrt(t * T / (T - t)))
+                                 - ndtr(a * ratio))
+        term3 = (s / s0) * ndtr(sigma * np.sqrt(T - t) - b)
         return term1 + term2 + term3
 
     fractions = np.zeros((len(times), 1))
@@ -188,8 +189,25 @@ def reference_unlevered_fractions(spec, times, prices, T):
 def test_unlevered_hedge_fractions_equal_the_reference_formula(spec):
     path = simulate_paths(spec, 3.0, 600, 1, seed=29)[0]
     ledger = hedge_path(spec, path, 0.5, 3.0, mode="unlevered")
+    # central differences carry a truncation error of ~h^2 = 1e-10, relative
     want = reference_unlevered_fractions(spec, ledger.times, path.prices[100:], 3.0)
-    np.testing.assert_array_equal(ledger.fractions, want)
+    np.testing.assert_allclose(ledger.fractions, want, rtol=1e-8, atol=0.0)
+    sigma, r, s0 = float(spec.sigma[0]), spec.rate, float(spec.s0[0])
+    for i in range(0, len(ledger.times) - 1, 10):
+        exact = mp_unlevered_fraction(sigma, r, s0, path.prices[100 + i, 0], ledger.times[i], 3.0)
+        assert abs(ledger.fractions[i, 0] - exact) <= 1e-10
+
+
+def test_unlevered_hedge_holds_no_fraction_too_small_for_its_cash():
+    # Deep in the cash region the analytic fractions here are -4e-323 and
+    # 1e-323: shares that small are subnormal, and wealth * f / shares no
+    # longer gives the price back.  The ledger holds none instead.
+    spec = MarketSpec.single(mu=0.05, sigma=0.3, rate=0.03)
+    path = PricePath(times=[0.0, 1.9, 1.99, 2.0], prices=[1.0, 0.02524065, 0.30575343, 0.3])
+    ledger = hedge_path(spec, path, 1.9, 2.0, mode="unlevered")
+    np.testing.assert_array_equal(ledger.fractions, 0.0)
+    np.testing.assert_array_equal(ledger.shares, 0.0)
+    np.testing.assert_array_equal(ledger.cash, ledger.wealth)
 
 
 def test_one_factorization_per_spec(monkeypatch):
@@ -222,11 +240,13 @@ def test_hedge_path_domain_errors():
         hedge_path(SPEC, path, 1.0005, 2.0)  # off-grid start
     with pytest.raises(ValidationError):
         hedge_path(SPEC, path, 1.0, 2.0, mode="covered")
-    # a price rising from 1 to e^40: the unlevered prices overflow float64
+    # a price rising from 1 to e^40: the levered factor overflows, yet the
+    # unlevered hedge holds the stock from t = 1 and tracks it
     times = np.linspace(0.0, 2.0, 201)
     deep = PricePath(times=times, prices=np.exp(20.0 * times))
-    with pytest.raises(ValidationError, match="not representable"):
-        hedge_path(MarketSpec.single(0.0, 0.1, 0.0), deep, 1.0, 2.0, mode="unlevered")
+    ledger = hedge_path(MarketSpec.single(0.0, 0.1, 0.0), deep, 1.0, 2.0, mode="unlevered")
+    np.testing.assert_array_equal(ledger.fractions[:-1], 1.0)
+    assert ledger.wealth[-1] == pytest.approx(math.exp(20.0), rel=1e-12)
 
 
 def test_growth_simulation_matches_scenario_kellys():
