@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._table import csv_table
 from .errors import ValidationError
 from .hindsight import intrinsic_value
 from .lattice import (
@@ -62,17 +63,6 @@ def _tool_version() -> str:
 
 def _json(record: dict) -> str:
     return json.dumps(record, sort_keys=True)
-
-
-def _csv(header: list[str], rows) -> str:
-    def cell(x) -> str:
-        if isinstance(x, float):
-            return repr(float(x))  # shortest round-trip, plain-float repr
-        return str(x)
-
-    lines = [",".join(header)]
-    lines.extend(",".join(map(cell, row)) for row in rows)
-    return "\n".join(lines) + "\n"
 
 
 def _add_market_args(parser: argparse.ArgumentParser) -> None:
@@ -224,7 +214,6 @@ def _cmd_simulate(args) -> int:
                               n_paths=args.paths, seed=args.seed,
                               scenario=args.scenario)
     result = run_growth_simulation(config)
-    rows = zip(range(config.n_paths), result.terminal_wealth.tolist(), result.cagr.tolist())
     summary = {
         "scenario": args.scenario,
         "mean_cagr": result.mean_cagr,
@@ -238,7 +227,8 @@ def _cmd_simulate(args) -> int:
                   warmup=args.warmup, steps_per_year=args.steps_per_year,
                   paths=args.paths, seed=args.seed)
     artifacts = {
-        "paths.csv": _csv(["path", "terminal_wealth", "cagr"], rows),
+        "paths.csv": csv_table(["path", "terminal_wealth", "cagr"],
+                               [range(config.n_paths), result.terminal_wealth, result.cagr]),
         "summary.json": _json(summary) + "\n",
     }
     _emit(args, "simulate", params, artifacts, "summary.json")
@@ -274,14 +264,13 @@ def _cmd_backtest(args) -> int:
     fractions = [float(tok) for tok in args.b.replace(",", " ").split()]
     result = discrete_backtest(table, fractions, rebalance_interval=args.interval,
                                rate=args.rate)
-    rows = zip(result.times.tolist(), result.wealth.tolist())
     summary = {"cagr": result.cagr, "ruined": result.ruined,
                "ruin_index": result.ruin_index,
                "terminal_wealth": float(result.wealth[-1]),
                "periods": len(result.wealth) - 1}
     params = dict(prices=args.prices, b=args.b, interval=args.interval,
                   rate=args.rate)
-    artifacts = {"wealth.csv": _csv(["time", "wealth"], rows),
+    artifacts = {"wealth.csv": csv_table(["time", "wealth"], [result.times, result.wealth]),
                  "summary.json": _json(summary) + "\n"}
     _emit(args, "backtest", params, artifacts, "summary.json")
     return EXIT_OK
@@ -323,8 +312,8 @@ def _cmd_verify(args) -> int:
             rows.append([mode, n, float(t), float(horizon), closed, est.mean,
                          est.std_error, gap / est.std_error if est.std_error else 0.0,
                          "ok" if ok else "FAIL", est.estimator, est.max_share])
-    table = _csv(["mode", "n", "t", "T", "closed", "mc_mean", "mc_std_error",
-                  "gap_in_std_errors", "status", "estimator", "max_share"], rows)
+    table = csv_table(["mode", "n", "t", "T", "closed", "mc_mean", "mc_std_error",
+                       "gap_in_std_errors", "status", "estimator", "max_share"], list(zip(*rows)))
     params = dict(n=args.n, states=args.states, paths=args.paths, seed=args.seed)
     _emit(args, "verify", params, {"verify.csv": table}, "verify.csv")
     return EXIT_OK if all_ok else EXIT_CHECK_FAILED
@@ -342,12 +331,12 @@ def _cmd_curve(args) -> int:
                  for sig in sigmas]
         rows = [[float(s_val)] + [intrinsic_value(spec, s_val, args.t, args.mode)
                                   for spec in specs] for s_val in grid]
-        artifacts = {"payoff_curve.csv": _csv(["s"] + header_sigmas, rows)}
+        artifacts = {"payoff_curve.csv": csv_table(["s"] + header_sigmas, list(zip(*rows)))}
         _emit(args, "curve", params, artifacts, "payoff_curve.csv")
         return EXIT_OK
     rows = [[float(horizon)] + [time0_unlevered_excess_growth(sig, horizon) for sig in sigmas]
             for horizon in grid]
-    artifacts = {"regret_curve.csv": _csv(["T"] + header_sigmas, rows)}
+    artifacts = {"regret_curve.csv": csv_table(["T"] + header_sigmas, list(zip(*rows)))}
     _emit(args, "curve", params, artifacts, "regret_curve.csv")
     return EXIT_OK
 

@@ -24,8 +24,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp, xlogy
+from scipy.special import gammaln, xlogy
 
+from ._table import csv_table
 from .errors import ValidationError
 from .hindsight import _exp, _representable
 
@@ -84,6 +85,14 @@ class LatticeState:
     def __post_init__(self) -> None:
         if not 0 <= self.k <= self.n:
             raise ValidationError("need 0 <= k <= n")
+
+
+def _logsumexp(terms: np.ndarray) -> float:
+    """log(sum(exp(terms))), shifted by the largest term; -inf when every term is -inf."""
+    top = float(np.max(terms))
+    if top == -math.inf:
+        return top
+    return top + math.log(float(np.sum(np.exp(terms - top))))
 
 
 def _check_terminal(spec: LatticeSpec, j) -> np.ndarray:
@@ -159,7 +168,7 @@ def lattice_log_price(spec: LatticeSpec, state: LatticeState, mode: str = "lever
     log_terms = (log_binom + j * math.log(q) + (remaining - j) * math.log(1.0 - q)
                  + lattice_log_payoff(spec, state.k + j.astype(int), mode)
                  - remaining * math.log(spec.gross_rate))
-    return float(logsumexp(log_terms))
+    return _logsumexp(log_terms)
 
 
 def lattice_price(spec: LatticeSpec, state: LatticeState, mode: str = "levered") -> float:
@@ -230,13 +239,13 @@ def time0_unlevered_price(spec: LatticeSpec) -> float:
     mid = ~lo & ~hi
     total = 0.0
     if lo.any():
-        total += float(np.exp(logsumexp(
+        total += float(np.exp(_logsumexp(
             log_binom[lo] + j[lo] * math.log(q) + (n - j[lo]) * math.log(1.0 - q))))
     if mid.any():
-        total += float(np.exp(logsumexp(
+        total += float(np.exp(_logsumexp(
             log_binom[mid] + xlogy(j[mid], j[mid] / n) + xlogy(n - j[mid], 1.0 - j[mid] / n))))
     if hi.any():
-        total += float(np.exp(logsumexp(
+        total += float(np.exp(_logsumexp(
             log_binom[hi] + j[hi] * math.log(q * spec.u)
             + (n - j[hi]) * math.log((1.0 - q) * spec.d) - n * math.log(gross))))
     return total
@@ -276,9 +285,6 @@ class DemonLedger:
     stock: np.ndarray
     wealth: np.ndarray
 
-    def rows(self):
-        return zip(self.steps, self.upticks, self.stock, self.wealth)
-
 
 def demon_simulation(n_steps: int, p: float, seed: int) -> DemonLedger:
     """Replicate the option through one coin-flip run of the double-or-half market.
@@ -304,9 +310,8 @@ def demon_simulation(n_steps: int, p: float, seed: int) -> DemonLedger:
 
 def format_demon_csv(ledger: DemonLedger) -> str:
     """The demon ledger as CSV (step, upticks, stock, wealth); floats as shortest reprs."""
-    return "step,upticks,stock,wealth\n" + "".join(
-        f"{int(step)},{int(ups)},{float(stock)!r},{float(wealth)!r}\n"
-        for step, ups, stock, wealth in ledger.rows())
+    return csv_table(["step", "upticks", "stock", "wealth"],
+                     [ledger.steps, ledger.upticks, ledger.stock, ledger.wealth])
 
 
 def write_demon_csv(ledger: DemonLedger, path: str) -> None:

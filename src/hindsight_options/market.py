@@ -24,6 +24,10 @@ _PD_PIVOT_TOL = 1e-12
 # Path-steps drawn (and, in the growth simulation, evaluated) per block.
 _BLOCK_PATH_STEPS = 1 << 15
 
+# Paths drawn from one random stream: path i is row i % _STREAM_PATHS of the
+# stream SeedSequence((seed, i // _STREAM_PATHS)).
+_STREAM_PATHS = 1024
+
 
 @dataclass(frozen=True)
 class MarketSpec:
@@ -127,6 +131,13 @@ class PricePath:
         if np.any(prices <= 0) or not np.all(np.isfinite(prices)):
             raise ValidationError("prices must be strictly positive and finite")
 
+    @classmethod
+    def _checked(cls, times: np.ndarray, prices: np.ndarray) -> "PricePath":
+        """A path over arrays that already meet every invariant, without re-checking them."""
+        path = cls.__new__(cls)
+        path.__dict__.update(times=times, prices=prices)
+        return path
+
 
 def cholesky_with_tolerance(a: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of ``a`` with a deterministic pivot test.
@@ -209,9 +220,11 @@ def _price_blocks(spec: MarketSpec, horizon: float, steps: int, n_paths: int,
     Yields ``(first, prices)`` where ``prices`` holds paths ``first, first + 1,
     ...`` with shape (paths in block, steps + 1, n).  A block holds at most
     ``_BLOCK_PATH_STEPS`` path-steps (at least one path), which bounds the
-    memory of the draw and of what callers evaluate per block.  Path i draws
-    from its own ``SeedSequence((seed, i))`` stream, so its prices do not
-    depend on ``n_paths`` or on the block it lands in.
+    memory of the draw and of what callers evaluate per block.  Path i is row
+    ``i % _STREAM_PATHS`` of the draws of the stream
+    ``SeedSequence((seed, i // _STREAM_PATHS))``, so its prices do not depend
+    on ``n_paths`` or on the block it lands in, and path 0 draws what a
+    one-path stream ``SeedSequence((seed, 0))`` does.
     """
     dt = horizon / steps
     growth = spec.mu if measure == "physical" else np.full(spec.n, spec.rate)
@@ -223,9 +236,16 @@ def _price_blocks(spec: MarketSpec, horizon: float, steps: int, n_paths: int,
     for first in range(0, n_paths, block):
         stop = min(first + block, n_paths)
         eps = np.empty((stop - first, steps, spec.n))
-        for row, i in enumerate(range(first, stop)):
-            rng = np.random.default_rng(np.random.SeedSequence((int(seed), i)))
-            rng.standard_normal(out=eps[row])
+        # Split the block at chunk boundaries.  Path 0 opens the first chunk;
+        # a block that starts inside a chunk goes on with that chunk's
+        # generator from the block before.
+        cuts = [first, *range(first - first % _STREAM_PATHS + _STREAM_PATHS, stop,
+                              _STREAM_PATHS), stop]
+        for a, b in zip(cuts, cuts[1:]):
+            chunk, row = divmod(a, _STREAM_PATHS)
+            if row == 0:
+                rng = np.random.default_rng(np.random.SeedSequence((int(seed), chunk)))
+            rng.standard_normal(out=eps[a - first:b - first])
         # A stacked matmul multiplies each path's draws on its own, exactly as
         # a per-path product would, so blocking leaves every value unchanged.
         eps = eps @ spec.lower.T
@@ -250,9 +270,9 @@ def simulate_paths(spec: MarketSpec, horizon: float, steps: int, n_paths: int,
     measure : {"physical", "risk_neutral"}
         Physical paths drift at ``mu``; risk-neutral paths drift at ``rate``.
     seed : int
-        Nonnegative.  Each path's stream is derived from (seed, path_index),
-        so path i is reproducible independently of ``n_paths`` and of
-        evaluation order.
+        Nonnegative.  Path i draws row ``i % 1024`` of the stream derived
+        from (seed, i // 1024), so path i is reproducible independently of
+        ``n_paths`` and of evaluation order.
 
     Returns
     -------
@@ -261,7 +281,10 @@ def simulate_paths(spec: MarketSpec, horizon: float, steps: int, n_paths: int,
     """
     _check_path_args(horizon, steps, n_paths, measure, seed)
     times = np.linspace(0.0, horizon, steps + 1)
-    return [PricePath(times=times, prices=prices)
+    # _price_blocks checks every price, so the paths need only this grid check.
+    if np.any(np.diff(times) <= 0):
+        raise ValidationError("time grid must start at 0 and strictly increase")
+    return [PricePath._checked(times, prices)
             for _, block in _price_blocks(spec, horizon, steps, n_paths, measure, seed)
             for prices in block]
 

@@ -276,9 +276,12 @@ def implied_vols(observed_price: float, s: float, s0: float, t: float, T: float,
     :class:`IrrationalPriceError`.  Prices at or above that floor but outside
     the range attainable by any positive volatility (possible when
     Lp > 0 and K < 2 Lp) return no roots.  Every returned root is validated
-    by round-trip repricing.
+    by round-trip repricing.  A non-finite price, s, s0 or rate, or a
+    non-positive s or s0, raises :class:`ValidationError`.
     """
     _check_horizon(t, T)
+    if not all(map(math.isfinite, (observed_price, s, s0, rate))):
+        raise ValidationError("observed price, s, s0 and rate must be finite")
     if s <= 0 or s0 <= 0:
         raise ValidationError("prices must be strictly positive")
     floor = min_rational_price(1, t, T, rate)

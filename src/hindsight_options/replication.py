@@ -14,10 +14,12 @@ from __future__ import annotations
 import datetime as dt
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
 
 import numpy as np
 
+from ._table import csv_table
 from .errors import ValidationError
 from .hindsight import (_fractions, _fractions_of, _log_levered_of, _representable, _whitened,
                         kelly_rule)
@@ -62,10 +64,18 @@ class SimulationConfig:
 
 @dataclass(frozen=True)
 class SimulationResult:
-    """Per-path ledgers plus the growth summary of one scenario run."""
+    """The accounts of every path plus the growth summary of one scenario run.
+
+    ``wealth`` and ``cash`` have shape (paths, grid points); ``fractions`` and
+    ``shares`` have shape (paths, grid points, n); ``times`` is the shared grid.
+    """
 
     config: SimulationConfig
-    ledgers: list[HedgeLedger]
+    times: np.ndarray
+    wealth: np.ndarray
+    fractions: np.ndarray
+    shares: np.ndarray
+    cash: np.ndarray
     terminal_wealth: np.ndarray
     cagr: np.ndarray  # continuously compounded, log(W_T)/T per path
     kelly_fractions: np.ndarray
@@ -74,6 +84,12 @@ class SimulationResult:
     @property
     def mean_cagr(self) -> float:
         return float(np.mean(self.cagr))
+
+    @cached_property
+    def ledgers(self) -> list[HedgeLedger]:
+        """One ledger per path, of row views of the result arrays; built on first access."""
+        return [HedgeLedger(times=self.times, wealth=w, fractions=f, shares=sh, cash=c)
+                for w, f, sh, c in zip(self.wealth, self.fractions, self.shares, self.cash)]
 
 
 @dataclass(frozen=True)
@@ -194,9 +210,9 @@ def run_growth_simulation(config: SimulationConfig) -> SimulationResult:
     growth-optimal rate as T grows.
 
     Paths are drawn and evaluated in blocks of a fixed path-step budget, so
-    memory beyond the ledgers stays bounded; path i still draws from its own
-    (seed, i) stream and equals path i of ``simulate_paths``.  The ledgers are
-    row views of shared arrays of shape (n_paths, grid points[, n]).
+    memory beyond the result arrays stays bounded; path i equals path i of
+    ``simulate_paths``.  The result holds the accounts as arrays of shape
+    (n_paths, grid points[, n]); its per-path ledgers are built on demand.
     """
     spec = config.spec
     steps = round(config.T * config.steps_per_year)
@@ -223,12 +239,10 @@ def run_growth_simulation(config: SimulationConfig) -> SimulationResult:
         f[:, i_buy:] = _fractions_of(spec, *state, after)
         shares[rows], cash[rows] = _close_positions(w, f, prices)
 
-    ledgers = [HedgeLedger(times=times, wealth=wealth[p], fractions=fractions[p],
-                           shares=shares[p], cash=cash[p])
-               for p in range(config.n_paths)]
     terminal = wealth[:, -1].copy()
     cagr = np.log(terminal) / config.T
-    return SimulationResult(config=config, ledgers=ledgers, terminal_wealth=terminal,
+    return SimulationResult(config=config, times=times, wealth=wealth, fractions=fractions,
+                            shares=shares, cash=cash, terminal_wealth=terminal,
                             cagr=cagr, kelly_fractions=kelly.b,
                             kelly_growth_rate=growth_rate)
 
@@ -412,11 +426,8 @@ def format_ledger_csv(ledger: HedgeLedger) -> str:
     header = (["time", "wealth", "cash"]
               + [f"fraction_{i + 1}" for i in range(n)]
               + [f"shares_{i + 1}" for i in range(n)])
-    table = np.column_stack([ledger.times, ledger.wealth, ledger.cash,
-                             ledger.fractions, ledger.shares])
-    lines = [",".join(header)]
-    lines.extend(",".join(map(repr, row)) for row in table.tolist())
-    return "\n".join(lines) + "\n"
+    return csv_table(header, [ledger.times, ledger.wealth, ledger.cash,
+                              *ledger.fractions.T, *ledger.shares.T])
 
 
 def write_ledger_csv(ledger: HedgeLedger, path: str) -> None:

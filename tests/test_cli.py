@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from mpmath import mp, mpf
 
@@ -16,7 +17,10 @@ from hindsight_options import (
     write_demon_csv,
     write_ledger_csv,
 )
+from hindsight_options._table import csv_table
 from hindsight_options.cli import main
+from hindsight_options.lattice import format_demon_csv
+from hindsight_options.replication import HedgeLedger, format_ledger_csv
 
 
 def run_cli(capsys, *argv):
@@ -113,6 +117,63 @@ def test_unrepresentable_or_nonfinite_quotes_exit_3(capsys):
         assert (code, out) == (3, "")
         assert err.startswith("error: ") and "Traceback" not in err
         assert len(err.splitlines()) == 1
+
+
+def test_iv_refuses_nonfinite_inputs(capsys):
+    good = {"--price": "1.5", "--s": "105", "--s0": "100", "--t": "0.5", "--T": "1",
+            "--r": "0.03"}
+    for flag, value in (("--price", "nan"), ("--price", "inf"), ("--s", "inf"),
+                        ("--s", "nan"), ("--s0", "inf"), ("--s0", "-inf"), ("--r", "nan")):
+        argv = [f"{key}={val}" for key, val in {**good, flag: value}.items()]
+        code, out, err = run_cli(capsys, "iv", *argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "must be finite" in err
+
+
+def reference_csv(header, rows):
+    """The row-wise CSV writer the column-wise one replaced."""
+    def cell(x):
+        return repr(float(x)) if isinstance(x, float) else str(x)
+
+    return "\n".join([",".join(header), *(",".join(map(cell, row)) for row in rows)]) + "\n"
+
+
+@pytest.mark.parametrize("rows", [
+    [],
+    [[0.1, 1, "ok"]],
+    [[math.nan, -3, "FAIL"], [math.inf, 0, "plain"], [-math.inf, 7, ""],
+     [-0.0, 2**70, "x y"], [5e-324, True, "partial"], [1e300 / 3, -1, "z"]],
+    [[np.float64(1.0) / 3, np.int64(4), np.str_("a")], [np.float64(-0.0), np.int64(-1), "b"],
+     [np.float64(math.nan), np.int64(0), "c"]],
+    # more rows than one piece of the writer
+    [[x, i, f"r{i}"] for i, x in enumerate(np.random.default_rng(2).normal(size=2500).tolist())],
+])
+def test_csv_table_matches_the_row_wise_writer(rows):
+    header = ["value", "count", "label"]
+    columns = list(zip(*rows)) if rows else [(), (), ()]
+    assert csv_table(header, columns) == reference_csv(header, rows)
+    floats = np.array([row[0] for row in rows], dtype=float)
+    assert csv_table(header[:1], [floats]) == reference_csv(header[:1], [[x] for x in floats])
+
+
+def test_ledger_and_demon_csv_match_the_row_wise_writers():
+    special = np.array([math.nan, math.inf, -math.inf, -0.0, 5e-324, 0.1, 1e-310])
+    fractions = np.stack([special, special[::-1]], axis=1)
+    ledger = HedgeLedger(times=special, wealth=special[::-1], fractions=fractions,
+                         shares=-fractions, cash=special * 2.0)
+    table = np.column_stack([ledger.times, ledger.wealth, ledger.cash,
+                             ledger.fractions, ledger.shares])
+    want = ("time,wealth,cash,fraction_1,fraction_2,shares_1,shares_2\n"
+            + "".join(",".join(map(repr, row)) + "\n" for row in table.tolist()))
+    assert format_ledger_csv(ledger) == want
+
+    demon = demon_simulation(40, 0.7, seed=3)
+    want = "step,upticks,stock,wealth\n" + "".join(
+        f"{int(step)},{int(ups)},{float(stock)!r},{float(wealth)!r}\n"
+        for step, ups, stock, wealth in zip(demon.steps, demon.upticks, demon.stock,
+                                            demon.wealth))
+    assert format_demon_csv(demon) == want
 
 
 def test_lattice_subcommands(tmp_path, capsys):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from hindsight_options import (
     LatticeSpec,
@@ -26,7 +27,7 @@ from hindsight_options import (
     write_demon_csv,
 )
 from hindsight_options.errors import ValidationError
-from hindsight_options.lattice import _log_node_rows
+from hindsight_options.lattice import _log_node_rows, _logsumexp
 
 GENERIC = LatticeSpec(u=1.25, d=0.85, r_per=0.03, n_steps=12)
 
@@ -161,6 +162,15 @@ def test_sweep_equals_closed_sum_at_every_node(spec, mode):
         closed = [lattice_log_price(spec, LatticeState(k, n), mode) for k in range(n + 1)]
         worst = max(worst, float(np.max(np.abs(row - closed))))
     assert worst < 1e-11
+
+
+def test_logsumexp_agrees_with_scipy():
+    rng = np.random.default_rng(8)
+    cases = [rng.normal(0.0, 40.0, 301), rng.normal(-800.0, 5.0, 50), np.array([709.0, 710.0]),
+             np.array([-math.inf, 1.5, -math.inf]), np.array([-2.0]), np.zeros(1000)]
+    for terms in cases:
+        assert _logsumexp(terms) == pytest.approx(float(logsumexp(terms)), rel=1e-14)
+    assert _logsumexp(np.full(4, -math.inf)) == -math.inf == logsumexp(np.full(4, -math.inf))
 
 
 def test_deep_sweep_root_is_finite_where_the_table_overflows():

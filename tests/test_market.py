@@ -18,7 +18,8 @@ from hindsight_options import (
     validate_market,
 )
 from hindsight_options.errors import ValidationError
-from hindsight_options.market import _BLOCK_PATH_STEPS, cholesky_with_tolerance
+from hindsight_options.market import (_BLOCK_PATH_STEPS, _STREAM_PATHS,
+                                      cholesky_with_tolerance)
 
 CORR3 = [[1.0, 0.3, -0.2], [0.3, 1.0, 0.5], [-0.2, 0.5, 1.0]]
 SPECS_BY_N = {
@@ -30,16 +31,21 @@ SPECS_BY_N = {
 
 
 def reference_paths(spec, horizon, steps, n_paths, measure, seed):
-    """Prices path by path, one generator and one product per path."""
+    """Prices path by path: path i is row i % C of the draws of stream (seed, i // C)."""
     dt = horizon / steps
     growth = spec.mu if measure == "physical" else np.full(spec.n, spec.rate)
     drift = (growth - 0.5 * spec.sigma**2) * dt
     vol = spec.sigma * math.sqrt(dt)
     lower = cholesky_with_tolerance(spec.corr)
+    draws = {}
     paths = []
     for i in range(n_paths):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, i)))
-        eps = rng.standard_normal((steps, spec.n)) @ lower.T
+        chunk, row = divmod(i, _STREAM_PATHS)
+        if chunk not in draws:
+            rng = np.random.default_rng(np.random.SeedSequence((seed, chunk)))
+            rows = min(_STREAM_PATHS, n_paths - chunk * _STREAM_PATHS)
+            draws[chunk] = rng.standard_normal((rows, steps, spec.n))
+        eps = draws[chunk][row] @ lower.T
         prices = np.empty((steps + 1, spec.n))
         prices[0] = spec.s0
         prices[1:] = np.exp(np.log(spec.s0) + np.cumsum(drift + vol * eps, axis=0))
@@ -237,6 +243,37 @@ def test_simulate_paths_equals_the_per_path_loop(n, steps, extra_paths, measure)
     for path, prices in zip(got, want):
         np.testing.assert_array_equal(path.prices, prices)
         np.testing.assert_array_equal(path.times, np.linspace(0.0, 2.5, steps + 1))
+
+
+@pytest.mark.parametrize("steps,n_paths", [
+    # chunk boundaries inside one block of paths
+    (1, _STREAM_PATHS - 1), (1, _STREAM_PATHS + 1), (1, 2 * _STREAM_PATHS + 3),
+    # block boundaries inside one chunk
+    (4096, 3 * (_BLOCK_PATH_STEPS // 4096) + 1),
+    # both: the second block starts inside a chunk that spans the boundary
+    (3, _BLOCK_PATH_STEPS // 3 + _STREAM_PATHS + 5),
+])
+def test_simulate_paths_follows_the_chunked_streams(steps, n_paths):
+    spec = SPECS_BY_N[2]
+    got = simulate_paths(spec, 1.5, steps, n_paths, seed=29)
+    want = reference_paths(spec, 1.5, steps, n_paths, "physical", seed=29)
+    assert len(got) == n_paths
+    for path, prices in zip(got, want):
+        np.testing.assert_array_equal(path.prices, prices)
+
+
+def test_path_zero_draws_the_one_path_stream():
+    # path 0 of every seed draws what SeedSequence((seed, 0)) alone does, so
+    # one-path outputs are the same as with one stream per path index
+    spec = SPECS_BY_N[3]
+    for seed, steps in ((0, 1), (17, 50), (123456789, 4096)):
+        got = simulate_paths(spec, 2.0, steps, 3, seed=seed)[0]
+        rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
+        eps = rng.standard_normal((steps, spec.n)) @ spec.lower.T
+        dt = 2.0 / steps
+        log_steps = (spec.mu - 0.5 * spec.sigma**2) * dt + spec.sigma * math.sqrt(dt) * eps
+        np.testing.assert_array_equal(
+            got.prices[1:], np.exp(np.log(spec.s0) + np.cumsum(log_steps, axis=0)))
 
 
 def test_path_index_stream_independent_of_n_paths():

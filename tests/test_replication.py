@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 from scipy.special import ndtr
+from scipy.stats import chi2
 
 from hindsight_options import (
     MarketSpec,
@@ -37,6 +38,8 @@ from hindsight_options.market import _BLOCK_PATH_STEPS, cholesky_with_tolerance
 from unlevered_reference import mp_unlevered_fraction
 
 SPEC = MarketSpec.single(mu=0.07, sigma=0.3, rate=0.02, s0=1.0)
+# Beyond this many predicted standard deviations a hedge's capture error is wrong.
+HEDGE_CAPTURE_SIGMAS = 6.0
 
 
 def capture_target(spec, path, i0, t0, T, mode="levered"):
@@ -135,17 +138,49 @@ def test_realized_excess_growth_respects_the_bound():
         assert excess <= bound + 0.02
 
 
+def predicted_hedge_spread(spec, times, prices):
+    """Predicted standard deviation of a discrete levered hedge's relative capture error.
+
+    Over a step dt the account and the option differ by (dt/2) e' G e less its
+    mean, e ~ N(0, R) the step's shocks, with
+
+        G = R^-1 / t + M (b b' - diag b) M,   M = diag(sigma), b = b(S, t),
+
+    so the step's error variance is (dt^2 / 2) tr((G R)^2); the prediction
+    sums it over the rebalance times.  With one asset G = (z^2 - w z + 1) / t,
+    w = sigma sqrt(t).
+    """
+    sigma, corr = spec.sigma, spec.corr
+    inv_corr = np.linalg.inv(corr)
+    t, dt = times[:-1], np.diff(times)
+    root_t = np.sqrt(t)[:, None]
+    z = (np.log(prices[:-1] / spec.s0) - (spec.rate - 0.5 * sigma**2) * t[:, None]) / (
+        sigma * root_t)
+    b = z @ inv_corr / sigma / root_t
+    mb = sigma * b
+    g = inv_corr / t[:, None, None] + mb[:, :, None] * mb[:, None, :]
+    diag = np.arange(spec.n)
+    g[:, diag, diag] -= sigma * mb
+    gr = g @ corr
+    return math.sqrt(0.5 * float(np.sum(dt**2 * np.einsum("kij,kji->k", gr, gr))))
+
+
 def test_two_asset_hedge_captures_the_price_ratio():
     spec = MarketSpec.pair(mu=(0.06, 0.1), sigma=(0.3, 0.5), rho=0.25,
                            rate=0.02, s0=(1.0, 1.0))
     paths = simulate_paths(spec, 3.0, 15_000, 10, seed=71)
-    errs = []
+    scores = []
     for path in paths:
         i0 = int(np.searchsorted(path.times, 2.0))
         ledger = hedge_path(spec, path, 2.0, 3.0)
         target = capture_target(spec, path, i0, 2.0, 3.0)
-        errs.append(ledger.wealth[-1] / target - 1.0)
-    assert float(np.sqrt(np.mean(np.square(errs)))) < 0.02
+        spread = predicted_hedge_spread(spec, path.times[i0:], path.prices[i0:])
+        scores.append((ledger.wealth[-1] / target - 1.0) / spread)
+    # each capture error sums many small rebalance errors, so its score is
+    # about a unit normal and the sum of the squared scores about chi^2_10
+    scores = np.array(scores)
+    assert np.all(np.abs(scores) < HEDGE_CAPTURE_SIGMAS)
+    assert float(np.sum(scores**2)) < chi2.ppf(0.999, len(scores))
 
 
 def test_unlevered_hedge_tracks_its_price():
@@ -375,6 +410,22 @@ def test_growth_simulation_whitens_each_block_once(name, monkeypatch):
             wealth[:, i_buy:], wealth[:, i_buy, None] * np.exp(log_c - log_c[:, :1]))
         np.testing.assert_array_equal(fractions[:, i_buy:-1],
                                       _fractions(spec, prices[:, i_buy:-1], times[i_buy:-1]))
+
+
+def test_growth_ledgers_are_built_on_demand():
+    config = scenario_config("sim3", T=10.0, n_paths=4, seed=2)
+    result = run_growth_simulation(config)
+    assert "ledgers" not in vars(result)
+    ledgers = result.ledgers
+    assert result.ledgers is ledgers
+    assert len(ledgers) == config.n_paths
+    for p, ledger in enumerate(ledgers):
+        assert ledger.times is result.times
+        for name in ("wealth", "fractions", "shares", "cash"):
+            row = getattr(ledger, name)
+            np.testing.assert_array_equal(row, getattr(result, name)[p])
+            assert np.shares_memory(row, getattr(result, name))
+    np.testing.assert_array_equal(result.terminal_wealth, result.wealth[:, -1])
 
 
 def test_growth_simulation_cagr_concentrates_near_kelly():
