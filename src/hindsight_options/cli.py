@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from importlib.metadata import PackageNotFoundError, version as pkg_version
 from pathlib import Path
@@ -27,7 +28,7 @@ from .lattice import (
     lattice_payoff,
     lattice_price,
 )
-from .market import MarketSpec, load_market_spec
+from .market import MarketSpec, load_market_spec, simulate_paths
 from .mc import mc_price
 from .pricing import (
     greeks,
@@ -45,7 +46,6 @@ from .replication import (
     run_growth_simulation,
     scenario_spec,
 )
-from .market import simulate_paths
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -61,8 +61,9 @@ def _tool_version() -> str:
         return "unknown"
 
 
-def _json(record: dict) -> str:
-    return json.dumps(record, sort_keys=True)
+def _json(record: dict, indent: int | None = None) -> str:
+    """Strict JSON: a NaN or infinity raises ValueError instead of printing."""
+    return json.dumps(record, sort_keys=True, indent=indent, allow_nan=False)
 
 
 def _add_market_args(parser: argparse.ArgumentParser) -> None:
@@ -103,36 +104,31 @@ def _parse_prices(text: str, n: int) -> np.ndarray:
     return np.asarray(values)
 
 
-def _emit(args, command: str, params: dict, artifacts: dict[str, str],
-          stdout_artifact: str) -> None:
-    """Print the primary artifact; with --out, also write files and a manifest."""
-    sys.stdout.write(artifacts[stdout_artifact])
-    if not artifacts[stdout_artifact].endswith("\n"):
-        sys.stdout.write("\n")
-    if args.out:
+def _manifest(args, outputs: list[str]) -> str:
+    """The run record: every parsed flag but --out, and the argv that replays it."""
+    params = {key: value for key, value in vars(args).items()
+              if key not in ("command", "handler", "out")}
+    argv = [args.command]
+    for key, value in sorted(params.items()):
+        if value is not None:
+            argv.extend(["--" + key.replace("_", "-"), str(value)])
+    return _json({"command": args.command, "parameters": params, "seed": params.get("seed"),
+                  "outputs": outputs, "version": _tool_version(), "argv": argv},
+                 indent=2) + "\n"
+
+
+def _emit(args, artifacts: dict[str, str], primary: str) -> None:
+    """Print the primary artifact; with --out, also write files and a manifest.
+
+    Every record is serialised before anything is printed or written.
+    """
+    files = {**artifacts, "manifest.json": _manifest(args, sorted(artifacts))} if args.out else {}
+    sys.stdout.write(artifacts[primary])
+    if files:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        for name, content in artifacts.items():
+        for name, content in files.items():
             (out_dir / name).write_text(content, encoding="utf-8")
-        argv = [command]
-        for key, value in sorted(params.items()):
-            if value is None or value is False:
-                continue
-            flag = "--" + key.replace("_", "-")
-            if value is True:
-                argv.append(flag)
-            else:
-                argv.extend([flag, str(value)])
-        manifest = {
-            "command": command,
-            "parameters": params,
-            "seed": params.get("seed"),
-            "outputs": sorted(artifacts),
-            "version": _tool_version(),
-            "argv": argv,
-        }
-        (out_dir / "manifest.json").write_text(
-            json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
 def _usage_error(message: str) -> int:
@@ -143,14 +139,9 @@ def _usage_error(message: str) -> int:
 def _cmd_price(args) -> int:
     spec = _build_spec(args)
     s = _parse_prices(args.s, spec.n)
-    if args.mode == "levered":
-        quote = price_levered(spec, s, args.t, args.T)
-    else:
-        quote = price_unlevered(spec, s, args.t, args.T)
-    params = dict(mode=args.mode, config=args.config, sigma=args.sigma, r=args.r,
-                  mu=args.mu, s0=args.s0, s=args.s, t=args.t, T=args.T)
-    _emit(args, "price", params, {"quote.json": _json(quote.as_record()) + "\n"},
-          "quote.json")
+    pricer = price_levered if args.mode == "levered" else price_unlevered
+    quote = pricer(spec, s, args.t, args.T)
+    _emit(args, {"quote.json": _json(quote.as_record()) + "\n"}, "quote.json")
     return EXIT_OK
 
 
@@ -158,10 +149,7 @@ def _cmd_greeks(args) -> int:
     spec = _build_spec(args)
     s = _parse_prices(args.s, spec.n)
     report = greeks(spec, s, args.t, args.T)
-    params = dict(config=args.config, sigma=args.sigma, r=args.r, mu=args.mu,
-                  s0=args.s0, s=args.s, t=args.t, T=args.T)
-    _emit(args, "greeks", params, {"greeks.json": _json(report.as_record()) + "\n"},
-          "greeks.json")
+    _emit(args, {"greeks.json": _json(report.as_record()) + "\n"}, "greeks.json")
     return EXIT_OK
 
 
@@ -169,19 +157,14 @@ def _cmd_iv(args) -> int:
     roots = implied_vols(args.price, args.s, args.s0, args.t, args.T, args.r)
     record = {"roots": list(roots.roots), "observed_price": args.price,
               "t": args.t, "T": args.T}
-    params = dict(price=args.price, s=args.s, s0=args.s0, t=args.t, T=args.T,
-                  r=args.r)
-    _emit(args, "iv", params, {"iv.json": _json(record) + "\n"}, "iv.json")
+    _emit(args, {"iv.json": _json(record) + "\n"}, "iv.json")
     return EXIT_OK
 
 
 def _cmd_lattice(args) -> int:
-    params = dict(what=args.what, u=args.u, d=args.d, rper=args.rper, N=args.N,
-                  mode=args.mode, k=args.k, n=args.n, j=args.j, p=args.p,
-                  seed=args.seed)
     if args.what == "demon":
         artifacts = {"demon.csv": format_demon_csv(demon_simulation(args.N, args.p, args.seed))}
-        _emit(args, "lattice", params, artifacts, "demon.csv")
+        _emit(args, artifacts, "demon.csv")
         return EXIT_OK
     spec = LatticeSpec(u=args.u, d=args.d, r_per=args.rper, n_steps=args.N)
     if args.what == "payoff":
@@ -189,16 +172,14 @@ def _cmd_lattice(args) -> int:
             return _usage_error("--j is required for payoff")
         value = lattice_payoff(spec, args.j, args.mode)
         record = {"payoff": value, "j": args.j, "N": args.N, "mode": args.mode}
-        _emit(args, "lattice", params, {"payoff.json": _json(record) + "\n"},
-              "payoff.json")
+        _emit(args, {"payoff.json": _json(record) + "\n"}, "payoff.json")
         return EXIT_OK
     if args.k is None or args.n is None:
         return _usage_error("--k and --n are required for price")
     value = lattice_price(spec, LatticeState(args.k, args.n), args.mode)
     record = {"price": value, "k": args.k, "n": args.n, "N": args.N,
               "mode": args.mode}
-    _emit(args, "lattice", params, {"price.json": _json(record) + "\n"},
-          "price.json")
+    _emit(args, {"price.json": _json(record) + "\n"}, "price.json")
     return EXIT_OK
 
 
@@ -223,22 +204,18 @@ def _cmd_simulate(args) -> int:
         "T": config.T,
         "warmup": config.warmup,
     }
-    params = dict(scenario=args.scenario, config=args.config, T=args.T,
-                  warmup=args.warmup, steps_per_year=args.steps_per_year,
-                  paths=args.paths, seed=args.seed)
     artifacts = {
         "paths.csv": csv_table(["path", "terminal_wealth", "cagr"],
                                [range(config.n_paths), result.terminal_wealth, result.cagr]),
         "summary.json": _json(summary) + "\n",
     }
-    _emit(args, "simulate", params, artifacts, "summary.json")
+    _emit(args, artifacts, "summary.json")
     return EXIT_OK
 
 
 def _cmd_hedge(args) -> int:
     spec = _build_spec(args)
-    steps = args.steps
-    path = simulate_paths(spec, args.T, steps, 1, measure=args.measure,
+    path = simulate_paths(spec, args.T, args.steps, 1, measure=args.measure,
                           seed=args.seed)[0]
     ledger = hedge_path(spec, path, args.t0, args.T, mode=args.mode)
     summary = {
@@ -246,16 +223,13 @@ def _cmd_hedge(args) -> int:
         "mode": args.mode,
         "t0": args.t0,
         "T": args.T,
-        "steps": steps,
+        "steps": args.steps,
         "intrinsic_at_expiry": intrinsic_value(spec, path.prices[-1], args.T,
                                                args.mode),
     }
-    params = dict(config=args.config, sigma=args.sigma, r=args.r, mu=args.mu,
-                  s0=args.s0, t0=args.t0, T=args.T, steps=steps, mode=args.mode,
-                  measure=args.measure, seed=args.seed)
     artifacts = {"ledger.csv": format_ledger_csv(ledger),
                  "summary.json": _json(summary) + "\n"}
-    _emit(args, "hedge", params, artifacts, "summary.json")
+    _emit(args, artifacts, "summary.json")
     return EXIT_OK
 
 
@@ -264,15 +238,14 @@ def _cmd_backtest(args) -> int:
     fractions = [float(tok) for tok in args.b.replace(",", " ").split()]
     result = discrete_backtest(table, fractions, rebalance_interval=args.interval,
                                rate=args.rate)
-    summary = {"cagr": result.cagr, "ruined": result.ruined,
+    # A ruined account has no growth rate: the library's NaN is written as null.
+    summary = {"cagr": None if result.ruined else result.cagr, "ruined": result.ruined,
                "ruin_index": result.ruin_index,
                "terminal_wealth": float(result.wealth[-1]),
                "periods": len(result.wealth) - 1}
-    params = dict(prices=args.prices, b=args.b, interval=args.interval,
-                  rate=args.rate)
     artifacts = {"wealth.csv": csv_table(["time", "wealth"], [result.times, result.wealth]),
                  "summary.json": _json(summary) + "\n"}
-    _emit(args, "backtest", params, artifacts, "summary.json")
+    _emit(args, artifacts, "summary.json")
     return EXIT_OK
 
 
@@ -300,29 +273,28 @@ def _cmd_verify(args) -> int:
         s = np.exp((rate - 0.5 * sigma**2) * t + sigma * np.sqrt(t) * shock)
         modes = ["levered"] if n > 1 else ["levered", "unlevered"]
         for mode in modes:
-            if mode == "levered":
-                closed = price_levered(spec, s, t, horizon).price
-            else:
-                closed = price_unlevered(spec, s, t, horizon).price
+            pricer = price_levered if mode == "levered" else price_unlevered
+            closed = pricer(spec, s, t, horizon).price
             est = mc_price(spec, s, t, horizon, mode, n_paths=args.paths,
                            seed=args.seed + 101 * state_idx)
             gap = abs(closed - est.mean)
             ok = gap < 4.0 * est.std_error
             all_ok &= ok
+            # At SE = 0 the gap has no size in standard errors: inf unless it is 0 too.
+            gap_in_se = (gap / est.std_error if est.std_error
+                         else float("inf") if gap else float("nan"))
             rows.append([mode, n, float(t), float(horizon), closed, est.mean,
-                         est.std_error, gap / est.std_error if est.std_error else 0.0,
+                         est.std_error, gap_in_se,
                          "ok" if ok else "FAIL", est.estimator, est.max_share])
     table = csv_table(["mode", "n", "t", "T", "closed", "mc_mean", "mc_std_error",
                        "gap_in_std_errors", "status", "estimator", "max_share"], list(zip(*rows)))
-    params = dict(n=args.n, states=args.states, paths=args.paths, seed=args.seed)
-    _emit(args, "verify", params, {"verify.csv": table}, "verify.csv")
+    _emit(args, {"verify.csv": table}, "verify.csv")
     return EXIT_OK if all_ok else EXIT_CHECK_FAILED
 
 
 def _cmd_curve(args) -> int:
-    params = dict(what=args.what, sigmas=args.sigmas, r=args.r, s0=args.s0,
-                  t=args.t, T=args.T, lo=args.lo, hi=args.hi, count=args.count,
-                  mode=args.mode)
+    if not (math.isfinite(args.lo) and math.isfinite(args.hi)):
+        raise ValidationError("--lo and --hi must be finite")
     sigmas = [float(tok) for tok in args.sigmas.replace(",", " ").split()]
     header_sigmas = [f"sigma_{s:g}" for s in sigmas]
     grid = np.linspace(args.lo, args.hi, args.count)
@@ -332,12 +304,12 @@ def _cmd_curve(args) -> int:
         rows = [[float(s_val)] + [intrinsic_value(spec, s_val, args.t, args.mode)
                                   for spec in specs] for s_val in grid]
         artifacts = {"payoff_curve.csv": csv_table(["s"] + header_sigmas, list(zip(*rows)))}
-        _emit(args, "curve", params, artifacts, "payoff_curve.csv")
+        _emit(args, artifacts, "payoff_curve.csv")
         return EXIT_OK
     rows = [[float(horizon)] + [time0_unlevered_excess_growth(sig, horizon) for sig in sigmas]
             for horizon in grid]
     artifacts = {"regret_curve.csv": csv_table(["T"] + header_sigmas, list(zip(*rows)))}
-    _emit(args, "curve", params, artifacts, "regret_curve.csv")
+    _emit(args, artifacts, "regret_curve.csv")
     return EXIT_OK
 
 
@@ -347,9 +319,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Price, hedge, and simulate the hindsight allocation option.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def common(p: argparse.ArgumentParser, seeded: bool = False) -> None:
         p.add_argument("--out", help="directory for artifacts plus a run manifest")
-        p.add_argument("--seed", type=int, default=0)
+        if seeded:
+            p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("price", help="closed-form quote")
     _add_market_args(p)
@@ -389,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--j", type=int)
     p.add_argument("--p", type=float, default=0.5, help="coin bias for demon runs")
-    common(p)
+    common(p, seeded=True)
     p.set_defaults(handler=_cmd_lattice)
 
     p = sub.add_parser("simulate", help="long-horizon growth experiment")
@@ -400,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--warmup", type=float, default=5.0)
     p.add_argument("--steps-per-year", type=int, default=12)
     p.add_argument("--paths", type=int, default=100)
-    common(p)
+    common(p, seeded=True)
     p.set_defaults(handler=_cmd_simulate)
 
     p = sub.add_parser("hedge", help="replicate along one simulated path")
@@ -411,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["levered", "unlevered"], default="levered")
     p.add_argument("--measure", choices=["physical", "risk_neutral"],
                    default="physical")
-    common(p)
+    common(p, seeded=True)
     p.set_defaults(handler=_cmd_hedge)
 
     p = sub.add_parser("backtest", help="fixed-fraction rebalancing on CSV prices")
@@ -427,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, choices=[1, 2, 3], default=1)
     p.add_argument("--states", type=int, default=5)
     p.add_argument("--paths", type=int, default=200_000)
-    common(p)
+    common(p, seeded=True)
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("curve", help="plot-ready payoff / regret tables")

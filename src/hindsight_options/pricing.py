@@ -221,10 +221,10 @@ def price_unlevered(spec: MarketSpec, s, t: float, T: float) -> Quote:
 
 def _time0_premium(sigma: float, T: float) -> float:
     """sigma sqrt(T / (2 pi)): the time-0 unlevered price less its cash floor of 1."""
-    if sigma <= 0:
-        raise ValidationError("sigma must be positive")
-    if T < 0:
-        raise ValidationError("T must be nonnegative")
+    if not 0 < sigma < math.inf:
+        raise ValidationError("sigma must be positive and finite")
+    if not 0 <= T < math.inf:
+        raise ValidationError("T must be nonnegative and finite")
     return sigma * math.sqrt(T) / _SQRT_2PI
 
 

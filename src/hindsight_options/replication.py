@@ -103,6 +103,11 @@ class PriceTable:
 
 @dataclass(frozen=True)
 class BacktestResult:
+    """Wealth of a fixed-fraction backtest; ``cagr`` is NaN on a ruined account.
+
+    The CLI writes that NaN as JSON ``null``.
+    """
+
     times: np.ndarray
     wealth: np.ndarray
     cagr: float  # annually compounded, (V_end/V_0)^(1/years) - 1
@@ -257,8 +262,8 @@ def discrete_backtest(table: PriceTable, b, rebalance_interval: int = 1,
 
     with ``rate`` the simple rate per rebalance interval.  Levered fractions
     can bankrupt the account on a discrete interval; the series is then
-    truncated at the last positive value and flagged as ruined.  CAGR is
-    annually compounded over the elapsed calendar span.
+    truncated at the last positive value and flagged as ruined, with a NaN
+    CAGR.  Otherwise CAGR is annually compounded over the elapsed calendar span.
     """
     b = np.atleast_1d(np.asarray(b, dtype=float))
     if not np.all(np.isfinite(b)):

@@ -17,9 +17,11 @@ from hindsight_options import (
     write_demon_csv,
     write_ledger_csv,
 )
+from hindsight_options import cli
 from hindsight_options._table import csv_table
 from hindsight_options.cli import main
 from hindsight_options.lattice import format_demon_csv
+from hindsight_options.mc import McEstimate
 from hindsight_options.replication import HedgeLedger, format_ledger_csv
 
 
@@ -289,9 +291,12 @@ def test_curve_tables(capsys):
     last = out.strip().splitlines()[-1].split(",")
     assert float(last[1]) == pytest.approx(0.0970, abs=1e-3)
 
-    code, out, err = run_cli(capsys, "curve", "--what", "payoff", "--sigmas", "-0.3")
-    assert (code, out) == (3, "")
-    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    for argv in (["--what", "payoff", "--sigmas", "-0.3"], ["--what", "payoff", "--hi", "inf"],
+                 ["--what", "regret", "--lo", "nan"], ["--what", "regret", "--hi", "inf"],
+                 ["--what", "regret", "--sigmas", "nan"]):
+        code, out, err = run_cli(capsys, "curve", *argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 def test_regret_curve_is_exact_at_tiny_horizons(capsys):
@@ -340,21 +345,112 @@ def test_multi_asset_price_through_a_config(tmp_path, capsys):
     assert "multi-asset" in err
 
 
-def test_manifest_replays_to_identical_artifacts(tmp_path, capsys):
-    first = tmp_path / "run1"
-    code, _, _ = run_cli(capsys, "lattice", "--what", "demon", "--N", "40",
-                         "--p", "0.5", "--seed", "17", "--out", str(first))
-    assert code == 0
-    manifest = json.loads((first / "manifest.json").read_text())
-    assert manifest["command"] == "lattice"
-    assert manifest["seed"] == 17
-    assert manifest["outputs"] == ["demon.csv"]
+# Each subcommand's flags as the manifest records them: every flag but --out.
+MARKET = {"config", "sigma", "r", "mu", "s0"}
+FLAGS = {
+    "price": MARKET | {"mode", "s", "t", "T"},
+    "greeks": MARKET | {"s", "t", "T"},
+    "iv": {"price", "s", "s0", "t", "T", "r"},
+    "lattice": {"what", "u", "d", "rper", "N", "mode", "k", "n", "j", "p", "seed"},
+    "simulate": {"scenario", "config", "T", "warmup", "steps_per_year", "paths", "seed"},
+    "hedge": MARKET | {"t0", "T", "steps", "mode", "measure", "seed"},
+    "backtest": {"prices", "b", "interval", "rate"},
+    "verify": {"n", "states", "paths", "seed"},
+    "curve": {"what", "sigmas", "r", "s0", "t", "T", "mode", "lo", "hi", "count"},
+}
+RUNS = {
+    "price-levered": ["price", "--sigma", "0.2", "--r", "0.03", "--s0", "100", "--s", "105",
+                      "--t", "0.5", "--T", "1"],
+    "price-unlevered": ["price", "--mode", "unlevered", "--sigma", "0.3", "--s", "1.2",
+                        "--t", "1", "--T", "2"],
+    "greeks": ["greeks", "--sigma", "0.2", "--mu", "0.05", "--s", "1.1", "--t", "0.5",
+               "--T", "1"],
+    "iv": ["iv", "--price", "1.51", "--s", "105", "--s0", "100", "--t", "0.5", "--T", "1"],
+    "lattice-demon": ["lattice", "--what", "demon", "--N", "40", "--p", "0.5", "--seed", "17"],
+    "lattice-price": ["lattice", "--N", "6", "--k", "2", "--n", "3", "--u", "1.2",
+                      "--d", "0.9", "--rper", "0.01"],
+    "lattice-payoff": ["lattice", "--what", "payoff", "--N", "4", "--j", "1",
+                       "--mode", "unlevered"],
+    "simulate": ["simulate", "--scenario", "sim3", "--T", "8", "--paths", "3", "--seed", "2"],
+    "hedge": ["hedge", "--sigma", "0.3", "--r", "0.02", "--t0", "1", "--T", "2",
+              "--steps", "200", "--mode", "unlevered", "--seed", "5"],
+    "backtest": ["backtest", "--prices", "{prices}", "--b", "0.5", "--interval", "2",
+                 "--rate", "0.001"],
+    "verify": ["verify", "--states", "1", "--paths", "20000", "--seed", "3"],
+    "curve-payoff": ["curve", "--what", "payoff", "--sigmas", "0.2,0.4", "--count", "4"],
+    "curve-regret": ["curve", "--what", "regret", "--lo", "1", "--hi", "5", "--count", "3"],
+}
 
-    second = tmp_path / "run2"
-    code, _, _ = run_cli(capsys, *manifest["argv"], "--out", str(second))
+
+@pytest.mark.parametrize("name", list(RUNS))
+def test_every_subcommand_records_and_replays_its_run(name, tmp_path, capsys):
+    prices = tmp_path / "px.csv"
+    prices.write_text("time,px\n0,100\n1,120\n2,90\n3,130\n4,125\n")
+    argv = [arg.format(prices=prices) for arg in RUNS[name]]
+    command = argv[0]
+    code, out, _ = run_cli(capsys, *argv, "--out", str(tmp_path / "run1"))
     assert code == 0
-    for name in manifest["outputs"]:
-        assert (first / name).read_bytes() == (second / name).read_bytes()
+    manifest = json.loads((tmp_path / "run1" / "manifest.json").read_text())
+    assert manifest["command"] == command
+    assert set(manifest["parameters"]) == FLAGS[command]
+    assert manifest["seed"] == manifest["parameters"].get("seed")
+    if "--seed" in argv:
+        assert manifest["seed"] == int(argv[argv.index("--seed") + 1])
+    assert out in [(tmp_path / "run1" / file).read_text() for file in manifest["outputs"]]
+
+    code, _, _ = run_cli(capsys, *manifest["argv"], "--out", str(tmp_path / "run2"))
+    assert code == 0
+    files = sorted(p.name for p in (tmp_path / "run1").iterdir())
+    assert files == sorted(manifest["outputs"] + ["manifest.json"])
+    assert files == sorted(p.name for p in (tmp_path / "run2").iterdir())
+    for file in files:
+        assert (tmp_path / "run1" / file).read_bytes() == (tmp_path / "run2" / file).read_bytes()
+
+    if "seed" not in FLAGS[command]:
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--seed", "1"])
+        assert exc.value.code == 2
+
+
+def _strict_json(text: str):
+    def refuse(constant):
+        raise ValueError(f"not JSON: {constant}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_ruined_backtest_writes_null_cagr(tmp_path, capsys):
+    prices = tmp_path / "ruin.csv"
+    prices.write_text("time,px\n0,100\n1,10\n2,20\n")
+    code, out, _ = run_cli(capsys, "backtest", "--prices", str(prices), "--b", "2",
+                           "--out", str(tmp_path / "run"))
+    assert code == 0
+    for record in (_strict_json(out),
+                   _strict_json((tmp_path / "run" / "summary.json").read_text())):
+        assert (record["cagr"], record["ruined"], record["ruin_index"]) == (None, True, 1)
+
+
+def test_a_nonfinite_record_value_exits_3_before_any_output(tmp_path, capsys):
+    # A demon run ignores --u, but its manifest would have to record NaN.
+    code, out, err = run_cli(capsys, "lattice", "--what", "demon", "--N", "5", "--u", "nan",
+                             "--out", str(tmp_path / "run"))
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert not (tmp_path / "run").exists()
+
+
+def test_verify_reports_a_gap_at_zero_standard_error(monkeypatch, capsys):
+    def no_spread(spec, s, t, T, mode, **kwargs):
+        closed = (cli.price_levered if mode == "levered" else cli.price_unlevered)(spec, s, t, T)
+        mean = closed.price * (1.0 + 1e-9) if mode == "levered" else closed.price
+        return McEstimate(mean=mean, std_error=0.0, n_paths=2, seed=0, estimator="exact",
+                          s_eval=T, n_obs=1, max_share=1.0)
+
+    monkeypatch.setattr(cli, "mc_price", no_spread)
+    code, out, _ = run_cli(capsys, "verify", "--states", "1", "--paths", "2")
+    assert code == 1
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert [(row[0], row[7], row[8]) for row in rows] == [("levered", "inf", "FAIL"),
+                                                          ("unlevered", "nan", "FAIL")]
 
 
 def test_stdout_is_deterministic(capsys):
