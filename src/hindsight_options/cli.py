@@ -192,8 +192,7 @@ def _cmd_simulate(args) -> int:
         spec = scenario_spec(args.scenario)
     config = SimulationConfig(spec=spec, T=args.T, warmup=args.warmup,
                               steps_per_year=args.steps_per_year,
-                              n_paths=args.paths, seed=args.seed,
-                              scenario=args.scenario)
+                              n_paths=args.paths, seed=args.seed)
     result = run_growth_simulation(config)
     summary = {
         "scenario": args.scenario,
@@ -409,7 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=float, default=0.0)
     p.add_argument("--s0", type=float, default=100.0)
     p.add_argument("--t", type=float, default=5.0)
-    p.add_argument("--T", type=float, default=5.0)
     p.add_argument("--mode", choices=["levered", "unlevered"], default="levered")
     p.add_argument("--lo", type=float, default=50.0)
     p.add_argument("--hi", type=float, default=200.0)

@@ -27,6 +27,7 @@ from .errors import ValidationError
 from .market import MarketSpec, covariance
 
 MODES = ("levered", "unlevered")
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -86,12 +87,30 @@ def _exp(log_value: float, log_api: str) -> float:
         return _representable(math.inf, log_api)
 
 
+def _log_ratio(s, s0):
+    """log(s / s0) of positive finite prices; log s - log s0 where the quotient under- or overflows.
+
+    Arrays go through ``np.log``, scalars through ``math.log``: the two can round differently.
+    """
+    if not isinstance(s, np.ndarray):
+        q = s / s0
+        return math.log(q) if _TINY <= q < math.inf else math.log(s) - math.log(s0)
+    try:
+        with np.errstate(over="raise", under="raise"):
+            return np.log(s / s0)
+    except FloatingPointError:  # checking the flags is cheaper than checking every quotient
+        with np.errstate(over="ignore"):
+            q = s / s0
+        normal = (q >= _TINY) & (q < math.inf)
+        return np.where(normal, np.log(np.where(normal, q, 1.0)), np.log(s) - np.log(s0))
+
+
 # Kernels: each closed form is written once, over checked prices s[..., n]
 # and times t[...] > 0 that broadcast; every other caller goes through them.
 def _z(spec: MarketSpec, s: np.ndarray, t) -> np.ndarray:
     """z_i = [log(S_i/S_i0) - (r - sigma_i^2/2) t] / (sigma_i sqrt(t))."""
     t = np.asarray(t, dtype=float)[..., None]
-    return ((np.log(s / spec.s0) - (spec.rate - 0.5 * spec.sigma**2) * t)
+    return ((_log_ratio(s, spec.s0) - (spec.rate - 0.5 * spec.sigma**2) * t)
             / (spec.sigma * np.sqrt(t)))
 
 
@@ -207,7 +226,7 @@ def log_intrinsic_value(spec: MarketSpec, s, t: float, mode: str = "levered") ->
     if z <= 0.0:
         return spec.rate * t
     if z >= spec.sigma[0] * math.sqrt(t):
-        return float(np.log(s[0] / spec.s0[0]))
+        return float(_log_ratio(s, spec.s0)[0])
     return spec.rate * t + 0.5 * z * z
 
 

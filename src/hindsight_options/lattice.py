@@ -251,13 +251,13 @@ def time0_unlevered_price(spec: LatticeSpec) -> float:
     return total
 
 
-def hedge_lattice_path(spec: LatticeSpec, moves: np.ndarray, mode: str = "levered",
-                       s0: float = 1.0) -> np.ndarray:
+def hedge_lattice_path(spec: LatticeSpec, moves: np.ndarray, mode: str = "levered") -> np.ndarray:
     """Self-financing delta-hedge wealth along one path of up (1) / down (0) moves.
 
     Starts with wealth C(0, 0); exact replication makes the wealth equal the
     node price C(k, n) at every step, ending at the payoff.  Deltas come from
-    :func:`induction_price_table`.
+    :func:`induction_price_table`.  The stock starts at 1: the wealth does not
+    depend on its scale.
     """
     moves = np.asarray(moves, dtype=int)
     if moves.shape != (spec.n_steps,) or np.any((moves != 0) & (moves != 1)):
@@ -265,7 +265,7 @@ def hedge_lattice_path(spec: LatticeSpec, moves: np.ndarray, mode: str = "levere
     table = induction_price_table(spec, mode)
     wealth = np.empty(spec.n_steps + 1)
     wealth[0] = table[0][0]
-    s = s0
+    s = 1.0
     k = 0
     for n, up in enumerate(moves):
         delta = (table[n + 1][k + 1] - table[n + 1][k]) / (s * (spec.u - spec.d))

@@ -15,8 +15,8 @@ integrated analytically,
     C(S_t, t) = e^{rt} (T/s)^{n/2} E_t[exp(z_s' R^{-1} z_s / 2)],
 
 and simulating only up to s = min(1.25 t, T) keeps 1 - t/s <= 1/5 < 1/4
-("partially exact" estimator).  "auto" takes plain only for t > 3T/4;
-requesting plain for t <= T/2 is refused.
+("partially exact" estimator).  The estimator is chosen from t and T alone:
+plain for t > 3T/4, partial otherwise.
 
 Payoffs are evaluated in whitened coordinates: with x_t = L^{-1} z_t solved
 once, L^{-1} z_s = w_t x_t + w_y y, so the antithetic pair +-y pays
@@ -39,8 +39,6 @@ from .hindsight import z_score
 from .market import MarketSpec
 
 _CHUNK = 1 << 16
-
-ESTIMATORS = ("auto", "plain", "partial")
 
 
 @dataclass(frozen=True)
@@ -70,9 +68,12 @@ def _chunk_streams(seed: int, n_total: int, chunk: int):
 
 
 def mc_price(spec: MarketSpec, s, t: float, T: float, mode: str = "levered",
-             n_paths: int = 100_000, seed: int = 0, *, antithetic: bool = True,
-             estimator: str = "auto") -> McEstimate:
+             n_paths: int = 100_000, seed: int = 0, *, antithetic: bool = True) -> McEstimate:
     """Monte Carlo price of the option in state (s, t), expiring at T.
+
+    The levered estimator is "plain" (simulates to T) for t > 3T/4, where its
+    payoff has a finite fourth moment, and "partial" (integrates the tail from
+    s = min(1.25 t, T)) otherwise; the result records which one ran.
 
     Parameters
     ----------
@@ -87,17 +88,11 @@ def mc_price(spec: MarketSpec, s, t: float, T: float, mode: str = "levered",
         levered payoff is nearly even in the shock, so there it is roughly
         neutral.  Either way the estimator stays unbiased and the reported
         standard error is the honest one.
-    estimator : {"auto", "plain", "partial"}
-        Levered only.  "plain" simulates to T and refuses t <= T/2 (infinite
-        variance); "partial" integrates the tail from s = min(1.25 t, T);
-        "auto" picks plain only for t > 3T/4 (finite fourth moment).
     """
     if not 0 <= t < T:
         raise ValidationError("need 0 <= t < T")
     if seed < 0:
         raise ValidationError("seed must be nonnegative")
-    if estimator not in ESTIMATORS:
-        raise ValidationError(f"unknown estimator {estimator!r}")
     if antithetic:
         n_paths = (n_paths // 2) * 2
     if n_paths < (4 if antithetic else 2):
@@ -106,13 +101,7 @@ def mc_price(spec: MarketSpec, s, t: float, T: float, mode: str = "levered",
     if mode == "levered":
         if t <= 0:
             raise ValidationError("the levered price diverges as t -> 0+; price at t > 0")
-        if estimator == "plain" and t <= T / 2:
-            raise ValidationError(
-                "plain levered estimator has infinite variance for t <= T/2; "
-                "use estimator='partial' or 'auto'"
-            )
-        if estimator == "auto":
-            estimator = "plain" if t > 0.75 * T else "partial"
+        estimator = "plain" if t > 0.75 * T else "partial"
         s_eval = T if estimator == "plain" else min(1.25 * t, T)
         value = _levered_value_fn(spec, s, t, T, s_eval)
     elif mode == "unlevered":

@@ -50,7 +50,8 @@ from scipy.special import log_ndtr
 
 from .errors import IrrationalPriceError, ValidationError
 from .hindsight import (_as_prices, _exp, _fractions_of, _log_levered, _log_levered_of,
-                        _representable, _whitened, _z, intrinsic_value, log_intrinsic_value)
+                        _log_ratio, _representable, _whitened, _z, intrinsic_value,
+                        log_intrinsic_value)
 from .market import MarketSpec
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -155,7 +156,7 @@ def _log_unlevered_terms(spec: MarketSpec, s: np.ndarray, t, T: float):
     log_gap = np.log(-np.expm1(d), out=np.full_like(d, -np.inf), where=d < 0.0)
     log_terms = (spec.rate * t + log_ndtr(a),
                  log_c + log_hi + log_gap,
-                 np.log(s[..., 0] / spec.s0[0]) + log_ndtr(-a - sigma * t / np.sqrt(tau)))
+                 _log_ratio(s[..., 0], spec.s0[0]) + log_ndtr(-a - sigma * t / np.sqrt(tau)))
     log_p = np.logaddexp(np.logaddexp(log_terms[0], log_terms[1]), log_terms[2])
     return log_terms, log_p, (z, log_c, x1, x2)
 
@@ -214,8 +215,10 @@ def price_unlevered(spec: MarketSpec, s, t: float, T: float) -> Quote:
     """
     price = _exp(log_price_unlevered(spec, s, t, T), "log_price_unlevered")
     intrinsic = intrinsic_value(spec, s, t, "unlevered")
-    return Quote(price=price, intrinsic=intrinsic,
-                 universality_factor=price / intrinsic,
+    # An intrinsic value that underflowed to 0 leaves no representable factor.
+    factor = _representable(price / intrinsic if intrinsic > 0.0 else math.inf,
+                            "log_price_unlevered")
+    return Quote(price=price, intrinsic=intrinsic, universality_factor=factor,
                  mode="unlevered", t=float(t), T=float(T))
 
 
@@ -230,7 +233,7 @@ def _time0_premium(sigma: float, T: float) -> float:
 
 def price_time0_unlevered(sigma: float, T: float) -> float:
     """Time-0 unlevered price, 1 + sigma sqrt(T / (2 pi)); rate-free."""
-    return 1.0 + _time0_premium(sigma, T)
+    return _representable(1.0 + _time0_premium(sigma, T), "time0_unlevered_excess_growth")
 
 
 def greeks(spec: MarketSpec, s, t: float, T: float) -> GreeksReport:
@@ -245,11 +248,15 @@ def greeks(spec: MarketSpec, s, t: float, T: float) -> GreeksReport:
     z = float(_z(spec, s, t)[0])
     w = sigma * math.sqrt(t)
     c = _exp(float(_log_levered(spec, s, t, T)), "log_price_levered")
-    delta = c * z / (s_val * w)
-    gamma = c * (z * z - w * z + 1.0) / (s_val * s_val * w * w)
-    theta = c * (r - (1.0 + z * z) / (2.0 * t) - z * (r - 0.5 * sigma * sigma) / w)
-    vega = c * z * (w - z) / sigma
-    rho = (1.0 - z / w) * c * t
+    try:
+        delta = c * z / (s_val * w)
+        gamma = c * (z * z - w * z + 1.0) / (s_val * s_val * w * w)
+        theta = c * (r - (1.0 + z * z) / (2.0 * t) - z * (r - 0.5 * sigma * sigma) / w)
+        vega = c * z * (w - z) / sigma
+        rho = (1.0 - z / w) * c * t
+    except ZeroDivisionError:  # a denominator underflowed to 0, as S^2 w^2 does at S = 1e-200
+        raise ValidationError("result is not representable in float64; "
+                              "use log_price_levered") from None
     _representable([delta, gamma, theta, vega, rho], "log_price_levered")
     return GreeksReport(delta=delta, gamma=gamma, theta=theta, vega=vega, rho=rho)
 
@@ -290,7 +297,8 @@ def implied_vols(observed_price: float, s: float, s0: float, t: float, T: float,
             f"observed price {observed_price!r} is below the minimum rational "
             f"price sqrt(T/t) * exp(r*t) = {floor!r}"
         )
-    log_move = math.log(s / s0) - rate * t
+    log_ratio = _log_ratio(s, s0)
+    log_move = log_ratio - rate * t
     k = max(2.0 * (math.log(observed_price) - rate * t) + math.log(t / T), 0.0)
     qa = 0.25 * t * t
     qb = t * (log_move - k)
@@ -316,7 +324,7 @@ def implied_vols(observed_price: float, s: float, s0: float, t: float, T: float,
             continue  # double root (float noise in K splits it at ~1e-8): report once
         repriced = math.exp(
             0.5 * math.log(T / t) + rate * t
-            + 0.5 * ((math.log(s / s0) - (rate - 0.5 * x) * t) / (sigma * math.sqrt(t))) ** 2
+            + 0.5 * ((log_ratio - (rate - 0.5 * x) * t) / (sigma * math.sqrt(t))) ** 2
         )
         if abs(repriced - observed_price) <= 1e-9 * observed_price:
             roots.append(sigma)
@@ -334,10 +342,16 @@ def excess_growth_bound(spec: MarketSpec, s, t: float, T: float) -> float:
 
 
 def time0_unlevered_excess_growth(sigma: float, T: float) -> float:
-    """Regret rate of a time-0 unlevered buyer: log(1 + sigma sqrt(T/(2 pi))) / T."""
+    """Regret rate of a time-0 unlevered buyer: log(1 + sigma sqrt(T/(2 pi))) / T.
+
+    Where the premium overflows float64, the rate is taken from its log.
+    """
     if T <= 0:
         raise ValidationError("T must be positive")
-    return math.log1p(_time0_premium(sigma, T)) / T
+    premium = _time0_premium(sigma, T)
+    if premium < math.inf:
+        return math.log1p(premium) / T
+    return (math.log(sigma) + 0.5 * math.log(T) - math.log(_SQRT_2PI)) / T
 
 
 __all__ = [

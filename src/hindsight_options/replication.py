@@ -14,7 +14,6 @@ from __future__ import annotations
 import datetime as dt
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import repeat
 
 import numpy as np
@@ -53,7 +52,6 @@ class SimulationConfig:
     steps_per_year: int
     n_paths: int
     seed: int
-    scenario: str = "custom"
 
     def __post_init__(self) -> None:
         if not 0 < self.warmup < self.T < math.inf:
@@ -66,16 +64,15 @@ class SimulationConfig:
 class SimulationResult:
     """The accounts of every path plus the growth summary of one scenario run.
 
-    ``wealth`` and ``cash`` have shape (paths, grid points); ``fractions`` and
-    ``shares`` have shape (paths, grid points, n); ``times`` is the shared grid.
+    ``wealth`` has shape (paths, grid points) and ``fractions`` has shape
+    (paths, grid points, n), with the final row zero (the account ends in
+    cash); ``times`` is the shared grid.
     """
 
     config: SimulationConfig
     times: np.ndarray
     wealth: np.ndarray
     fractions: np.ndarray
-    shares: np.ndarray
-    cash: np.ndarray
     terminal_wealth: np.ndarray
     cagr: np.ndarray  # continuously compounded, log(W_T)/T per path
     kelly_fractions: np.ndarray
@@ -84,12 +81,6 @@ class SimulationResult:
     @property
     def mean_cagr(self) -> float:
         return float(np.mean(self.cagr))
-
-    @cached_property
-    def ledgers(self) -> list[HedgeLedger]:
-        """One ledger per path, of row views of the result arrays; built on first access."""
-        return [HedgeLedger(times=self.times, wealth=w, fractions=f, shares=sh, cash=c)
-                for w, f, sh, c in zip(self.wealth, self.fractions, self.shares, self.cash)]
 
 
 @dataclass(frozen=True)
@@ -132,7 +123,7 @@ def scenario_config(name: str, *, T: float = 200.0, warmup: float = 5.0,
                     seed: int = 0) -> SimulationConfig:
     return SimulationConfig(spec=scenario_spec(name), T=T, warmup=warmup,
                             steps_per_year=steps_per_year, n_paths=n_paths,
-                            seed=seed, scenario=name)
+                            seed=seed)
 
 
 def _grid_index(times: np.ndarray, value: float) -> int:
@@ -141,21 +132,6 @@ def _grid_index(times: np.ndarray, value: float) -> int:
         if 0 <= candidate < len(times) and abs(times[candidate] - value) <= _GRID_TOL * max(1.0, abs(value)):
             return candidate
     raise ValidationError(f"time {value} is not a grid point of the path")
-
-
-def _close_positions(wealth: np.ndarray, fractions: np.ndarray,
-                     prices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Shares and cash held at each grid point, liquidating the final one.
-
-    Broadcasts over leading path axes.  Zeroes the final row of ``fractions``
-    in place: the account ends all in cash.
-    """
-    shares = fractions * wealth[..., None] / prices
-    cash = wealth * (1.0 - np.sum(fractions, axis=-1))
-    fractions[..., -1, :] = 0.0
-    shares[..., -1, :] = 0.0
-    cash[..., -1] = wealth[..., -1]
-    return shares, cash
 
 
 def hedge_path(spec: MarketSpec, path: PricePath, t_start: float, T: float,
@@ -199,7 +175,11 @@ def hedge_path(spec: MarketSpec, path: PricePath, t_start: float, T: float,
     wealth = np.empty(len(times))
     wealth[0] = 1.0
     wealth[1:] = np.cumprod(1.0 + risky + bond)
-    shares, cash = _close_positions(wealth, fractions, prices)
+    shares = fractions * wealth[:, None] / prices
+    cash = wealth * (1.0 - np.sum(fractions, axis=1))
+    fractions[-1] = 0.0
+    shares[-1] = 0.0
+    cash[-1] = wealth[-1]
     return HedgeLedger(times=times, wealth=wealth, fractions=fractions,
                        shares=shares, cash=cash)
 
@@ -217,7 +197,7 @@ def run_growth_simulation(config: SimulationConfig) -> SimulationResult:
     Paths are drawn and evaluated in blocks of a fixed path-step budget, so
     memory beyond the result arrays stays bounded; path i equals path i of
     ``simulate_paths``.  The result holds the accounts as arrays of shape
-    (n_paths, grid points[, n]); its per-path ledgers are built on demand.
+    (n_paths, grid points[, n]).
     """
     spec = config.spec
     steps = round(config.T * config.steps_per_year)
@@ -230,8 +210,6 @@ def run_growth_simulation(config: SimulationConfig) -> SimulationResult:
 
     wealth = np.empty((config.n_paths, steps + 1))
     fractions = np.empty((config.n_paths, steps + 1, spec.n))
-    shares = np.empty_like(fractions)
-    cash = np.empty_like(wealth)
     for first, prices in _price_blocks(spec, config.T, steps, config.n_paths,
                                        "physical", config.seed):
         rows = slice(first, first + len(prices))
@@ -242,13 +220,12 @@ def run_growth_simulation(config: SimulationConfig) -> SimulationResult:
         w[:, i_buy:] = w[:, i_buy, None] * np.exp(log_c - log_c[:, :1])
         f[:, :i_buy] = basket_shares * prices[:, :i_buy] / w[:, :i_buy, None]
         f[:, i_buy:] = _fractions_of(spec, *state, after)
-        shares[rows], cash[rows] = _close_positions(w, f, prices)
+    fractions[:, -1] = 0.0  # the account is liquidated at T
 
     terminal = wealth[:, -1].copy()
     cagr = np.log(terminal) / config.T
     return SimulationResult(config=config, times=times, wealth=wealth, fractions=fractions,
-                            shares=shares, cash=cash, terminal_wealth=terminal,
-                            cagr=cagr, kelly_fractions=kelly.b,
+                            terminal_wealth=terminal, cagr=cagr, kelly_fractions=kelly.b,
                             kelly_growth_rate=growth_rate)
 
 

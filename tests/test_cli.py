@@ -1,5 +1,6 @@
 """Command-line front end: records, artifacts, manifests, exit codes."""
 
+import argparse
 import json
 import math
 
@@ -74,6 +75,12 @@ def test_iv_round_trip_and_domain_error(capsys):
     roots = json.loads(out)["roots"]
     assert min(abs(r - 0.2) for r in roots) < 1e-8
 
+    # S/S0 underflows to 0; its log is taken as log S - log S0
+    code, out, err = run_cli(capsys, "iv", "--price", "2", "--s", "1e-300", "--s0", "1e300",
+                             "--t", "1", "--T", "2")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["roots"] == pytest.approx([51.7393, 53.4044], abs=1e-4)
+
     code, _, err = run_cli(capsys, "iv", "--price", "1.2", "--s", "105",
                            "--s0", "100", "--t", "0.5", "--T", "1", "--r", "0.03")
     assert code == 3
@@ -108,7 +115,14 @@ def test_missing_price_file_exits_4(capsys):
 def test_unrepresentable_or_nonfinite_quotes_exit_3(capsys):
     deep = ["--sigma", "0.1", "--s", "1e30", "--t", "0.01", "--T", "2"]
     deep_lattice = ["lattice", "--N", "2000", "--u", "1.02", "--d", "0.98", "--rper", "0"]
+    # S/S0 underflows: log C is finite, the price overflows and the intrinsic value is 0
+    tiny_ratio = ["--sigma", "0.2", "--r", "-1600", "--mu", "-1600", "--s0", "1e300",
+                  "--s", "1e-300", "--t", "0.5", "--T", "1"]
     for argv in (["price", *deep], ["greeks", *deep],
+                 ["price", *tiny_ratio], ["price", "--mode", "unlevered", *tiny_ratio],
+                 # gamma's denominator S^2 w^2 underflows to 0
+                 ["greeks", "--sigma", "0.2", "--s", "1e-200", "--s0", "1e-200",
+                  "--t", "0.5", "--T", "1"],
                  ["price", "--mode", "unlevered", "--sigma", "0.1", "--r", "400",
                   "--s", "1", "--t", "1.8", "--T", "2"],
                  ["price", "--sigma", "0.1", "--s", "1", "--t", "1", "--T", "nan"],
@@ -313,6 +327,16 @@ def test_regret_curve_is_exact_at_tiny_horizons(capsys):
         assert float(rate) == pytest.approx(want, rel=1e-14)
 
 
+def test_regret_curve_is_finite_where_the_premium_overflows(capsys):
+    # sigma sqrt(T / (2 pi)) overflows: the rate is taken from its log
+    code, out, _ = run_cli(capsys, "curve", "--what", "regret", "--sigmas", "1e300",
+                           "--lo", "1e20", "--hi", "1e30", "--count", "2")
+    assert code == 0
+    rows = np.array([line.split(",") for line in out.strip().splitlines()[1:]], dtype=float)
+    np.testing.assert_allclose(rows, [[1e20, 7.1288244029494949e-18],
+                                      [1e30, 7.2439536575991972e-28]], rtol=1e-14, atol=0)
+
+
 def test_config_file_with_flag_overrides(tmp_path, capsys):
     spec = MarketSpec.single(mu=0.05, sigma=0.4, rate=0.01, s0=1.0)
     cfg = tmp_path / "mkt.cfg"
@@ -356,7 +380,7 @@ FLAGS = {
     "hedge": MARKET | {"t0", "T", "steps", "mode", "measure", "seed"},
     "backtest": {"prices", "b", "interval", "rate"},
     "verify": {"n", "states", "paths", "seed"},
-    "curve": {"what", "sigmas", "r", "s0", "t", "T", "mode", "lo", "hi", "count"},
+    "curve": {"what", "sigmas", "r", "s0", "t", "mode", "lo", "hi", "count"},
 }
 RUNS = {
     "price-levered": ["price", "--sigma", "0.2", "--r", "0.03", "--s0", "100", "--s", "105",
@@ -372,6 +396,8 @@ RUNS = {
     "lattice-payoff": ["lattice", "--what", "payoff", "--N", "4", "--j", "1",
                        "--mode", "unlevered"],
     "simulate": ["simulate", "--scenario", "sim3", "--T", "8", "--paths", "3", "--seed", "2"],
+    "simulate-custom": ["simulate", "--scenario", "custom", "--config", "{spec}", "--T", "4",
+                        "--warmup", "1", "--paths", "2", "--seed", "3"],
     "hedge": ["hedge", "--sigma", "0.3", "--r", "0.02", "--t0", "1", "--T", "2",
               "--steps", "200", "--mode", "unlevered", "--seed", "5"],
     "backtest": ["backtest", "--prices", "{prices}", "--b", "0.5", "--interval", "2",
@@ -382,11 +408,18 @@ RUNS = {
 }
 
 
-@pytest.mark.parametrize("name", list(RUNS))
-def test_every_subcommand_records_and_replays_its_run(name, tmp_path, capsys):
+def run_argv(name, tmp_path):
+    """The argv of ``RUNS[name]``, with the input files it names written to tmp_path."""
     prices = tmp_path / "px.csv"
     prices.write_text("time,px\n0,100\n1,120\n2,90\n3,130\n4,125\n")
-    argv = [arg.format(prices=prices) for arg in RUNS[name]]
+    spec = tmp_path / "market.spec"
+    save_market_spec(MarketSpec.single(mu=0.06, sigma=0.25, rate=0.01), str(spec))
+    return [arg.format(prices=prices, spec=spec) for arg in RUNS[name]]
+
+
+@pytest.mark.parametrize("name", list(RUNS))
+def test_every_subcommand_records_and_replays_its_run(name, tmp_path, capsys):
+    argv = run_argv(name, tmp_path)
     command = argv[0]
     code, out, _ = run_cli(capsys, *argv, "--out", str(tmp_path / "run1"))
     assert code == 0
@@ -410,6 +443,24 @@ def test_every_subcommand_records_and_replays_its_run(name, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--seed", "1"])
         assert exc.value.code == 2
+
+
+def test_every_flag_is_read_by_its_handler(tmp_path, capsys):
+    # A flag no handler reads only pads the manifest: each must be read in some run.
+    read = {command: set() for command in FLAGS}
+
+    class Recorder(argparse.Namespace):
+        def __getattribute__(self, name):
+            read[argv[0]].add(name)
+            return super().__getattribute__(name)
+
+    for name in RUNS:
+        argv = run_argv(name, tmp_path)
+        args = cli.build_parser().parse_args(argv)
+        assert args.handler(Recorder(**vars(args))) == 0
+    capsys.readouterr()
+    unread = {command: sorted(FLAGS[command] - read[command]) for command in FLAGS}
+    assert unread == {command: [] for command in FLAGS}
 
 
 def _strict_json(text: str):

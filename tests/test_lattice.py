@@ -226,7 +226,7 @@ def test_delta_hedge_replicates_sampled_paths(mode):
     rng = np.random.default_rng(31)
     for _ in range(40):
         moves = (rng.random(spec.n_steps) < 0.5).astype(int)
-        wealth = hedge_lattice_path(spec, moves, mode, s0=2.0)
+        wealth = hedge_lattice_path(spec, moves, mode)
         # wealth tracks the node price exactly along the whole path
         k = np.concatenate([[0], np.cumsum(moves)])
         for n in range(spec.n_steps + 1):

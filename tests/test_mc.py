@@ -53,11 +53,11 @@ def test_levered_estimate_matches_closed_form_interior():
     closed = price_levered(SPEC, s, 1.0, 4.0).price
     est = mc_price(SPEC, s, 1.0, 4.0, "levered", n_paths=400_000, seed=11)
     assert abs(est.mean - closed) < 4.0 * est.std_error
-    # t > T/2 uses the plain estimator
-    s = state_at(SPEC, -0.5, 3.0)
-    closed = price_levered(SPEC, s, 3.0, 4.0).price
-    est = mc_price(SPEC, s, 3.0, 4.0, "levered", n_paths=400_000, seed=12,
-                   estimator="plain")
+    # t > 3T/4 uses the plain estimator
+    s = state_at(SPEC, -0.5, 3.5)
+    closed = price_levered(SPEC, s, 3.5, 4.0).price
+    est = mc_price(SPEC, s, 3.5, 4.0, "levered", n_paths=400_000, seed=12)
+    assert est.estimator == "plain"
     assert abs(est.mean - closed) < 4.0 * est.std_error
 
 
@@ -103,23 +103,10 @@ def test_antithetic_reduces_error_for_the_monotone_payoff():
     assert paired.std_error < plain.std_error
 
 
-def test_plain_estimator_refuses_infinite_variance_states():
-    with pytest.raises(ValidationError, match="infinite variance"):
-        mc_price(SPEC, 1.0, 1.0, 4.0, "levered", n_paths=1000, seed=0,
-                 estimator="plain")
-    # boundary: t = T/2 is still inadmissible, just above is fine
-    with pytest.raises(ValidationError):
-        mc_price(SPEC, 1.0, 2.0, 4.0, "levered", n_paths=1000, seed=0,
-                 estimator="plain")
-    mc_price(SPEC, 1.0, 2.01, 4.0, "levered", n_paths=1000, seed=0,
-             estimator="plain")
-
-
 def test_partial_estimator_covers_the_same_state():
     s = state_at(SPEC, 1.2, 0.5)
     closed = price_levered(SPEC, s, 0.5, 4.0).price
-    est = mc_price(SPEC, s, 0.5, 4.0, "levered", n_paths=400_000, seed=13,
-                   estimator="partial")
+    est = mc_price(SPEC, s, 0.5, 4.0, "levered", n_paths=400_000, seed=13)
     assert abs(est.mean - closed) < 4.0 * est.std_error
 
 
@@ -155,14 +142,12 @@ def test_multi_asset_levered_estimate():
 
 def test_auto_takes_plain_only_after_three_quarters_of_the_horizon():
     T = 4.0
-    cases = [(3.0, "auto", "partial", 3.75),  # t = 3T/4 exactly
-             (math.nextafter(3.0, T), "auto", "plain", T),
-             (1.0, "auto", "partial", 1.25),
-             (2.5, "auto", "partial", 3.125),
-             (3.5, "partial", "partial", T),  # 1.25 t is past T
-             (2.5, "plain", "plain", T)]
-    for t, asked, used, s_eval in cases:
-        est = mc_price(SPEC, 1.0, t, T, "levered", n_paths=1000, seed=0, estimator=asked)
+    cases = [(3.0, "partial", 3.75),  # t = 3T/4 exactly
+             (math.nextafter(3.0, T), "plain", T),
+             (1.0, "partial", 1.25),
+             (2.5, "partial", 3.125)]
+    for t, used, s_eval in cases:
+        est = mc_price(SPEC, 1.0, t, T, "levered", n_paths=1000, seed=0)
         assert (est.estimator, est.s_eval, est.n_obs) == (used, s_eval, 500)
     est = mc_price(SPEC, 1.0, 1.0, T, "unlevered", n_paths=1001, seed=0, antithetic=False)
     assert (est.estimator, est.s_eval, est.n_obs) == ("exact", T, 1001)

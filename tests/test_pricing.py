@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mp, mpf
 from scipy.integrate import quad
 from scipy.special import ndtr
 
@@ -128,6 +129,32 @@ def test_log_price_survives_huge_states():
             linear(spec, s, 1.0, 4.0)
     with pytest.raises(ValidationError, match="use log_intrinsic_value"):
         intrinsic_value(spec, s, 1.0)
+
+
+def test_a_price_ratio_that_underflows_still_prices_in_logs():
+    # S/S0 = 1e-600 underflows to 0; log S - log S0 does not
+    spec = MarketSpec.single(mu=-1600.0, sigma=0.2, rate=-1600.0, s0=1e300)
+    with mp.workdps(40):
+        z = ((mp.log(mpf(1e-300)) - mp.log(mpf(1e300)) - (mpf(-1600) - mpf(0.2) ** 2 / 2) / 2)
+             / (mpf(0.2) * mp.sqrt(mpf(0.5))))
+        want = float(mp.log(2) / 2 - 800 + z * z / 2)
+    assert want == pytest.approx(8453950.3359941777, rel=1e-15)
+    assert log_price_levered(spec, 1e-300, 0.5, 1.0) == pytest.approx(want, rel=1e-12)
+    # the linear prices are out of range: one for overflow, one for an intrinsic value of 0
+    for linear, log_api in ((price_levered, "log_price_levered"),
+                            (price_unlevered, "log_price_unlevered")):
+        with pytest.raises(ValidationError, match=log_api):
+            linear(spec, 1e-300, 0.5, 1.0)
+    assert np.isfinite(log_price_unlevered(spec, 1e-300, 0.5, 1.0))
+    # the same ratio in implied_vols: two roots of the quadratic in sigma^2
+    with mp.workdps(40):
+        k = 2 * mp.log(2) + mp.log(mpf(0.5))
+        lp = mp.log(mpf(1e-300)) - mp.log(mpf(1e300))
+        qb, qc = lp - k, lp * lp
+        disc = mp.sqrt(qb * qb - qc)
+        want = [float(mp.sqrt(2 * (-qb - disc))), float(mp.sqrt(2 * (-qb + disc)))]
+    assert implied_vols(2.0, 1e-300, 1e300, 1.0, 2.0, 0.0).roots == pytest.approx(want,
+                                                                                  rel=1e-13)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -338,6 +365,8 @@ def test_time0_price_values():
     assert price_time0_unlevered(0.7, 5.0) == pytest.approx(
         1.0 + 0.7 * math.sqrt(5.0 / (2.0 * math.pi)), rel=1e-15)
     assert price_time0_unlevered(0.3, 0.0) == 1.0
+    with pytest.raises(ValidationError, match="not representable"):
+        price_time0_unlevered(1e300, 1e30)
 
 
 # ---------------------------------------------------------------------------
@@ -486,3 +515,8 @@ def test_time0_unlevered_excess_growth_value():
     exact = math.log(1.0 + 0.7 * math.sqrt(5.0 / (2.0 * math.pi))) / 5.0
     assert time0_unlevered_excess_growth(0.7, 5.0) == pytest.approx(exact, rel=1e-14)
     assert time0_unlevered_excess_growth(0.7, 5.0) == pytest.approx(0.0971, abs=1e-4)
+    # sigma sqrt(T / (2 pi)) overflows float64; the rate is taken from its log
+    for T in (1e20, 1e30):
+        with mp.workdps(40):
+            want = float(mp.log1p(mpf(1e300) * mp.sqrt(mpf(T) / (2 * mp.pi))) / mpf(T))
+        assert time0_unlevered_excess_growth(1e300, T) == pytest.approx(want, rel=1e-14)

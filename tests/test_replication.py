@@ -299,16 +299,15 @@ def test_growth_simulation_wealth_tracks_stock_then_price():
     result = run_growth_simulation(config)
     spec = config.spec
     paths = simulate_paths(spec, 30.0, 360, 2, measure="physical", seed=5)
-    for ledger, path in zip(result.ledgers, paths):
+    for wealth, path in zip(result.wealth, paths):
         i5 = int(np.searchsorted(path.times, 5.0))
-        np.testing.assert_allclose(ledger.wealth[:i5 + 1], path.prices[:i5 + 1, 0],
-                                   rtol=1e-12)
+        np.testing.assert_allclose(wealth[:i5 + 1], path.prices[:i5 + 1, 0], rtol=1e-12)
         k = i5 + 120
         expected = path.prices[i5, 0] * math.exp(
             log_price_levered(spec, path.prices[k], path.times[k], 30.0)
             - log_price_levered(spec, path.prices[i5], 5.0, 30.0))
-        assert ledger.wealth[k] == pytest.approx(expected, rel=1e-12)
-        assert result.terminal_wealth[0] == result.ledgers[0].wealth[-1]
+        assert wealth[k] == pytest.approx(expected, rel=1e-12)
+        assert result.terminal_wealth[0] == result.wealth[0][-1]
         assert result.cagr[0] == pytest.approx(math.log(result.terminal_wealth[0]) / 30.0)
 
 
@@ -319,21 +318,21 @@ def test_growth_simulation_agrees_with_an_explicit_hedge():
     result = run_growth_simulation(config)
     spec = config.spec
     paths = simulate_paths(spec, 10.0, 3840, 3, measure="physical", seed=9)
-    for ledger, path in zip(result.ledgers, paths):
+    for wealth, path in zip(result.wealth, paths):
         i5 = int(np.searchsorted(path.times, 5.0))
         hedged = hedge_path(spec, path, 5.0, 10.0)
-        tracked = ledger.wealth[i5:] / ledger.wealth[i5]
+        tracked = wealth[i5:] / wealth[i5]
         assert abs(math.log(hedged.wealth[-1] / tracked[-1])) < 0.2
 
 
-def reference_growth_ledgers(config):
-    """Path-by-path growth ledgers: (wealth, fractions, shares, cash) per path."""
+def reference_growth_accounts(config):
+    """Path-by-path growth accounts: (times, wealth, fractions) per path."""
     spec = config.spec
     steps = round(config.T * config.steps_per_year)
     i_buy = round(config.warmup * config.steps_per_year)
     lower = cholesky_with_tolerance(spec.corr)
     basket_shares = (1.0 / spec.n) / spec.s0
-    ledgers = []
+    accounts = []
     for path in simulate_paths(spec, config.T, steps, config.n_paths, seed=config.seed):
         times, prices = path.times, path.prices
         t, s = times[i_buy:], prices[i_buy:]
@@ -350,13 +349,9 @@ def reference_growth_ledgers(config):
         fractions = np.empty((len(times), spec.n))
         fractions[:i_buy] = basket_shares * prices[:i_buy] / wealth[:i_buy, None]
         fractions[i_buy:] = (y / spec.sigma[:, None]).T / np.sqrt(t)[:, None]
-        shares = fractions * wealth[:, None] / prices
-        cash = wealth * (1.0 - np.sum(fractions, axis=1))
         fractions[-1] = 0.0
-        shares[-1] = 0.0
-        cash[-1] = wealth[-1]
-        ledgers.append((times, wealth, fractions, shares, cash))
-    return ledgers
+        accounts.append((times, wealth, fractions))
+    return accounts
 
 
 @pytest.mark.parametrize("name", ["sim1", "sim2", "sim3"])
@@ -365,15 +360,13 @@ def test_growth_simulation_equals_the_per_path_loop(name):
     n_paths = _BLOCK_PATH_STEPS // steps + 3  # more than one block of paths
     config = scenario_config(name, T=30.0, n_paths=n_paths, seed=23)
     result = run_growth_simulation(config)
-    want = reference_growth_ledgers(config)
-    assert len(result.ledgers) == n_paths
-    for ledger, (times, wealth, fractions, shares, cash) in zip(result.ledgers, want):
-        np.testing.assert_array_equal(ledger.times, times)
-        np.testing.assert_array_equal(ledger.wealth, wealth)
-        np.testing.assert_array_equal(ledger.fractions, fractions)
-        np.testing.assert_array_equal(ledger.shares, shares)
-        np.testing.assert_array_equal(ledger.cash, cash)
-    terminal = np.array([ledger[1][-1] for ledger in want])
+    want = reference_growth_accounts(config)
+    assert len(result.wealth) == len(result.fractions) == n_paths
+    for p, (times, wealth, fractions) in enumerate(want):
+        np.testing.assert_array_equal(result.times, times)
+        np.testing.assert_array_equal(result.wealth[p], wealth)
+        np.testing.assert_array_equal(result.fractions[p], fractions)
+    terminal = np.array([account[1][-1] for account in want])
     np.testing.assert_array_equal(result.terminal_wealth, terminal)
     np.testing.assert_array_equal(result.cagr, np.log(terminal) / 30.0)
 
@@ -395,7 +388,7 @@ def test_growth_simulation_whitens_each_block_once(name, monkeypatch):
     monkeypatch.setattr(hindsight, "_whiten", counting_whiten)
     result = run_growth_simulation(config)
     monkeypatch.undo()
-    times = result.ledgers[0].times
+    times = result.times
     i_buy = round(config.warmup * config.steps_per_year)
     blocks = list(market._price_blocks(spec, config.T, steps, n_paths, "physical", config.seed))
     assert len(blocks) == 2
@@ -403,29 +396,12 @@ def test_growth_simulation_whitens_each_block_once(name, monkeypatch):
         (len(prices), steps + 1 - i_buy, spec.n) for _, prices in blocks]
     for first, prices in blocks:
         rows = slice(first, first + len(prices))
-        wealth = np.stack([led.wealth for led in result.ledgers[rows]])
-        fractions = np.stack([led.fractions for led in result.ledgers[rows]])
+        wealth, fractions = result.wealth[rows], result.fractions[rows]
         log_c = _log_levered(spec, prices[:, i_buy:], times[i_buy:], config.T)
         np.testing.assert_array_equal(
             wealth[:, i_buy:], wealth[:, i_buy, None] * np.exp(log_c - log_c[:, :1]))
         np.testing.assert_array_equal(fractions[:, i_buy:-1],
                                       _fractions(spec, prices[:, i_buy:-1], times[i_buy:-1]))
-
-
-def test_growth_ledgers_are_built_on_demand():
-    config = scenario_config("sim3", T=10.0, n_paths=4, seed=2)
-    result = run_growth_simulation(config)
-    assert "ledgers" not in vars(result)
-    ledgers = result.ledgers
-    assert result.ledgers is ledgers
-    assert len(ledgers) == config.n_paths
-    for p, ledger in enumerate(ledgers):
-        assert ledger.times is result.times
-        for name in ("wealth", "fractions", "shares", "cash"):
-            row = getattr(ledger, name)
-            np.testing.assert_array_equal(row, getattr(result, name)[p])
-            assert np.shares_memory(row, getattr(result, name))
-    np.testing.assert_array_equal(result.terminal_wealth, result.wealth[:, -1])
 
 
 def test_growth_simulation_cagr_concentrates_near_kelly():
@@ -437,8 +413,8 @@ def test_growth_simulation_cagr_concentrates_near_kelly():
 def test_sim3_uses_leverage_for_long_stretches():
     config = scenario_config("sim3", T=60.0, n_paths=5, seed=3)
     result = run_growth_simulation(config)
-    stretches = [np.mean(np.sum(led.fractions[61:-1], axis=1) > 1.0)
-                 for led in result.ledgers]
+    stretches = [np.mean(np.sum(fractions[61:-1], axis=1) > 1.0)
+                 for fractions in result.fractions]
     assert max(stretches) > 0.2
 
 
