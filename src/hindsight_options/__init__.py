@@ -31,7 +31,6 @@ from .lattice import (
     lattice_price,
     shannon_spec,
     time0_unlevered_price,
-    write_demon_csv,
 )
 from .market import (
     MarketSpec,
@@ -72,7 +71,6 @@ from .replication import (
     run_growth_simulation,
     scenario_config,
     scenario_spec,
-    write_ledger_csv,
 )
 
 __version__ = "0.1.0"

@@ -73,18 +73,30 @@ def _as_prices(spec: MarketSpec, s, t: float) -> np.ndarray:
     return s
 
 
+def _unrepresentable(log_api: str) -> ValidationError:
+    """The documented domain error of a result float64 cannot hold."""
+    return ValidationError(f"result is not representable in float64; use {log_api}")
+
+
 def _representable(value, log_api: str):
     """``value`` if every entry is finite, else the documented domain error."""
     if not np.all(np.isfinite(value)):
-        raise ValidationError(f"result is not representable in float64; use {log_api}")
+        raise _unrepresentable(log_api)
     return value
 
 
-def _exp(log_value: float, log_api: str) -> float:
+def _exp(log_value: float, log_api: str, zero_ok: bool = False) -> float:
+    """exp of a log, or the documented domain error where it overflows.
+
+    A finite log whose exp underflows to 0.0 is an error too, unless ``zero_ok``.
+    """
     try:
-        return _representable(math.exp(log_value), log_api)
+        value = math.exp(log_value)
     except OverflowError:
-        return _representable(math.inf, log_api)
+        raise _unrepresentable(log_api) from None
+    if value == 0.0 and not zero_ok and log_value > -math.inf:
+        raise _unrepresentable(log_api)
+    return _representable(value, log_api)
 
 
 def _log_ratio(s, s0):
@@ -144,6 +156,19 @@ def _fractions_of(spec: MarketSpec, z: np.ndarray, w: np.ndarray, t) -> np.ndarr
     return (y / spec.sigma[:, None]).T.reshape(z.shape) / np.sqrt(t)[..., None]
 
 
+def _log_unlevered_intrinsic(spec: MarketSpec, s: np.ndarray, z: np.ndarray, t) -> np.ndarray:
+    """log V_t* of the rule clamped to [0, 1], from checked s[..., 1] and its z[..., 1].
+
+    Cash rt for z <= 0, hold log(S/S0) for z >= sigma sqrt(t), rt + z^2/2 between.
+    """
+    z = z[..., 0]
+    rt = spec.rate * t
+    cap = spec.sigma[0] * np.sqrt(t)
+    inner = np.minimum(z, cap)  # z where it is used; capped so an unused z^2 cannot overflow
+    return np.where(z <= 0.0, rt,
+                    np.where(z >= cap, _log_ratio(s[..., 0], spec.s0[0]), rt + 0.5 * inner * inner))
+
+
 def _log_levered(spec: MarketSpec, s: np.ndarray, t, T: float) -> np.ndarray:
     """log C(S, t) of checked states."""
     return _log_levered_of(spec, *_whitened(spec, s, t), t, T)
@@ -191,14 +216,17 @@ def best_rule(spec: MarketSpec, s, t: float, mode: str = "levered") -> Rebalanci
 
 
 def wealth_of_rule(spec: MarketSpec, s, t: float, rule: RebalancingRule) -> float:
-    """Realized wealth V_t(b) of a $1 deposit, computed from (S, t) alone."""
+    """Realized wealth V_t(b) of a $1 deposit, computed from (S, t) alone.
+
+    A wealth too small for float64 is returned as 0.0.
+    """
     state = z_score(spec, s, t)
     b = rule.b
     if b.shape != (spec.n,):
         raise ValidationError(f"rule has {b.shape[0]} fractions for {spec.n} assets")
     quad = float(b @ covariance(spec) @ b)
     return _exp((spec.rate - 0.5 * quad) * t + math.sqrt(t) * float(state.z @ (spec.sigma * b)),
-                "the log wealth (r - b' Sigma b / 2) t + sqrt(t) z' M b")
+                "the log wealth (r - b' Sigma b / 2) t + sqrt(t) z' M b", zero_ok=True)
 
 
 def intrinsic_value(spec: MarketSpec, s, t: float, mode: str = "levered") -> float:
@@ -207,8 +235,8 @@ def intrinsic_value(spec: MarketSpec, s, t: float, mode: str = "levered") -> flo
     Levered: exp(rt + z' R^{-1} z / 2).  Unlevered (one asset) is piecewise in
     z: all-cash e^{rt} for z <= 0, the levered expression for
     0 <= z <= sigma sqrt(t), and buy-and-hold S_t/S_0 for z >= sigma sqrt(t).
-    The branches agree at both boundaries.  A V_t* not representable in
-    float64 raises :class:`ValidationError`; use :func:`log_intrinsic_value`.
+    The branches agree at both boundaries.  A V_t* that overflows float64 or
+    underflows to 0 raises :class:`ValidationError`; use :func:`log_intrinsic_value`.
     """
     return _exp(log_intrinsic_value(spec, s, t, mode), "log_intrinsic_value")
 
@@ -222,12 +250,7 @@ def log_intrinsic_value(spec: MarketSpec, s, t: float, mode: str = "levered") ->
         return float(_log_levered(spec, s, t, t))  # log C at expiry T = t
     if spec.n != 1:
         raise ValidationError("unlevered hindsight optimization is defined for one asset")
-    z = float(_z(spec, s, t)[0])
-    if z <= 0.0:
-        return spec.rate * t
-    if z >= spec.sigma[0] * math.sqrt(t):
-        return float(_log_ratio(s, spec.s0)[0])
-    return spec.rate * t + 0.5 * z * z
+    return float(_log_unlevered_intrinsic(spec, s, _z(spec, s, t), t))
 
 
 def kelly_rule(spec: MarketSpec) -> tuple[RebalancingRule, float]:

@@ -102,24 +102,19 @@ def _check_terminal(spec: LatticeSpec, j) -> np.ndarray:
     return j.astype(float)
 
 
-def lattice_best_rule(spec: LatticeSpec, j: int) -> float:
-    """Hindsight-optimal fraction after j ups in n_steps plays.
-
-    b(j, N) = R / (N (u - d)) * (j/q - (N - j)/(1 - q)); zero when j = Nq.
-    """
-    jf = float(_check_terminal(spec, j)[0])
+def _best_rule(spec: LatticeSpec, jf: np.ndarray) -> np.ndarray:
+    """b(j, N) = R / (N (u - d)) * (j/q - (N - j)/(1 - q)) over float j."""
     n, q = spec.n_steps, spec.q
     return spec.gross_rate / (n * (spec.u - spec.d)) * (jf / q - (n - jf) / (1.0 - q))
 
 
-def lattice_log_payoff(spec: LatticeSpec, j, mode: str = "levered") -> np.ndarray:
-    """log of the terminal payoff after j ups; vectorized over j.
+def lattice_best_rule(spec: LatticeSpec, j: int) -> float:
+    """Hindsight-optimal fraction b(j, N) after j ups in n_steps plays; zero when j = Nq."""
+    return float(_best_rule(spec, _check_terminal(spec, j))[0])
 
-    Ties at the unlevered clamp boundaries evaluate every admissible branch
-    and keep the maximum, which is always correct for a payoff defined as a
-    max over b.
-    """
-    jf = _check_terminal(spec, j)
+
+def _log_payoff(spec: LatticeSpec, jf: np.ndarray, mode: str) -> np.ndarray:
+    """:func:`lattice_log_payoff` over float j already known to lie in [0, N]."""
     n, q, gross = spec.n_steps, spec.q, spec.gross_rate
     levered = (n * math.log(gross / n) + xlogy(jf, jf / q)
                + xlogy(n - jf, (n - jf) / (1.0 - q)))
@@ -127,7 +122,7 @@ def lattice_log_payoff(spec: LatticeSpec, j, mode: str = "levered") -> np.ndarra
         return levered
     if mode != "unlevered":
         raise ValidationError(f"unknown mode {mode!r}")
-    b = gross / (n * (spec.u - spec.d)) * (jf / q - (n - jf) / (1.0 - q))
+    b = _best_rule(spec, jf)
     cash = np.full_like(jf, n * math.log(gross))
     hold = jf * math.log(spec.u) + (n - jf) * math.log(spec.d)
     # Non-strict masks overlap exactly at clamp boundaries, where the max of
@@ -140,9 +135,19 @@ def lattice_log_payoff(spec: LatticeSpec, j, mode: str = "levered") -> np.ndarra
     return out
 
 
+def lattice_log_payoff(spec: LatticeSpec, j, mode: str = "levered") -> np.ndarray:
+    """log of the terminal payoff after j ups; vectorized over j.
+
+    Ties at the unlevered clamp boundaries evaluate every admissible branch
+    and keep the maximum, which is always correct for a payoff defined as a
+    max over b.
+    """
+    return _log_payoff(spec, _check_terminal(spec, j), mode)
+
+
 def lattice_payoff(spec: LatticeSpec, j: int, mode: str = "levered") -> float:
     """Terminal payoff of the option after j ups out of n_steps."""
-    return _exp(lattice_log_payoff(spec, j, mode)[0], "lattice_log_payoff")
+    return _exp(lattice_log_payoff(spec, j, mode)[0], "lattice_log_payoff", zero_ok=True)
 
 
 def lattice_log_price(spec: LatticeSpec, state: LatticeState, mode: str = "levered") -> float:
@@ -160,20 +165,18 @@ def lattice_log_price(spec: LatticeSpec, state: LatticeState, mode: str = "lever
     if state.n > n_total:
         raise ValidationError(f"state is beyond the {n_total}-step lattice")
     remaining = n_total - state.n
-    if remaining == 0:
-        return float(lattice_log_payoff(spec, state.k, mode)[0])
     q = spec.q
     j = np.arange(remaining + 1, dtype=float)
     log_binom = (gammaln(remaining + 1) - gammaln(j + 1) - gammaln(remaining - j + 1))
     log_terms = (log_binom + j * math.log(q) + (remaining - j) * math.log(1.0 - q)
-                 + lattice_log_payoff(spec, state.k + j.astype(int), mode)
+                 + _log_payoff(spec, state.k + j, mode)
                  - remaining * math.log(spec.gross_rate))
     return _logsumexp(log_terms)
 
 
 def lattice_price(spec: LatticeSpec, state: LatticeState, mode: str = "levered") -> float:
     """Price in state (k, n); at n = N this is the payoff itself."""
-    return _exp(lattice_log_price(spec, state, mode), "lattice_log_price")
+    return _exp(lattice_log_price(spec, state, mode), "lattice_log_price", zero_ok=True)
 
 
 def _log_node_rows(spec: LatticeSpec, mode: str = "levered"):
@@ -200,7 +203,7 @@ def induction_price_table(spec: LatticeSpec, mode: str = "levered") -> list[np.n
     price single nodes of such lattices with :func:`lattice_log_price`.
     """
     rows = [row for _, row in _log_node_rows(spec, mode)][::-1]
-    _exp(max(float(row.max()) for row in rows), "lattice_log_price")
+    _exp(max(float(row.max()) for row in rows), "lattice_log_price", zero_ok=True)
     return [np.exp(row) for row in rows]
 
 
@@ -232,7 +235,7 @@ def time0_unlevered_price(spec: LatticeSpec) -> float:
     """
     n, q, gross = spec.n_steps, spec.q, spec.gross_rate
     j = np.arange(n + 1, dtype=float)
-    b = gross / (n * (spec.u - spec.d)) * (j / q - (n - j) / (1.0 - q))
+    b = _best_rule(spec, j)
     log_binom = gammaln(n + 1) - gammaln(j + 1) - gammaln(n - j + 1)
     lo = b <= 0.0
     hi = (b >= 1.0) & ~lo
@@ -312,9 +315,3 @@ def format_demon_csv(ledger: DemonLedger) -> str:
     """The demon ledger as CSV (step, upticks, stock, wealth); floats as shortest reprs."""
     return csv_table(["step", "upticks", "stock", "wealth"],
                      [ledger.steps, ledger.upticks, ledger.stock, ledger.wealth])
-
-
-def write_demon_csv(ledger: DemonLedger, path: str) -> None:
-    """Write :func:`format_demon_csv` of a demon ledger to ``path``."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_demon_csv(ledger))

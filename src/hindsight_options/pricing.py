@@ -35,9 +35,9 @@ All five satisfy the Black-Scholes identity
 sigma^2 S^2 gamma / 2 + r S delta + theta = r C exactly.  Quadratic forms are
 assembled in log space and exponentiated last so that deep-in-hindsight
 states (z' R^{-1} z / 2 of several hundred) do not overflow intermediate
-products.  A price, term or Greek that is still not representable in
-float64 raises :class:`ValidationError`; :func:`log_price_levered` and
-:func:`log_price_unlevered` stay finite.
+products.  A price or Greek that overflows float64, or a price that
+underflows to 0, raises :class:`ValidationError`; :func:`log_price_levered`
+and :func:`log_price_unlevered` stay finite.
 """
 
 from __future__ import annotations
@@ -50,8 +50,8 @@ from scipy.special import log_ndtr
 
 from .errors import IrrationalPriceError, ValidationError
 from .hindsight import (_as_prices, _exp, _fractions_of, _log_levered, _log_levered_of,
-                        _log_ratio, _representable, _whitened, _z, intrinsic_value,
-                        log_intrinsic_value)
+                        _log_ratio, _log_unlevered_intrinsic, _representable, _unrepresentable,
+                        _whitened, _z, log_intrinsic_value)
 from .market import MarketSpec
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -108,10 +108,15 @@ def _check_horizon(t: float, T: float, *, strict_end: bool = False) -> None:
         raise ValidationError("need t <= T")
 
 
+def _log_min_price(n: int, t: float, T: float, rate: float) -> float:
+    """log of (T/t)^{n/2} e^{rt} for a checked horizon."""
+    return 0.5 * n * math.log(T / t) + rate * t
+
+
 def min_rational_price(n: int, t: float, T: float, rate: float) -> float:
     """Lowest rational levered price, (T/t)^{n/2} e^{rt}, attained at z = 0."""
     _check_horizon(t, T)
-    return _exp(0.5 * n * math.log(T / t) + rate * t, "log_price_levered")
+    return _exp(_log_min_price(n, t, T, rate), "log_price_levered")
 
 
 def log_price_levered(spec: MarketSpec, s, t: float, T: float) -> float:
@@ -126,9 +131,11 @@ def price_levered(spec: MarketSpec, s, t: float, T: float) -> Quote:
     try:
         factor = (T / t) ** (0.5 * spec.n)
     except OverflowError:
-        factor = math.inf
-    _representable(factor, "log_price_levered")
-    return Quote(price=price, intrinsic=price / factor,
+        raise _unrepresentable("log_price_levered") from None
+    intrinsic = price / factor
+    if intrinsic == 0.0:  # V_t* underflowed although the price did not
+        raise _unrepresentable("log_price_levered")
+    return Quote(price=price, intrinsic=intrinsic,
                  universality_factor=factor, mode="levered", t=float(t), T=float(T))
 
 
@@ -136,7 +143,8 @@ def _log_unlevered_terms(spec: MarketSpec, s: np.ndarray, t, T: float):
     """Logs of the cash, interior and hold terms for checked s[..., 1], 0 < t[...] < T.
 
     Returns the three logs, log P = their log-sum-exp, and the pieces
-    (z, log C, x1, x2) that :func:`_unlevered_fractions` reads.
+    (z[..., 1], log C, x1, x2) that :func:`_unlevered_fractions` and
+    :func:`price_unlevered` read.
     """
     sigma = float(spec.sigma[0])
     tau = T - t
@@ -158,7 +166,7 @@ def _log_unlevered_terms(spec: MarketSpec, s: np.ndarray, t, T: float):
                  log_c + log_hi + log_gap,
                  _log_ratio(s[..., 0], spec.s0[0]) + log_ndtr(-a - sigma * t / np.sqrt(tau)))
     log_p = np.logaddexp(np.logaddexp(log_terms[0], log_terms[1]), log_terms[2])
-    return log_terms, log_p, (z, log_c, x1, x2)
+    return log_terms, log_p, (state[0], log_c, x1, x2)
 
 
 def _unlevered_fractions(spec: MarketSpec, s: np.ndarray, t, T: float) -> np.ndarray:
@@ -174,7 +182,7 @@ def _unlevered_fractions(spec: MarketSpec, s: np.ndarray, t, T: float) -> np.nda
     (_, log_interior, log_hold), log_p, (z, log_c, x1, x2) = _log_unlevered_terms(spec, s, t, T)
     k = np.sqrt((T - t) / t) / (sigma * _SQRT_2PI * math.sqrt(T))
     return (np.exp(log_hold - log_p)
-            + z / (sigma * np.sqrt(t)) * np.exp(log_interior - log_p)
+            + z[..., 0] / (sigma * np.sqrt(t)) * np.exp(log_interior - log_p)
             + k * (np.exp(log_c - 0.5 * x1 * x1 - log_p) - np.exp(log_c - 0.5 * x2 * x2 - log_p)))
 
 
@@ -183,13 +191,27 @@ def unlevered_terms(spec: MarketSpec, s, t: float, T: float) -> tuple[float, flo
 
     The pieces correspond to the terminal best rule being clamped at 0,
     interior, or clamped at 1; each solves the Black-Scholes equation on its
-    own.
+    own.  A term too small for float64 is returned as 0.0.
     """
     if spec.n != 1:
         raise ValidationError("unlevered pricing is defined for one asset")
     _check_horizon(t, T, strict_end=True)
     log_terms, _, _ = _log_unlevered_terms(spec, _as_prices(spec, s, t), t, T)
-    return tuple(_exp(float(log_term), "log_price_unlevered") for log_term in log_terms)
+    return tuple(_exp(float(log_term), "log_price_unlevered", zero_ok=True)
+                 for log_term in log_terms)
+
+
+def _log_unlevered_price(spec: MarketSpec, s, t: float, T: float):
+    """Checked prices, their z and log P of one unlevered state; log P = log V_t* at t = T."""
+    if spec.n != 1:
+        raise ValidationError("unlevered pricing is defined for one asset")
+    _check_horizon(t, T)
+    s = _as_prices(spec, s, t)
+    if t == T:
+        z = _z(spec, s, t)
+        return s, z, float(_log_unlevered_intrinsic(spec, s, z, t))
+    _, log_p, (z, *_) = _log_unlevered_terms(spec, s, t, T)
+    return s, z, float(log_p)
 
 
 def log_price_unlevered(spec: MarketSpec, s, t: float, T: float) -> float:
@@ -198,13 +220,7 @@ def log_price_unlevered(spec: MarketSpec, s, t: float, T: float) -> float:
     At t = T the option has expired and this is the log of the unlevered
     intrinsic value; t > T is rejected.
     """
-    if spec.n != 1:
-        raise ValidationError("unlevered pricing is defined for one asset")
-    _check_horizon(t, T)
-    if t == T:
-        return log_intrinsic_value(spec, s, t, "unlevered")
-    _, log_p, _ = _log_unlevered_terms(spec, _as_prices(spec, s, t), t, T)
-    return float(log_p)
+    return _log_unlevered_price(spec, s, t, T)[2]
 
 
 def price_unlevered(spec: MarketSpec, s, t: float, T: float) -> Quote:
@@ -213,11 +229,11 @@ def price_unlevered(spec: MarketSpec, s, t: float, T: float) -> Quote:
     At t = T the option has expired and the quote is the unlevered intrinsic
     value; t > T is rejected.
     """
-    price = _exp(log_price_unlevered(spec, s, t, T), "log_price_unlevered")
-    intrinsic = intrinsic_value(spec, s, t, "unlevered")
-    # An intrinsic value that underflowed to 0 leaves no representable factor.
-    factor = _representable(price / intrinsic if intrinsic > 0.0 else math.inf,
-                            "log_price_unlevered")
+    s, z, log_p = _log_unlevered_price(spec, s, t, T)
+    log_v = log_p if t == T else float(_log_unlevered_intrinsic(spec, s, z, t))
+    price = _exp(log_p, "log_price_unlevered")
+    intrinsic = _exp(log_v, "log_price_unlevered")
+    factor = _representable(price / intrinsic, "log_price_unlevered")
     return Quote(price=price, intrinsic=intrinsic, universality_factor=factor,
                  mode="unlevered", t=float(t), T=float(T))
 
@@ -245,9 +261,10 @@ def greeks(spec: MarketSpec, s, t: float, T: float) -> GreeksReport:
     s_val = float(s[0])
     sigma = float(spec.sigma[0])
     r = spec.rate
-    z = float(_z(spec, s, t)[0])
+    state = _whitened(spec, s, t)
+    z = float(state[0][0])
     w = sigma * math.sqrt(t)
-    c = _exp(float(_log_levered(spec, s, t, T)), "log_price_levered")
+    c = _exp(float(_log_levered_of(spec, *state, t, T)), "log_price_levered")
     try:
         delta = c * z / (s_val * w)
         gamma = c * (z * z - w * z + 1.0) / (s_val * s_val * w * w)
@@ -255,8 +272,7 @@ def greeks(spec: MarketSpec, s, t: float, T: float) -> GreeksReport:
         vega = c * z * (w - z) / sigma
         rho = (1.0 - z / w) * c * t
     except ZeroDivisionError:  # a denominator underflowed to 0, as S^2 w^2 does at S = 1e-200
-        raise ValidationError("result is not representable in float64; "
-                              "use log_price_levered") from None
+        raise _unrepresentable("log_price_levered") from None
     _representable([delta, gamma, theta, vega, rho], "log_price_levered")
     return GreeksReport(delta=delta, gamma=gamma, theta=theta, vega=vega, rho=rho)
 
@@ -291,7 +307,8 @@ def implied_vols(observed_price: float, s: float, s0: float, t: float, T: float,
         raise ValidationError("observed price, s, s0 and rate must be finite")
     if s <= 0 or s0 <= 0:
         raise ValidationError("prices must be strictly positive")
-    floor = min_rational_price(1, t, T, rate)
+    # A floor that underflows to 0 lies below every positive price.
+    floor = _exp(_log_min_price(1, t, T, rate), "log_price_levered", zero_ok=True)
     if observed_price < floor * (1.0 - 1e-12):
         raise IrrationalPriceError(
             f"observed price {observed_price!r} is below the minimum rational "
@@ -338,7 +355,7 @@ def excess_growth_bound(spec: MarketSpec, s, t: float, T: float) -> float:
     and decreases to 0 as T grows with the state fixed.
     """
     _check_horizon(t, T, strict_end=True)
-    return log_price_levered(spec, s, t, T) / (T - t)
+    return float(_log_levered(spec, _as_prices(spec, s, t), t, T)) / (T - t)
 
 
 def time0_unlevered_excess_growth(sigma: float, T: float) -> float:

@@ -410,9 +410,3 @@ def format_ledger_csv(ledger: HedgeLedger) -> str:
               + [f"shares_{i + 1}" for i in range(n)])
     return csv_table(header, [ledger.times, ledger.wealth, ledger.cash,
                               *ledger.fractions.T, *ledger.shares.T])
-
-
-def write_ledger_csv(ledger: HedgeLedger, path: str) -> None:
-    """Write :func:`format_ledger_csv` of a ledger to ``path``."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_ledger_csv(ledger))

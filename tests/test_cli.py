@@ -15,8 +15,6 @@ from hindsight_options import (
     price_levered,
     save_market_spec,
     simulate_paths,
-    write_demon_csv,
-    write_ledger_csv,
 )
 from hindsight_options import cli
 from hindsight_options._table import csv_table
@@ -135,6 +133,25 @@ def test_unrepresentable_or_nonfinite_quotes_exit_3(capsys):
         assert len(err.splitlines()) == 1
 
 
+def test_underflowed_quotes_exit_3(capsys):
+    # rt = -800: log C is finite, but the price, V_t* and the Greeks underflow to 0
+    tiny = ["--sigma", "0.2", "--r", "-1600", "--mu", "-1600", "--s0", "1e300",
+            "--s", "3.6e-48", "--t", "0.5"]
+    curve = ["curve", "--what", "payoff", "--r", "-1600", "--s0", "1e300", "--t", "0.5",
+             "--lo", "1e-48", "--hi", "4e-48", "--count", "3"]
+    for argv, log_api in ((["price", *tiny, "--T", "1"], "log_price_levered"),
+                          # only V_t* underflows: the price is subnormal
+                          (["price", *tiny, "--T", "1.5e69"], "log_price_levered"),
+                          (["price", "--mode", "unlevered", *tiny, "--T", "1"],
+                           "log_price_unlevered"),
+                          (["greeks", *tiny, "--T", "1"], "log_price_levered"),
+                          ([*curve, "--mode", "levered"], "log_intrinsic_value"),
+                          ([*curve, "--mode", "unlevered"], "log_intrinsic_value")):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err == f"error: result is not representable in float64; use {log_api}\n"
+
+
 def test_iv_refuses_nonfinite_inputs(capsys):
     good = {"--price": "1.5", "--s": "105", "--s0": "100", "--t": "0.5", "--T": "1",
             "--r": "0.03"}
@@ -210,9 +227,8 @@ def test_lattice_subcommands(tmp_path, capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "step,upticks,stock,wealth"
     assert len(lines) == 8
-    write_demon_csv(demon_simulation(6, 0.5, 4), str(tmp_path / "demon.csv"))
     assert ((tmp_path / "demon" / "demon.csv").read_bytes()
-            == (tmp_path / "demon.csv").read_bytes())
+            == format_demon_csv(demon_simulation(6, 0.5, 4)).encode("utf-8"))
 
 
 def test_backtest_subcommand(tmp_path, capsys):
@@ -260,9 +276,8 @@ def test_simulate_and_hedge_small_runs(tmp_path, capsys):
     assert json.loads(out)["terminal_wealth"] > 0
     spec = MarketSpec.single(mu=0.07, sigma=0.3, rate=0.02)
     path = simulate_paths(spec, 2.0, 400, 1, seed=11)[0]
-    write_ledger_csv(hedge_path(spec, path, 1.0, 2.0), str(tmp_path / "ledger.csv"))
     assert ((tmp_path / "hedge" / "ledger.csv").read_bytes()
-            == (tmp_path / "ledger.csv").read_bytes())
+            == format_ledger_csv(hedge_path(spec, path, 1.0, 2.0)).encode("utf-8"))
 
 
 def test_verify_subcommand_passes(capsys):

@@ -24,10 +24,10 @@ from hindsight_options import (
     price_time0_unlevered,
     shannon_spec,
     time0_unlevered_price,
-    write_demon_csv,
 )
+from hindsight_options import lattice
 from hindsight_options.errors import ValidationError
-from hindsight_options.lattice import _log_node_rows, _logsumexp
+from hindsight_options.lattice import _best_rule, _log_node_rows, _logsumexp, format_demon_csv
 
 GENERIC = LatticeSpec(u=1.25, d=0.85, r_per=0.03, n_steps=12)
 
@@ -70,6 +70,28 @@ def test_best_rule_maximizes_terminal_wealth():
         vals = [lattice_wealth(GENERIC, b, j) for b in grid]
         assert top >= max(vals) * (1 - 1e-12)
         assert top == pytest.approx(lattice_payoff(GENERIC, j), rel=1e-12)
+
+
+def test_best_rule_is_the_kernel_at_every_j():
+    for spec in (GENERIC, shannon_spec(7), LatticeSpec.crr(0.3, 0.05, 1.0, 25)):
+        kernel = _best_rule(spec, np.arange(spec.n_steps + 1, dtype=float))
+        assert [lattice_best_rule(spec, j) for j in range(spec.n_steps + 1)] == kernel.tolist()
+        for j in (-1, spec.n_steps + 1):
+            with pytest.raises(ValidationError, match="uptick count"):
+                lattice_best_rule(spec, j)
+
+
+def test_closed_sum_does_not_recheck_the_j_it_builds(monkeypatch):
+    def refuse(spec, j):
+        raise AssertionError("the closed sum re-checked its own uptick counts")
+
+    monkeypatch.setattr(lattice, "_check_terminal", refuse)
+    for mode in ("levered", "unlevered"):
+        for n in range(GENERIC.n_steps + 1):
+            for k in range(n + 1):
+                assert math.isfinite(lattice_log_price(GENERIC, LatticeState(k, n), mode))
+        with pytest.raises(ValidationError, match="beyond the 12-step lattice"):
+            lattice_log_price(GENERIC, LatticeState(0, GENERIC.n_steps + 1), mode)
 
 
 def test_payoff_zero_power_convention():
@@ -304,11 +326,9 @@ def test_demon_fair_coin_beats_the_stock_in_median():
     assert np.median(wealth_logs) > 0.0
 
 
-def test_demon_csv(tmp_path):
+def test_demon_csv():
     ledger = demon_simulation(5, 0.5, seed=1)
-    out = tmp_path / "demon.csv"
-    write_demon_csv(ledger, str(out))
-    lines = out.read_text().strip().splitlines()
+    lines = format_demon_csv(ledger).strip().splitlines()
     assert lines[0] == "step,upticks,stock,wealth"
     assert len(lines) == 7
     first = lines[1].split(",")

@@ -1,5 +1,6 @@
 """Closed-form prices, Greeks, implied volatilities, and the regret bound."""
 
+import collections
 import math
 
 import numpy as np
@@ -13,11 +14,14 @@ from scipy.special import ndtr
 from hindsight_options import (
     MarketSpec,
     PricePath,
+    RebalancingRule,
+    best_rule,
     excess_growth_bound,
     greeks,
     hedge_path,
     implied_vols,
     intrinsic_value,
+    log_intrinsic_value,
     log_price_levered,
     log_price_unlevered,
     min_rational_price,
@@ -27,10 +31,12 @@ from hindsight_options import (
     price_unlevered,
     time0_unlevered_excess_growth,
     unlevered_terms,
+    wealth_of_rule,
     z_score,
 )
+from hindsight_options import hindsight, pricing
 from hindsight_options.errors import IrrationalPriceError, ValidationError
-from hindsight_options.hindsight import _fractions, _log_levered
+from hindsight_options.hindsight import _fractions, _log_levered, _log_unlevered_intrinsic, _z
 from hindsight_options.pricing import _log_unlevered_terms, _unlevered_fractions
 from unlevered_reference import mp_log_unlevered_price, mp_unlevered_fraction
 
@@ -157,6 +163,78 @@ def test_a_price_ratio_that_underflows_still_prices_in_logs():
                                                                                   rel=1e-13)
 
 
+def test_an_underflowed_quote_raises():
+    # rt = -800: the state's prices, V_t* and Greeks all lie below the least float64
+    spec = MarketSpec.single(mu=-1600.0, sigma=0.2, rate=-1600.0, s0=1e300)
+    s, t, T = 3.6e-48, 0.5, 1.0
+    assert log_price_levered(spec, s, t, T) == pytest.approx(-799.65, abs=0.01)
+    for call, log_api in ((lambda: price_levered(spec, s, t, T), "log_price_levered"),
+                          (lambda: price_levered(spec, s, t, 1.5e69), "log_price_levered"),
+                          (lambda: greeks(spec, s, t, T), "log_price_levered"),
+                          (lambda: multi_delta(spec, s, t, T), "log_price_levered"),
+                          (lambda: min_rational_price(1, t, T, -1600.0), "log_price_levered"),
+                          (lambda: intrinsic_value(spec, s, t), "log_intrinsic_value"),
+                          (lambda: intrinsic_value(spec, s, t, "unlevered"), "log_intrinsic_value"),
+                          (lambda: price_unlevered(spec, s, t, T), "log_price_unlevered")):
+        with pytest.raises(ValidationError,
+                           match=f"^result is not representable in float64; use {log_api}$"):
+            call()
+    # at T = 1.5e69 the levered price is subnormal and only V_t* underflows
+    assert 0.0 < math.exp(log_price_levered(spec, s, t, 1.5e69)) < 1e-300
+    # a negligible unlevered term and a wealth too small for float64 stay 0.0
+    assert unlevered_terms(spec, s, t, T) == (0.0, 0.0, 0.0)
+    assert wealth_of_rule(spec, s, t, RebalancingRule(b=[0.5])) == 0.0
+
+
+def test_each_quote_checks_and_scores_its_state_once(monkeypatch):
+    calls = collections.Counter()
+
+    def counting(name, function):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return counted
+
+    for module in (hindsight, pricing):
+        for name in ("_as_prices", "_z", "_check_horizon"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    s, t, T = 105.0, 0.5, 1.0
+    quotes = {
+        "z_score": lambda: z_score(SPEC, s, t),
+        "best_rule": lambda: best_rule(SPEC, s, t, "unlevered"),
+        "wealth_of_rule": lambda: wealth_of_rule(SPEC, s, t, RebalancingRule(b=[0.5])),
+        "intrinsic_value": lambda: intrinsic_value(SPEC, s, t, "unlevered"),
+        "log_intrinsic_value": lambda: log_intrinsic_value(SPEC, s, t),
+        "min_rational_price": lambda: min_rational_price(1, t, T, 0.03),
+        "price_levered": lambda: price_levered(SPEC, s, t, T),
+        "unlevered_terms": lambda: unlevered_terms(SPEC, s, t, T),
+        "log_price_unlevered": lambda: log_price_unlevered(SPEC, s, t, T),
+        "price_unlevered": lambda: price_unlevered(SPEC, s, t, T),
+        "price_unlevered at expiry": lambda: price_unlevered(SPEC, s, T, T),
+        "greeks": lambda: greeks(SPEC, s, t, T),
+        "multi_delta": lambda: multi_delta(SPEC, s, t, T),
+        "implied_vols": lambda: implied_vols(1.5, s, 100.0, t, T, 0.03),
+        "excess_growth_bound": lambda: excess_growth_bound(SPEC, s, t, T),
+    }
+    for name, quote in quotes.items():
+        calls.clear()
+        quote()
+        assert max(calls.values()) == 1, (name, calls)
+        if name.startswith(("price_unlevered", "greeks")):
+            assert calls["_z"] == 1, (name, calls)
+
+
+def assert_unlevered_intrinsic_kernel(spec, s, t, T):
+    """The batch V_t* kernel equals every scalar route to V_t*, bit for bit."""
+    log_v = _log_unlevered_intrinsic(spec, s, _z(spec, s, t), t)
+    for i in range(len(t)):
+        v = math.exp(log_v[i])
+        assert log_intrinsic_value(spec, s[i], t[i], "unlevered") == log_v[i]
+        assert intrinsic_value(spec, s[i], t[i], "unlevered") == v
+        assert price_unlevered(spec, s[i], t[i], T).intrinsic == v
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_scalar_quotes_equal_the_batched_kernels(n):
     rng = np.random.default_rng(40 + n)
@@ -184,6 +262,18 @@ def test_scalar_quotes_equal_the_batched_kernels(n):
         held = _unlevered_fractions(spec, s, t, T)[order]
         np.testing.assert_array_equal(ledger.fractions[:-1, 0],
                                       np.where(1.0 - held == 1.0, 0.0, held))
+        # V_t* in all three clamp regimes, before and at expiry
+        z = _z(spec, s, t)[:, 0]
+        cap = spec.sigma[0] * np.sqrt(t)
+        assert np.any(z < 0.0) and np.any((z > 0.0) & (z < cap)) and np.any(z > cap)
+        assert_unlevered_intrinsic_kernel(spec, s, t, T)
+        assert_unlevered_intrinsic_kernel(spec, s, np.full(40, T), T)
+        # states exactly on both regime boundaries: z = log S at t = 4, where sigma sqrt(t) = 1
+        edge = MarketSpec.single(mu=0.0, sigma=0.5, rate=0.125)
+        s_edge, t_edge = np.array([[1.0], [math.e]]), np.full(2, 4.0)
+        np.testing.assert_array_equal(_z(edge, s_edge, t_edge), [[0.0], [1.0]])
+        for T_edge in (5.0, 4.0):
+            assert_unlevered_intrinsic_kernel(edge, s_edge, t_edge, T_edge)
 
 
 # ---------------------------------------------------------------------------

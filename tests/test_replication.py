@@ -28,9 +28,8 @@ from hindsight_options import (
     scenario_config,
     scenario_spec,
     simulate_paths,
-    write_ledger_csv,
 )
-from hindsight_options.replication import PriceTable
+from hindsight_options.replication import PriceTable, format_ledger_csv
 from hindsight_options.errors import ValidationError
 from hindsight_options import hindsight, market, replication
 from hindsight_options.hindsight import _fractions, _log_levered
@@ -680,12 +679,10 @@ def test_load_price_table_errors_equal_the_cell_by_cell_parser(tmp_path, text):
     assert str(got.value) == str(want.value)
 
 
-def test_ledger_csv_layout(tmp_path):
+def test_ledger_csv_layout():
     path = simulate_paths(SPEC, 2.0, 50, 1, seed=61)[0]
     ledger = hedge_path(SPEC, path, 1.0, 2.0)
-    out = tmp_path / "ledger.csv"
-    write_ledger_csv(ledger, str(out))
-    lines = out.read_text().strip().splitlines()
+    lines = format_ledger_csv(ledger).strip().splitlines()
     assert lines[0] == "time,wealth,cash,fraction_1,shares_1"
     assert len(lines) == len(ledger.times) + 1
     cells = lines[1].split(",")

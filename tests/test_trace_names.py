@@ -2,15 +2,22 @@
 
 The benchmark's trace wraps every public function of the package and reports
 ``<module>.<function>.calls`` and ``.self_s`` for the ones BENCHMARK.json
-lists; it stops with an error when a listed function is missing.  This test
-makes such a deletion fail here first.
+lists; it stops with an error when a listed function is missing.  Its
+counters also read named arguments of a few functions.  These tests make
+such a deletion or rename fail here first.
 """
 
 import importlib
+import importlib.util
 import inspect
 import json
 import re
 from pathlib import Path
+
+import numpy as np
+
+import hindsight_options as ho
+import hindsight_options.cli  # noqa: F401  (the tracer wraps every traced module)
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 
@@ -28,3 +35,39 @@ def test_per_layer_function_names_are_public_functions():
                 or obj.__module__ != module.__name__):
             missing.append(f"{module_name}.{function}")
     assert missing == []
+
+
+def _load_tracer():
+    """``perfbench/tracer.py`` as a module, loaded by path."""
+    path = BENCHMARK.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_counters_read_arguments_that_exist():
+    """Each counted function runs once under the tracer: a renamed argument fails here."""
+    tracer_module = _load_tracer()
+    tracer = tracer_module.Tracer(ho)
+    spec = ho.MarketSpec.single(mu=0.05, sigma=0.2, rate=0.02)
+    tracer.install()
+    tracer.enabled = True
+    try:
+        ho.mc_price(spec, 1.0, 0.5, 1.0, n_paths=64, seed=1)
+        path = ho.simulate_paths(spec, 1.0, 8, 1, seed=1)[0]
+        ho.hedge_path(spec, path, 0.5, 1.0)
+        config = ho.SimulationConfig(spec=spec, T=2.0, warmup=1.0, steps_per_year=4,
+                                     n_paths=2, seed=1)
+        ho.run_growth_simulation(config)
+        ho.lattice_log_price(ho.shannon_spec(4), ho.LatticeState(1, 2))
+        table = ho.PriceTable(times=np.array([0.0, 1.0, 2.0]),
+                              prices=np.array([[1.0], [2.0], [1.0]]), columns=("px",))
+        ho.discrete_backtest(table, [0.5])
+    finally:
+        tracer.enabled = False
+        tracer.uninstall()
+    assert set(tracer.counts) == {"market.path_steps", "mc.obs", "replication.ledger_rows",
+                                  "lattice.sum_terms"}
+    summary = tracer.summary()
+    assert all(summary[name]["calls"] == 1 for name in tracer_module.COUNTERS)
