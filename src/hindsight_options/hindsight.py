@@ -127,7 +127,13 @@ def _z(spec: MarketSpec, s: np.ndarray, t) -> np.ndarray:
 
 
 def _solve(a: np.ndarray, b: np.ndarray, lower: bool) -> np.ndarray:
-    """Triangular solve per column; LAPACK rounds a lone column differently, so it is doubled."""
+    """Triangular solve per column; LAPACK rounds a lone column differently, so it is doubled.
+
+    The unit factor [[1.0]] of every one-asset spec solves to a copy of finite ``b``
+    without LAPACK; a non-finite ``b`` still gets LAPACK's error.
+    """
+    if a.shape == (1, 1) and a[0, 0] == 1.0 and np.isfinite(b).all():
+        return b / a[0, 0]
     if b.shape[1] == 1:
         return solve_triangular(a, np.repeat(b, 2, axis=1), lower=lower)[:, :1]
     return solve_triangular(a, b, lower=lower)

@@ -21,6 +21,9 @@ from .errors import ValidationError
 # treated as a positive-definiteness failure (deterministic, scale-aware).
 _PD_PIVOT_TOL = 1e-12
 
+# The largest volatility whose square, and so Sigma = M R M, float64 holds.
+_MAX_SIGMA = math.sqrt(np.finfo(float).max)
+
 # Path-steps drawn (and, in the growth simulation, evaluated) per block.
 _BLOCK_PATH_STEPS = 1 << 15
 
@@ -40,7 +43,8 @@ class MarketSpec:
     mu : np.ndarray, shape (n,)
         Drift of each asset, per year.
     sigma : np.ndarray, shape (n,)
-        Volatility of each asset, per sqrt(year); each > 0.
+        Volatility of each asset, per sqrt(year); each > 0 and at most
+        sqrt(float64 max) ~ 1.34e154, so that sigma^2 is finite.
     corr : np.ndarray, shape (n, n)
         Correlation matrix of the driving Brownian motions.  Must be
         symmetric, unit-diagonal, and positive definite.
@@ -175,6 +179,8 @@ def validate_market(spec: MarketSpec) -> MarketSpec:
         raise ValidationError("rate must be finite")
     if np.any(spec.sigma <= 0):
         raise ValidationError("volatilities must be strictly positive")
+    if np.any(spec.sigma > _MAX_SIGMA):  # compared, not squared, so nothing warns
+        raise ValidationError(f"sigma must be at most {_MAX_SIGMA!r}: its square overflows float64")
     if np.any(spec.s0 <= 0):
         raise ValidationError("initial prices must be strictly positive")
     corr = spec.corr

@@ -283,7 +283,9 @@ def multi_delta(spec: MarketSpec, s, t: float, T: float) -> np.ndarray:
     s = _as_prices(spec, s, t)
     state = _whitened(spec, s, t)
     c = _exp(float(_log_levered_of(spec, *state, t, T)), "log_price_levered")
-    return _representable(c * _fractions_of(spec, *state, t) / s, "log_price_levered")
+    with np.errstate(over="ignore"):  # an overflow is refused just below
+        delta = c * _fractions_of(spec, *state, t) / s
+    return _representable(delta, "log_price_levered")
 
 
 def implied_vols(observed_price: float, s: float, s0: float, t: float, T: float,
@@ -300,11 +302,14 @@ def implied_vols(observed_price: float, s: float, s0: float, t: float, T: float,
     the range attainable by any positive volatility (possible when
     Lp > 0 and K < 2 Lp) return no roots.  Every returned root is validated
     by round-trip repricing.  A non-finite price, s, s0 or rate, or a
-    non-positive s or s0, raises :class:`ValidationError`.
+    non-positive price, s or s0, raises :class:`ValidationError`, even where
+    the floor underflows to 0.
     """
     _check_horizon(t, T)
     if not all(map(math.isfinite, (observed_price, s, s0, rate))):
         raise ValidationError("observed price, s, s0 and rate must be finite")
+    if observed_price <= 0:
+        raise ValidationError("observed price must be strictly positive")
     if s <= 0 or s0 <= 0:
         raise ValidationError("prices must be strictly positive")
     # A floor that underflows to 0 lies below every positive price.

@@ -18,7 +18,7 @@ from hindsight_options import (
 )
 from hindsight_options import cli
 from hindsight_options._table import csv_table
-from hindsight_options.cli import main
+from hindsight_options.cli import build_parser, main
 from hindsight_options.lattice import format_demon_csv
 from hindsight_options.mc import McEstimate
 from hindsight_options.replication import HedgeLedger, format_ledger_csv
@@ -86,12 +86,60 @@ def test_iv_round_trip_and_domain_error(capsys):
     assert "minimum rational price" in err
     assert f"{floor!r}" in err
 
+    # the floor e^{rt} sqrt(T/t) underflows to 0 at rt = -800, so 0 is refused on its own
+    code, out, err = run_cli(capsys, "iv", "--price", "0", "--s", "1", "--s0", "1",
+                             "--t", "0.5", "--T", "1", "--r", "-1600")
+    assert (code, out, err) == (3, "", "error: observed price must be strictly positive\n")
+
 
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["price", "--mode", "sideways", "--sigma", "0.2", "--s", "1",
               "--t", "0.5", "--T", "1"])
     assert exc.value.code == 2
+
+
+def test_main_reuses_one_parser_without_sharing_parsed_state(monkeypatch, tmp_path, capsys):
+    built = []
+
+    def counted():
+        built.append(1)
+        return build_parser()
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", counted)
+    try:
+        first = ["price", "--sigma", "0.2", "--r", "0.03", "--mu", "0.05", "--s0", "100",
+                 "--s", "105", "--t", "0.5", "--T", "1", "--out", str(tmp_path / "run")]
+        assert run_cli(capsys, *first)[0] == 0
+        # --r, --mu and --out omitted: their defaults, not the first call's values
+        code, out, _ = run_cli(capsys, "price", "--sigma", "0.2", "--s", "1.05",
+                               "--t", "0.5", "--T", "1")
+    finally:
+        cli._parser.cache_clear()
+    assert built == [1]
+    want = price_levered(MarketSpec.single(mu=0.0, sigma=0.2, rate=0.0), 1.05, 0.5, 1.0)
+    assert (code, out) == (0, cli._json(want.as_record()) + "\n")
+    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == ["manifest.json",
+                                                                   "quote.json"]
+
+
+def exit_output(capsys, parse, argv):
+    """Exit code, stdout and stderr of a parse that exits, as argparse does on help or misuse."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+def test_the_cached_parser_prints_what_a_fresh_one_prints(capsys):
+    usage = ["price", "--mode", "sideways", "--sigma", "0.2", "--s", "1", "--t", "0.5",
+             "--T", "1"]
+    for argv in (["--help"], *([command, "--help"] for command in FLAGS), usage):
+        want = exit_output(capsys, lambda a: build_parser().parse_args(a), argv)
+        assert want[0] == (2 if argv is usage else 0)
+        for _ in range(2):
+            assert exit_output(capsys, main, argv) == want
 
 
 def test_lattice_without_its_state_flags_exits_2(capsys):
@@ -126,7 +174,10 @@ def test_unrepresentable_or_nonfinite_quotes_exit_3(capsys):
                  ["price", "--sigma", "0.1", "--s", "1", "--t", "1", "--T", "nan"],
                  [*deep_lattice, "--what", "price", "--k", "2000", "--n", "2000"],
                  [*deep_lattice, "--what", "payoff", "--j", "2000"],
-                 ["lattice", "--what", "demon", "--N", "3000", "--p", "0.9", "--seed", "1"]):
+                 ["lattice", "--what", "demon", "--N", "3000", "--p", "0.9", "--seed", "1"],
+                 # sigma^2 overflows above sqrt(float max); 1e154 squares to a finite number
+                 *(["price", "--mode", mode, "--sigma", sigma, "--s", "1.1", "--t", "0.5",
+                    "--T", "1"] for mode in ("levered", "unlevered") for sigma in ("1e300", "1e154"))):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (3, "")
         assert err.startswith("error: ") and "Traceback" not in err

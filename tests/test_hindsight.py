@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.linalg import solve_triangular
 
 from hindsight_options import (
     MarketSpec,
@@ -19,7 +20,9 @@ from hindsight_options import (
     wealth_of_rule,
     z_score,
 )
+from hindsight_options import hindsight
 from hindsight_options.errors import ValidationError
+from hindsight_options.hindsight import corr_solve
 
 SPEC = MarketSpec.single(mu=0.0, sigma=0.2, rate=0.03, s0=100.0)
 
@@ -237,3 +240,72 @@ def test_best_rule_converges_to_kelly_in_mean_square():
         return float(np.mean(errs))
 
     assert mse(-1) < mse(idx_early)
+
+
+def lapack_solve(a, b, lower):
+    """The triangular solve every factor went through before [[1.0]] skipped LAPACK."""
+    if b.shape[1] == 1:
+        return solve_triangular(a, np.repeat(b, 2, axis=1), lower=lower)[:, :1]
+    return solve_triangular(a, b, lower=lower)
+
+
+def whitened_and_fractions(spec, s, t):
+    z = hindsight._z(spec, s, t)
+    w = hindsight._whiten(spec, z)
+    return w, hindsight._fractions_of(spec, z, w, t)
+
+
+def one_asset_states(rng, count):
+    """(spec, s, t) for single states and batches of five over wide sigma, s0 and moves."""
+    for i in range(count):
+        spec = MarketSpec.single(mu=0.0, sigma=math.exp(rng.uniform(-5, 1)),
+                                 rate=rng.uniform(-0.1, 0.1), s0=math.exp(rng.uniform(-5, 5)))
+        shape = (1,) if i % 2 else (5, 1)
+        t = rng.uniform(0.01, 5.0, size=shape[:-1])
+        yield spec, float(spec.s0[0]) * np.exp(rng.normal(0.0, 2.0, size=shape)), t
+
+
+def test_unit_factor_skips_lapack_bit_for_bit(monkeypatch):
+    rng = np.random.default_rng(16)
+    states = list(one_asset_states(rng, 300))
+
+    def no_lapack(*args, **kwargs):
+        raise AssertionError("the factor [[1.0]] went through LAPACK")
+
+    monkeypatch.setattr(hindsight, "solve_triangular", no_lapack)
+    fast = [whitened_and_fractions(*state) for state in states]
+    monkeypatch.setattr(hindsight, "_solve", lapack_solve)
+    for state, got in zip(states, fast):
+        for g, w in zip(got, whitened_and_fractions(*state)):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+def test_unit_factor_solve_copies_its_input():
+    spec = MarketSpec.single(mu=0.0, sigma=0.2, rate=0.0)
+    z = np.array([0.3])
+    x = corr_solve(spec, z)
+    assert x.tolist() == [0.3] and not np.shares_memory(x, z)
+    x[0] = 1.0
+    assert z[0] == 0.3
+    # a non-finite right-hand side keeps LAPACK's refusal
+    with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+        corr_solve(spec, [math.inf])
+
+
+def test_a_near_unit_factor_still_goes_through_lapack(monkeypatch):
+    # validate_market accepts a unit diagonal within 1e-12, so the factor is sqrt(1 + 5e-13)
+    spec = MarketSpec(n=1, mu=[0.0], sigma=[0.3], corr=[[1.0 + 5e-13]], rate=0.01, s0=[2.0])
+    assert spec.lower[0, 0] != 1.0
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve_triangular(*args, **kwargs)
+
+    monkeypatch.setattr(hindsight, "solve_triangular", counted)
+    s, t, z = np.array([[2.5], [1.2], [3.0]]), np.array([0.5, 1.0, 2.0]), np.array([0.7])
+    got = (*whitened_and_fractions(spec, s, t), corr_solve(spec, z))
+    assert len(calls) == 4
+    monkeypatch.setattr(hindsight, "_solve", lapack_solve)
+    for g, w in zip(got, (*whitened_and_fractions(spec, s, t), corr_solve(spec, z))):
+        assert g.tobytes() == w.tobytes()

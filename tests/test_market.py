@@ -90,12 +90,24 @@ def test_sim3_style_pair_is_valid():
     ("sigma", [math.nan]), ("sigma", [math.inf]), ("mu", [math.nan]), ("mu", [-math.inf]),
     ("s0", [math.nan]), ("s0", [math.inf]), ("rate", math.nan), ("rate", math.inf),
     ("mu", [0.0, 0.1]), ("mu", ["x"]), ("n", 2.5),
+    ("sigma", [1e300]),
 ])
 def test_nonpositive_parameters_rejected(field, value):
     kwargs = dict(n=1, mu=[0.0], sigma=[0.2], corr=[[1.0]], rate=0.0, s0=[1.0])
     kwargs[field] = value
     with pytest.raises(ValidationError):
         MarketSpec(**kwargs)
+
+
+def test_sigma_is_refused_where_its_square_overflows():
+    top = math.sqrt(np.finfo(float).max)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert MarketSpec.single(mu=0.0, sigma=top, rate=0.0).sigma[0] == top
+        for sigma in ([np.nextafter(top, math.inf)], [0.2, 1e300]):
+            with pytest.raises(ValidationError, match="^sigma must be at most"):
+                MarketSpec(n=len(sigma), mu=np.zeros(len(sigma)), sigma=sigma,
+                           corr=np.eye(len(sigma)), rate=0.0, s0=np.ones(len(sigma)))
 
 
 def test_asymmetric_and_nonsquare_corr_rejected():

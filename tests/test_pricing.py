@@ -2,6 +2,7 @@
 
 import collections
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -347,6 +348,18 @@ def test_greeks_domain():
         greeks(SPEC, 100.0, 0.5, math.nan)
 
 
+def test_multi_delta_overflow_raises_without_a_warning():
+    # C b overflows at the first state (log C ~ 709), C b / S at the second
+    states = ((MarketSpec.single(mu=-0.0042, sigma=0.169, rate=-0.0042, s0=1.0275),
+               0.0545, 0.2125, 1.068),
+              (MarketSpec.single(mu=0.0, sigma=0.2, rate=0.0, s0=1e-300), 1e-300, 1e-300, 1.0))
+    for spec, s, t, T in states:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="use log_price_levered$"):
+                multi_delta(spec, s, t, T)
+
+
 def test_multi_delta_reduces_and_matches_fd():
     t, T = 0.6, 1.5
     s = state_price(SPEC, -0.7, t)
@@ -552,6 +565,14 @@ def test_just_above_minimum_brackets_the_double_root():
     roots = implied_vols(floor * (1.0 + 1e-6), s, s0, t, T, r).roots
     assert len(roots) == 2
     assert roots[0] < double < roots[1]
+
+
+def test_a_nonpositive_observed_price_is_refused():
+    # at rt = -800 the floor underflows to 0, so 0 would pass the floor check
+    for price in (0.0, -0.0, -1.0):
+        for r in (0.03, -1600.0):
+            with pytest.raises(ValidationError, match="observed price must be strictly positive"):
+                implied_vols(price, 1.0, 1.0, 0.5, 1.0, r)
 
 
 def test_below_minimum_raises_with_the_bound():
