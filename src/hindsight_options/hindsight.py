@@ -22,12 +22,15 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 
 from .errors import ValidationError
 from .market import MarketSpec, covariance
 
 MODES = ("levered", "unlevered")
 _TINY = np.finfo(float).tiny
+# Entries of w up to 2^500 square and sum (n < 2^23) to a finite float64.
+_QUAD_SAFE = 2.0 ** 500
 
 
 @dataclass(frozen=True)
@@ -68,7 +71,7 @@ def _as_prices(spec: MarketSpec, s, t: float) -> np.ndarray:
     s = np.atleast_1d(np.asarray(s, dtype=float))
     if s.shape != (spec.n,):
         raise ValidationError(f"expected {spec.n} prices, got shape {s.shape}")
-    if not np.all((s > 0) & (s < math.inf)):
+    if not ((s > 0) & (s < math.inf)).all():
         raise ValidationError("prices must be strictly positive and finite")
     return s
 
@@ -80,7 +83,7 @@ def _unrepresentable(log_api: str) -> ValidationError:
 
 def _representable(value, log_api: str):
     """``value`` if every entry is finite, else the documented domain error."""
-    if not np.all(np.isfinite(value)):
+    if not np.isfinite(value).all():
         raise _unrepresentable(log_api)
     return value
 
@@ -126,28 +129,57 @@ def _z(spec: MarketSpec, s: np.ndarray, t) -> np.ndarray:
             / (spec.sigma * np.sqrt(t)))
 
 
-def _solve(a: np.ndarray, b: np.ndarray, lower: bool) -> np.ndarray:
-    """Triangular solve per column; LAPACK rounds a lone column differently, so it is doubled.
+def _trtrs(a: np.ndarray, b: np.ndarray, lower: bool) -> np.ndarray:
+    """Triangular solve per column: the LAPACK ``trtrs`` call ``solve_triangular`` makes.
 
-    The unit factor [[1.0]] of every one-asset spec solves to a copy of finite ``b``
-    without LAPACK; a non-finite ``b`` still gets LAPACK's error.
+    LAPACK rounds a lone column differently, so it is doubled.  The unit factor
+    [[1.0]] of every one-asset spec solves to a copy of ``b`` without LAPACK.  A
+    non-finite ``b`` gives a non-finite solution; a nonzero LAPACK ``info``, which
+    a validated factor cannot give, goes through ``solve_triangular`` for its error.
     """
-    if a.shape == (1, 1) and a[0, 0] == 1.0 and np.isfinite(b).all():
+    if a.shape == (1, 1) and a[0, 0] == 1.0:
         return b / a[0, 0]
-    if b.shape[1] == 1:
-        return solve_triangular(a, np.repeat(b, 2, axis=1), lower=lower)[:, :1]
-    return solve_triangular(a, b, lower=lower)
+    rhs = np.repeat(b, 2, axis=1) if b.shape[1] == 1 else b
+    # trtrs reads a Fortran-ordered factor; a C-ordered one is read as its transpose
+    if a.flags.f_contiguous:
+        x, info = dtrtrs(a, rhs, lower=lower)
+    else:
+        x, info = dtrtrs(a.T, rhs, lower=not lower, trans=1)
+    if info:
+        return solve_triangular(a, rhs, lower=lower)
+    return x[:, :b.shape[1]]
+
+
+def _solve(a: np.ndarray, b: np.ndarray, lower: bool) -> np.ndarray:
+    """:func:`_trtrs` of a finite ``b``; a non-finite one gets ``solve_triangular``'s error."""
+    if not np.isfinite(b).all():
+        return solve_triangular(a, b, lower=lower)
+    return _trtrs(a, b, lower)
 
 
 def _whiten(spec: MarketSpec, z: np.ndarray) -> np.ndarray:
-    """w = L^{-1} z as columns of shape (n, points), points in C order of z[..., n]."""
-    return _solve(spec.lower, z.reshape(-1, spec.n).T, lower=True)
+    """w = L^{-1} z as columns of shape (n, points), points in C order of z[..., n].
+
+    A non-finite z gives a non-finite w: the callers check what they read.
+    """
+    return _trtrs(spec.lower, z.reshape(-1, spec.n).T, lower=True)
 
 
 def _whitened(spec: MarketSpec, s: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
-    """The state (z, w = L^{-1} z) that log C and b(S, t) both read."""
+    """The state (z, w = L^{-1} z) that log C and b(S, t) both read.
+
+    A state whose z' R^{-1} z = |w|^2 is not a finite float64 is refused, since
+    log C is out of range there; only a state with some |w_i| above 2^500 pays
+    for summing the squares to find out.
+    """
     z = _z(spec, s, t)
-    return z, _whiten(spec, z)
+    w = _whiten(spec, z)
+    if not abs(w).max() <= _QUAD_SAFE:
+        with np.errstate(over="ignore"):  # an overflow is refused just below
+            if not np.isfinite(np.sum(w * w, axis=0)).all():
+                raise ValidationError("z' R^{-1} z is not a finite float64 at this state; "
+                                      "not even log_price_levered can represent it")
+    return z, w
 
 
 def _log_levered_of(spec: MarketSpec, z: np.ndarray, w: np.ndarray, t, T: float) -> np.ndarray:
@@ -181,8 +213,9 @@ def _log_levered(spec: MarketSpec, s: np.ndarray, t, T: float) -> np.ndarray:
 
 
 def _fractions(spec: MarketSpec, s: np.ndarray, t) -> np.ndarray:
-    """b(S, t) of checked states."""
-    return _fractions_of(spec, *_whitened(spec, s, t), t)
+    """b(S, t) of checked states; unlike log C it can be finite where z' R^{-1} z is not."""
+    z = _z(spec, s, t)
+    return _fractions_of(spec, z, _whiten(spec, z), t)
 
 
 def corr_solve(spec: MarketSpec, z: np.ndarray) -> np.ndarray:
@@ -192,7 +225,7 @@ def corr_solve(spec: MarketSpec, z: np.ndarray) -> np.ndarray:
 
 def corr_quad(spec: MarketSpec, z: np.ndarray) -> float:
     """z' corr^{-1} z = |L^{-1} z|^2 for z of shape (n,), summed as the kernels sum it."""
-    w = _whiten(spec, np.asarray(z, dtype=float))
+    w = _solve(spec.lower, np.asarray(z, dtype=float).reshape(-1, spec.n).T, lower=True)
     return float(np.sum(w * w))
 
 
@@ -213,9 +246,10 @@ def best_rule(spec: MarketSpec, s, t: float, mode: str = "levered") -> Rebalanci
     """
     if mode not in MODES:
         raise ValidationError(f"unknown mode {mode!r}")
-    b = _fractions(spec, _as_prices(spec, s, t), t)
+    with np.errstate(over="ignore"):  # a levered rule that overflows is refused just below
+        b = _fractions(spec, _as_prices(spec, s, t), t)
     if mode == "levered":
-        return RebalancingRule(b=b, mode="levered")
+        return RebalancingRule(b=_representable(b, "log_price_levered"), mode="levered")
     if spec.n != 1:
         raise ValidationError("unlevered hindsight optimization is defined for one asset")
     return RebalancingRule(b=[min(max(b[0], 0.0), 1.0)], mode="unlevered")
@@ -265,8 +299,12 @@ def kelly_rule(spec: MarketSpec) -> tuple[RebalancingRule, float]:
     Returns the rule together with the optimum asymptotic growth rate
     gamma* = r + (mu - r 1)' Sigma^{-1} (mu - r 1) / 2.
     """
-    excess_per_vol = (spec.mu - spec.rate) / spec.sigma
-    y = corr_solve(spec, excess_per_vol)
-    b = y / spec.sigma
-    growth = spec.rate + 0.5 * float(excess_per_vol @ y)
-    return RebalancingRule(b=b, mode="levered"), growth
+    with np.errstate(over="ignore"):  # an overflow is refused just below
+        excess_per_vol = (spec.mu - spec.rate) / spec.sigma
+        if np.isfinite(excess_per_vol).all():
+            y = corr_solve(spec, excess_per_vol)
+            b = y / spec.sigma
+            growth = spec.rate + 0.5 * float(excess_per_vol @ y)
+            if np.isfinite(b).all() and math.isfinite(growth):
+                return RebalancingRule(b=b, mode="levered"), growth
+    raise ValidationError("the Kelly rule is not representable in float64")

@@ -177,7 +177,10 @@ def test_unrepresentable_or_nonfinite_quotes_exit_3(capsys):
                  ["lattice", "--what", "demon", "--N", "3000", "--p", "0.9", "--seed", "1"],
                  # sigma^2 overflows above sqrt(float max); 1e154 squares to a finite number
                  *(["price", "--mode", mode, "--sigma", sigma, "--s", "1.1", "--t", "0.5",
-                    "--T", "1"] for mode in ("levered", "unlevered") for sigma in ("1e300", "1e154"))):
+                    "--T", "1"] for mode in ("levered", "unlevered") for sigma in ("1e300", "1e154")),
+                 # z ~ 7e299: z' R^{-1} z overflows, so not even log C is representable
+                 *(["price", "--mode", mode, "--sigma", "1e-300", "--s", "2", "--s0", "1",
+                    "--t", "1", "--T", "2"] for mode in ("levered", "unlevered"))):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (3, "")
         assert err.startswith("error: ") and "Traceback" not in err

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 
 from hindsight_options import (
     MarketSpec,
@@ -243,7 +244,7 @@ def test_best_rule_converges_to_kelly_in_mean_square():
 
 
 def lapack_solve(a, b, lower):
-    """The triangular solve every factor went through before [[1.0]] skipped LAPACK."""
+    """The reference solve: scipy's ``solve_triangular``, with a lone column doubled."""
     if b.shape[1] == 1:
         return solve_triangular(a, np.repeat(b, 2, axis=1), lower=lower)[:, :1]
     return solve_triangular(a, b, lower=lower)
@@ -272,9 +273,11 @@ def test_unit_factor_skips_lapack_bit_for_bit(monkeypatch):
     def no_lapack(*args, **kwargs):
         raise AssertionError("the factor [[1.0]] went through LAPACK")
 
+    monkeypatch.setattr(hindsight, "dtrtrs", no_lapack)
     monkeypatch.setattr(hindsight, "solve_triangular", no_lapack)
     fast = [whitened_and_fractions(*state) for state in states]
-    monkeypatch.setattr(hindsight, "_solve", lapack_solve)
+    monkeypatch.undo()
+    monkeypatch.setattr(hindsight, "_trtrs", lapack_solve)
     for state, got in zip(states, fast):
         for g, w in zip(got, whitened_and_fractions(*state)):
             assert g.shape == w.shape and g.tobytes() == w.tobytes()
@@ -300,12 +303,58 @@ def test_a_near_unit_factor_still_goes_through_lapack(monkeypatch):
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return solve_triangular(*args, **kwargs)
+        return dtrtrs(*args, **kwargs)
 
-    monkeypatch.setattr(hindsight, "solve_triangular", counted)
+    monkeypatch.setattr(hindsight, "dtrtrs", counted)
     s, t, z = np.array([[2.5], [1.2], [3.0]]), np.array([0.5, 1.0, 2.0]), np.array([0.7])
     got = (*whitened_and_fractions(spec, s, t), corr_solve(spec, z))
     assert len(calls) == 4
-    monkeypatch.setattr(hindsight, "_solve", lapack_solve)
+    monkeypatch.setattr(hindsight, "_trtrs", lapack_solve)
     for g, w in zip(got, (*whitened_and_fractions(spec, s, t), corr_solve(spec, z))):
         assert g.tobytes() == w.tobytes()
+
+
+def random_spec(rng, n):
+    """A spec with a random accepted correlation of n assets."""
+    a = rng.normal(size=(n, n + 2))
+    cov = a @ a.T
+    d = np.sqrt(np.diag(cov))
+    corr = cov / d[:, None] / d[None, :]
+    np.fill_diagonal(corr, 1.0)
+    return MarketSpec(n=n, mu=np.zeros(n), sigma=np.full(n, 0.2), corr=(corr + corr.T) / 2,
+                      rate=0.0, s0=np.ones(n))
+
+
+def test_solve_is_scipys_solve_triangular_bit_for_bit():
+    rng = np.random.default_rng(17)
+    for n in range(2, 9):
+        spec = random_spec(rng, n)
+        for a, lower in ((spec.lower, True), (spec.lower.T, False)):
+            # one column and many; C-ordered and, as the kernels pass z, F-ordered
+            for b in (rng.normal(size=(n, 1)), rng.normal(size=(n, 7)),
+                      rng.normal(size=(1, n)).T, rng.normal(size=(7, n)).T):
+                b *= 10.0 ** rng.uniform(-5, 5)
+                before = b.copy()
+                got = hindsight._solve(a, b, lower)
+                want = lapack_solve(a, b, lower)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+                assert b.tobytes() == before.tobytes()
+            for bad in (math.inf, -math.inf, math.nan):
+                b = rng.normal(size=(n, 3))
+                b[n - 1, 1] = bad
+                with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+                    hindsight._solve(a, b, lower)
+
+
+def test_a_tiny_volatility_raises_without_a_warning():
+    # z ~ 7e299 at sigma = 1e-300: b(S, t) and z' R^{-1} z overflow
+    spec = MarketSpec.single(mu=0.0, sigma=1e-300, rate=0.0, s0=1.0)
+    with pytest.raises(ValidationError, match="log_price_levered"):
+        best_rule(spec, 2.0, 1.0)
+    with pytest.raises(ValidationError, match="log_price_levered"):
+        intrinsic_value(spec, 2.0, 1.0)
+    # the clamped rule is finite and keeps its value
+    assert best_rule(spec, 2.0, 1.0, "unlevered").b.tolist() == [1.0]
+    # the excess return per unit volatility is 1e200: b* and its growth rate overflow
+    with pytest.raises(ValidationError, match="Kelly rule is not representable"):
+        kelly_rule(MarketSpec.single(mu=1.0, sigma=1e-200, rate=0.0))

@@ -360,6 +360,15 @@ def test_multi_delta_overflow_raises_without_a_warning():
                 multi_delta(spec, s, t, T)
 
 
+def test_a_tiny_volatility_quote_raises_without_a_warning():
+    # z ~ 7e299 at sigma = 1e-300: z' R^{-1} z overflows, so log C is not representable
+    spec = MarketSpec.single(mu=0.0, sigma=1e-300, rate=0.0, s0=1.0)
+    for call in (log_price_levered, price_levered, multi_delta, greeks, excess_growth_bound,
+                 log_price_unlevered, price_unlevered):
+        with pytest.raises(ValidationError, match="not even log_price_levered"):
+            call(spec, 2.0, 1.0, 2.0)
+
+
 def test_multi_delta_reduces_and_matches_fd():
     t, T = 0.6, 1.5
     s = state_price(SPEC, -0.7, t)
