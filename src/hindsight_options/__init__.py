@@ -41,7 +41,7 @@ from .market import (
     simulate_paths,
     validate_market,
 )
-from .mc import McEstimate, mc_price
+from .mc import McEstimate, mc_price, mc_prices
 from .pricing import (
     GreeksReport,
     ImpliedVolRoots,

@@ -30,7 +30,7 @@ from .lattice import (
     lattice_price,
 )
 from .market import MarketSpec, load_market_spec, simulate_paths
-from .mc import mc_price
+from .mc import mc_prices
 from .pricing import (
     greeks,
     implied_vols,
@@ -271,12 +271,12 @@ def _cmd_verify(args) -> int:
                           rate=rate, s0=np.ones(n))
         shock = rng.standard_normal(n) @ np.linalg.cholesky(corr).T
         s = np.exp((rate - 0.5 * sigma**2) * t + sigma * np.sqrt(t) * shock)
-        modes = ["levered"] if n > 1 else ["levered", "unlevered"]
-        for mode in modes:
-            pricer = price_levered if mode == "levered" else price_unlevered
-            closed = pricer(spec, s, t, horizon).price
-            est = mc_price(spec, s, t, horizon, mode, n_paths=args.paths,
-                           seed=args.seed + 101 * state_idx)
+        modes = ("levered",) if n > 1 else ("levered", "unlevered")
+        closed_forms = [(price_levered if mode == "levered" else price_unlevered)(
+            spec, s, t, horizon).price for mode in modes]
+        estimates = mc_prices(spec, s, t, horizon, modes, n_paths=args.paths,
+                              seed=args.seed + 101 * state_idx)
+        for mode, closed, est in zip(modes, closed_forms, estimates):
             gap = abs(closed - est.mean)
             ok = gap < 4.0 * est.std_error
             all_ok &= ok

@@ -123,10 +123,16 @@ def _log_ratio(s, s0):
 # Kernels: each closed form is written once, over checked prices s[..., n]
 # and times t[...] > 0 that broadcast; every other caller goes through them.
 def _z(spec: MarketSpec, s: np.ndarray, t) -> np.ndarray:
-    """z_i = [log(S_i/S_i0) - (r - sigma_i^2/2) t] / (sigma_i sqrt(t))."""
+    """z_i = [log(S_i/S_i0) - (r - sigma_i^2/2) t] / (sigma_i sqrt(t)).
+
+    A denominator that underflows to 0 is refused before the division.
+    """
     t = np.asarray(t, dtype=float)[..., None]
-    return ((_log_ratio(s, spec.s0) - (spec.rate - 0.5 * spec.sigma**2) * t)
-            / (spec.sigma * np.sqrt(t)))
+    scale = spec.sigma * np.sqrt(t)
+    if np.count_nonzero(scale) < scale.size:  # cheaper than scale.all() on a few entries
+        raise ValidationError("sigma sqrt(t) underflows to 0 at this state, "
+                              "so its z-score is not a finite float64")
+    return (_log_ratio(s, spec.s0) - spec._log_drift * t) / scale
 
 
 def _trtrs(a: np.ndarray, b: np.ndarray, lower: bool) -> np.ndarray:

@@ -97,6 +97,13 @@ class MarketSpec:
         lower.flags.writeable = False
         return lower
 
+    @cached_property
+    def _log_drift(self) -> np.ndarray:
+        """Read-only risk-neutral log-price drift r - sigma_i^2 / 2, formed once per spec."""
+        drift = self.rate - 0.5 * self.sigma**2
+        drift.flags.writeable = False
+        return drift
+
     @classmethod
     def single(cls, mu: float, sigma: float, rate: float, s0: float = 1.0) -> "MarketSpec":
         """One-asset market."""

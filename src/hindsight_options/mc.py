@@ -20,15 +20,24 @@ plain for t > 3T/4, partial otherwise.
 
 Payoffs are evaluated in whitened coordinates: with x_t = L^{-1} z_t solved
 once, L^{-1} z_s = w_t x_t + w_y y, so the antithetic pair +-y pays
-exp(a +- c), a = a_0 + w_y^2 |y|^2 / 2, c = w_t w_y x_t . y.  The unlevered
+exp(a +- c), a = a_0 + w_y^2 |y|^2 / 2, c = w_t w_y x_t . y.  With one asset
+|y|^2 and x_t . y are the products y_0 y_0 and y_0 k_0, which give the bits of
+the einsum and the mat-vec at a fraction of their cost.  The unlevered
 payoff (the best fixed fraction in hindsight, clipped to [0, 1]) has log
 rT + c (z_T - c/2) with c = clip(z_T, 0, w); draws that clamp to cash pay
 exactly discount * e^{rT}.
+
+:func:`mc_prices` prices several modes of one state in one pass: each chunk
+of normals is drawn once and every mode's evaluator reads it, read-only, so a
+one-asset state's levered and unlevered estimates share their draws (common
+random numbers).  Each estimate equals, bit for bit, the one :func:`mc_price`
+returns for its mode alone.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,6 +98,18 @@ def mc_price(spec: MarketSpec, s, t: float, T: float, mode: str = "levered",
         neutral.  Either way the estimator stays unbiased and the reported
         standard error is the honest one.
     """
+    return mc_prices(spec, s, t, T, (mode,), n_paths, seed, antithetic=antithetic)[0]
+
+
+def mc_prices(spec: MarketSpec, s, t: float, T: float, modes: Sequence[str],
+              n_paths: int = 100_000, seed: int = 0, *,
+              antithetic: bool = True) -> tuple[McEstimate, ...]:
+    """:func:`mc_price` for each of ``modes`` in one pass over the draws.
+
+    Every chunk of normals is drawn once and fed to each mode's payoff, so the
+    estimates share their draws (common random numbers) and each equals, field
+    for field, what :func:`mc_price` returns for its mode alone.
+    """
     if not 0 <= t < T:
         raise ValidationError("need 0 <= t < T")
     if seed < 0:
@@ -97,39 +118,54 @@ def mc_price(spec: MarketSpec, s, t: float, T: float, mode: str = "levered",
         n_paths = (n_paths // 2) * 2
     if n_paths < (4 if antithetic else 2):
         raise ValidationError("too few paths for a standard error")
+    if not modes:
+        raise ValidationError("need at least one mode")
 
+    runs = [_estimator(spec, s, t, T, mode) for mode in modes]
+    n_obs = n_paths // 2 if antithetic else n_paths
+    total = [0.0] * len(runs)
+    total_sq = [0.0] * len(runs)
+    top = [0.0] * len(runs)
+    with np.errstate(over="ignore"):
+        for rng, size in _chunk_streams(seed, n_obs, _CHUNK):
+            y = rng.standard_normal((size, spec.n))
+            y.flags.writeable = False  # shared by every mode's payoff
+            for i, (_, _, value) in enumerate(runs):
+                vals = value(y, antithetic)
+                total[i] += float(np.sum(vals))
+                top[i] = max(top[i], float(np.max(vals)))
+                total_sq[i] += float(np.sum(np.multiply(vals, vals, out=vals)))
+    if not all(map(math.isfinite, total_sq)):
+        raise ValidationError("Monte Carlo payoffs are not representable in float64")
+    estimates = []
+    for (estimator, s_eval, _), tot, sq, mx in zip(runs, total, total_sq, top):
+        mean = tot / n_obs
+        var = max(sq - n_obs * mean * mean, 0.0) / (n_obs - 1)
+        estimates.append(McEstimate(mean=mean, std_error=math.sqrt(var / n_obs),
+                                    n_paths=n_paths, seed=int(seed), estimator=estimator,
+                                    s_eval=s_eval, n_obs=n_obs,
+                                    max_share=mx / tot if tot > 0 else 0.0))
+    return tuple(estimates)
+
+
+def _estimator(spec: MarketSpec, s, t: float, T: float, mode: str):
+    """``(estimator, s_eval, value)`` of one mode: its name, horizon and payoff evaluator."""
     if mode == "levered":
         if t <= 0:
             raise ValidationError("the levered price diverges as t -> 0+; price at t > 0")
         estimator = "plain" if t > 0.75 * T else "partial"
         s_eval = T if estimator == "plain" else min(1.25 * t, T)
-        value = _levered_value_fn(spec, s, t, T, s_eval)
-    elif mode == "unlevered":
-        estimator, s_eval = "exact", T
-        value = _unlevered_value_fn(spec, s, t, T)
-    else:
-        raise ValidationError(f"unknown mode {mode!r}")
-
-    n_obs = n_paths // 2 if antithetic else n_paths
-    total = total_sq = top = 0.0
-    with np.errstate(over="ignore"):
-        for rng, size in _chunk_streams(seed, n_obs, _CHUNK):
-            vals = value(rng.standard_normal((size, spec.n)), antithetic)
-            total += float(np.sum(vals))
-            total_sq += float(np.sum(vals * vals))
-            top = max(top, float(np.max(vals)))
-    if not math.isfinite(total_sq):
-        raise ValidationError("Monte Carlo payoffs are not representable in float64")
-    mean = total / n_obs
-    var = max(total_sq - n_obs * mean * mean, 0.0) / (n_obs - 1)
-    return McEstimate(mean=mean, std_error=math.sqrt(var / n_obs),
-                      n_paths=n_paths, seed=int(seed), estimator=estimator,
-                      s_eval=s_eval, n_obs=n_obs,
-                      max_share=top / total if total > 0 else 0.0)
+        return estimator, s_eval, _levered_value_fn(spec, s, t, T, s_eval)
+    if mode == "unlevered":
+        return "exact", T, _unlevered_value_fn(spec, s, t, T)
+    raise ValidationError(f"unknown mode {mode!r}")
 
 
 def _levered_value_fn(spec: MarketSpec, s, t: float, T: float, s_eval: float):
-    """Discounted-payoff evaluator ``value(y, antithetic)`` for unit-normal rows y."""
+    """Discounted-payoff evaluator ``value(y, antithetic)`` for unit-normal rows y.
+
+    ``value`` only reads ``y``, which other modes share, and returns a new array.
+    """
     x_t = solve_triangular(spec.lower, z_score(spec, s, t).z, lower=True)
     w_t = math.sqrt(t / s_eval)
     w_y = math.sqrt(1.0 - t / s_eval)
@@ -139,17 +175,32 @@ def _levered_value_fn(spec: MarketSpec, s, t: float, T: float, s_eval: float):
     k = (w_t * w_y) * x_t
 
     def value(y: np.ndarray, antithetic: bool) -> np.ndarray:
-        a = a_0 + half_wy2 * np.einsum("ij,ij->i", y, y)
-        c = y @ k
-        if antithetic:
-            return 0.5 * (np.exp(a + c) + np.exp(a - c))
-        return np.exp(a + c)
+        if spec.n == 1:  # one product per row where einsum and the mat-vec cost far more
+            y0 = y[:, 0]
+            a = y0 * y0
+            c = y0 * k[0]
+        else:
+            a = np.einsum("ij,ij->i", y, y)
+            c = y @ k
+        a *= half_wy2
+        a += a_0
+        if not antithetic:
+            a += c
+            return np.exp(a, out=a)
+        pay = np.exp(a + c)
+        a -= c
+        pay += np.exp(a, out=a)
+        pay *= 0.5
+        return pay
 
     return value
 
 
 def _unlevered_value_fn(spec: MarketSpec, s, t: float, T: float):
-    """Discounted-payoff evaluator ``value(y, antithetic)`` for unit-normal rows y."""
+    """Discounted-payoff evaluator ``value(y, antithetic)`` for unit-normal rows y.
+
+    ``value`` only reads ``y``, which other modes share, and returns a new array.
+    """
     if spec.n != 1:
         raise ValidationError("unlevered pricing is defined for one asset")
     sigma, r, s0 = float(spec.sigma[0]), spec.rate, float(spec.s0[0])
@@ -165,13 +216,20 @@ def _unlevered_value_fn(spec: MarketSpec, s, t: float, T: float):
     cash = math.exp(-r * tau) * math.exp(r * T)
 
     def growth(z_T: np.ndarray) -> np.ndarray:
+        """exp(c (z_T - c/2)), c = clip(z_T, 0, w), written over z_T."""
         c = np.clip(z_T, 0.0, w)
-        return np.exp(c * (z_T - 0.5 * c))
+        z_T -= 0.5 * c
+        z_T *= c
+        return np.exp(z_T, out=z_T)
 
     def value(y: np.ndarray, antithetic: bool) -> np.ndarray:
         ky = k * y[:, 0]
+        pay = growth(z_mid + ky)
         if antithetic:
-            return (0.5 * cash) * (growth(z_mid + ky) + growth(z_mid - ky))
-        return cash * growth(z_mid + ky)
+            pay += growth(np.subtract(z_mid, ky, out=ky))
+            pay *= 0.5 * cash
+        else:
+            pay *= cash
+        return pay
 
     return value

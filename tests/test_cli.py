@@ -1,6 +1,7 @@
 """Command-line front end: records, artifacts, manifests, exit codes."""
 
 import argparse
+import hashlib
 import json
 import math
 
@@ -180,7 +181,10 @@ def test_unrepresentable_or_nonfinite_quotes_exit_3(capsys):
                     "--T", "1"] for mode in ("levered", "unlevered") for sigma in ("1e300", "1e154")),
                  # z ~ 7e299: z' R^{-1} z overflows, so not even log C is representable
                  *(["price", "--mode", mode, "--sigma", "1e-300", "--s", "2", "--s0", "1",
-                    "--t", "1", "--T", "2"] for mode in ("levered", "unlevered"))):
+                    "--t", "1", "--T", "2"] for mode in ("levered", "unlevered")),
+                 # sigma sqrt(t) underflows to 0: z is refused before the division
+                 *(["price", "--mode", mode, "--sigma", "1e-300", "--s", "2", "--s0", "1",
+                    "--t", "1e-300", "--T", "2"] for mode in ("levered", "unlevered"))):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (3, "")
         assert err.startswith("error: ") and "Traceback" not in err
@@ -559,18 +563,39 @@ def test_a_nonfinite_record_value_exits_3_before_any_output(tmp_path, capsys):
 
 
 def test_verify_reports_a_gap_at_zero_standard_error(monkeypatch, capsys):
-    def no_spread(spec, s, t, T, mode, **kwargs):
+    def no_spread(spec, s, t, T, mode):
         closed = (cli.price_levered if mode == "levered" else cli.price_unlevered)(spec, s, t, T)
         mean = closed.price * (1.0 + 1e-9) if mode == "levered" else closed.price
         return McEstimate(mean=mean, std_error=0.0, n_paths=2, seed=0, estimator="exact",
                           s_eval=T, n_obs=1, max_share=1.0)
 
-    monkeypatch.setattr(cli, "mc_price", no_spread)
+    def no_spreads(spec, s, t, T, modes, **kwargs):
+        return tuple(no_spread(spec, s, t, T, mode) for mode in modes)
+
+    monkeypatch.setattr(cli, "mc_prices", no_spreads)
     code, out, _ = run_cli(capsys, "verify", "--states", "1", "--paths", "2")
     assert code == 1
     rows = [line.split(",") for line in out.strip().splitlines()[1:]]
     assert [(row[0], row[7], row[8]) for row in rows] == [("levered", "inf", "FAIL"),
                                                           ("unlevered", "nan", "FAIL")]
+
+
+# SHA-256 of verify's stdout at seed 1, where every row is ok; the Monte Carlo
+# columns move only where the oracle's arithmetic or streams change on purpose.
+VERIFY_STDOUT_SHA256 = {
+    1: "4c0c1355531cba58a44042ffaaed8ad41d3033bc8631ae088ef56ed4a1249754",
+    2: "bfced9b58e561071f708003920f48be01a164cd14c7be9ffcdaa63575655988f",
+    3: "320d155e1ad1efa37069e44927953d37f9d6fc62f82af693386a92ec39f3dc6d",
+}
+
+
+@pytest.mark.parametrize("n", sorted(VERIFY_STDOUT_SHA256))
+def test_verify_stdout_keeps_its_bytes(capsys, n):
+    code, out, err = run_cli(capsys, "verify", "--n", str(n), "--states", "2",
+                             "--paths", "200002", "--seed", "1")
+    assert (code, err) == (0, "")
+    assert [line.split(",")[8] for line in out.splitlines()[1:]] == ["ok"] * (4 if n == 1 else 2)
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_STDOUT_SHA256[n]
 
 
 def test_stdout_is_deterministic(capsys):

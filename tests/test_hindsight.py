@@ -358,3 +358,7 @@ def test_a_tiny_volatility_raises_without_a_warning():
     # the excess return per unit volatility is 1e200: b* and its growth rate overflow
     with pytest.raises(ValidationError, match="Kelly rule is not representable"):
         kelly_rule(MarketSpec.single(mu=1.0, sigma=1e-200, rate=0.0))
+    # sigma sqrt(t) underflows to 0 at t = 1e-300: z is refused before the division
+    for call in (z_score, best_rule, intrinsic_value):
+        with pytest.raises(ValidationError, match="underflows to 0"):
+            call(spec, 2.0, 1e-300)

@@ -9,6 +9,7 @@ from scipy.linalg import solve_triangular
 from hindsight_options import (
     MarketSpec,
     mc_price,
+    mc_prices,
     price_levered,
     price_time0_unlevered,
     price_unlevered,
@@ -128,6 +129,13 @@ def test_domain_checks():
     with pytest.raises(ValidationError, match="not representable"):
         mc_price(MarketSpec.single(0.0, 0.1, 0.0), [math.exp(60.0)], 1.0, 1.5,
                  n_paths=1000, seed=1)
+    with pytest.raises(ValidationError, match="not representable"):
+        mc_prices(MarketSpec.single(0.0, 0.1, 0.0), [math.exp(60.0)], 1.0, 1.5,
+                  ("unlevered", "levered"), n_paths=1000, seed=1)
+    with pytest.raises(ValidationError, match="at least one mode"):
+        mc_prices(SPEC, 1.0, 1.0, 2.0, (), n_paths=1000, seed=0)
+    with pytest.raises(ValidationError, match="unknown mode"):
+        mc_prices(SPEC, 1.0, 1.0, 2.0, ("levered", "straddle"), n_paths=1000, seed=0)
 
 
 def test_multi_asset_levered_estimate():
@@ -308,3 +316,139 @@ def test_max_share_is_the_largest_observation_over_the_sum():
     spec = MarketSpec.single(mu=-100.0, sigma=0.2, rate=-100.0, s0=1.0)
     est = mc_price(spec, 1e-300, 10.0, 10.5, "unlevered", n_paths=1000, seed=1)
     assert (est.mean, est.max_share) == (0.0, 0.0)
+
+
+# The evaluators and the chunk loop as they were before the one-asset products,
+# the in-place arithmetic and the shared draws; the estimates must keep every bit.
+
+def einsum_levered_value_fn(spec, s, t, T, s_eval):
+    x_t = solve_triangular(spec.lower, z_score(spec, s, t).z, lower=True)
+    w_t = math.sqrt(t / s_eval)
+    w_y = math.sqrt(1.0 - t / s_eval)
+    a_0 = (spec.rate * t + 0.5 * spec.n * math.log(T / s_eval)
+           + 0.5 * w_t * w_t * float(x_t @ x_t))
+    half_wy2 = 0.5 * w_y * w_y
+    k = (w_t * w_y) * x_t
+
+    def value(y, antithetic):
+        a = a_0 + half_wy2 * np.einsum("ij,ij->i", y, y)
+        c = y @ k
+        if antithetic:
+            return 0.5 * (np.exp(a + c) + np.exp(a - c))
+        return np.exp(a + c)
+
+    return value
+
+
+def out_of_place_unlevered_value_fn(spec, s, t, T):
+    sigma, r, s0 = float(spec.sigma[0]), spec.rate, float(spec.s0[0])
+    log_s_t = math.log(float(np.atleast_1d(s)[0]) if t > 0 else s0)
+    tau = T - t
+    w = sigma * math.sqrt(T)
+    mu_rn = r - 0.5 * sigma * sigma
+    z_mid = (log_s_t - math.log(s0) + mu_rn * tau - mu_rn * T) / w
+    k = sigma * math.sqrt(tau) / w
+    cash = math.exp(-r * tau) * math.exp(r * T)
+
+    def growth(z_T):
+        c = np.clip(z_T, 0.0, w)
+        return np.exp(c * (z_T - 0.5 * c))
+
+    def value(y, antithetic):
+        ky = k * y[:, 0]
+        if antithetic:
+            return (0.5 * cash) * (growth(z_mid + ky) + growth(z_mid - ky))
+        return cash * growth(z_mid + ky)
+
+    return value
+
+
+def one_mode_loop(spec, s, t, T, mode, n_paths, seed, antithetic):
+    """(mean, std_error, max_share) from the chunk loop that drew once per mode."""
+    if mode == "levered":
+        s_eval = T if t > 0.75 * T else min(1.25 * t, T)
+        value = einsum_levered_value_fn(spec, s, t, T, s_eval)
+    else:
+        value = out_of_place_unlevered_value_fn(spec, s, t, T)
+    n_obs = n_paths // 2 if antithetic else n_paths
+    total = total_sq = top = 0.0
+    for rng, size in _chunk_streams(seed, n_obs, _CHUNK):
+        vals = value(rng.standard_normal((size, spec.n)), antithetic)
+        total += float(np.sum(vals))
+        total_sq += float(np.sum(vals * vals))
+        top = max(top, float(np.max(vals)))
+    mean = total / n_obs
+    var = max(total_sq - n_obs * mean * mean, 0.0) / (n_obs - 1)
+    return mean, math.sqrt(var / n_obs), top / total if total > 0 else 0.0
+
+
+@pytest.mark.parametrize("antithetic", [True, False])
+def test_one_pass_prices_each_mode_as_a_pass_of_its_own(antithetic):
+    # 262,151 paths: 3 chunks of pairs, or 5 chunks unpaired, the last one short
+    n_paths = 262_151
+    for t, T, used in [(3.5, 4.0, "plain"), (1.0, 4.0, "partial"), (2.7, 3.1, "plain")]:
+        z = -8.0 if t == 2.7 else 0.4  # every unlevered draw of the last state is cash
+        s = state_at(SPEC, z, t)
+        pair = mc_prices(SPEC, s, t, T, ("levered", "unlevered"), n_paths=n_paths, seed=17,
+                         antithetic=antithetic)
+        alone = tuple(mc_price(SPEC, s, t, T, mode, n_paths=n_paths, seed=17,
+                               antithetic=antithetic) for mode in ("levered", "unlevered"))
+        assert pair == alone
+        assert [est.estimator for est in pair] == [used, "exact"]
+        assert pair[0].n_obs == (131_075 if antithetic else 262_151)
+        for mode, est in zip(("levered", "unlevered"), pair):
+            assert (est.mean, est.std_error, est.max_share) == one_mode_loop(
+                SPEC, s, t, T, mode, n_paths, 17, antithetic)
+
+
+EXTREME_Y = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-160, -1e-200, 1.0, -1.0, 8.5, -8.5,
+                      40.0, -40.0, 1e154, -1e154, 1e200, -1e300])[:, None]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_levered_values_are_the_einsum_form_bit_for_bit(n):
+    rng = np.random.default_rng(43 + n)
+    for i in range(20):
+        spec, s, t, T = random_state(rng, n)
+        s_eval = T if i % 2 else min(1.25 * t, T)
+        ys = [rng.standard_normal((1000, n)) * rng.uniform(0.1, 10.0)]
+        if n == 1:
+            ys.append(EXTREME_Y)
+        for y in ys:
+            for antithetic in (True, False):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    new = _levered_value_fn(spec, s, t, T, s_eval)(y, antithetic)
+                    old = einsum_levered_value_fn(spec, s, t, T, s_eval)(y, antithetic)
+                assert new.tobytes() == old.tobytes()
+
+
+def test_unlevered_values_keep_their_out_of_place_bits():
+    rng = np.random.default_rng(47)
+    for i in range(20):
+        spec, s, t, T = random_state(rng, 1)
+        t = 0.0 if i % 5 == 0 else t
+        for y in (rng.standard_normal((1000, 1)) * rng.uniform(0.1, 10.0), EXTREME_Y):
+            for antithetic in (True, False):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    new = _unlevered_value_fn(spec, s, t, T)(y, antithetic)
+                    old = out_of_place_unlevered_value_fn(spec, s, t, T)(y, antithetic)
+                assert new.tobytes() == old.tobytes()
+
+
+def test_evaluators_only_read_the_draws_they_share():
+    rng = np.random.default_rng(53)
+    for n in (1, 2, 3):
+        spec, s, t, T = random_state(rng, n)
+        evaluators = [_levered_value_fn(spec, s, t, T, s_eval)
+                      for s_eval in (T, min(1.25 * t, T))]
+        if n == 1:
+            evaluators += [_unlevered_value_fn(spec, s, t, T), _unlevered_value_fn(spec, s, 0.0, T)]
+        y = rng.standard_normal((300, n))
+        y.flags.writeable = False
+        before = y.copy()
+        for value in evaluators:
+            for antithetic in (True, False):
+                vals = value(y, antithetic)
+                assert vals.shape == (300,) and vals.flags.writeable
+                assert not np.shares_memory(vals, y)
+        assert np.array_equal(y, before)
