@@ -98,8 +98,13 @@ def _build_spec(args) -> MarketSpec:
     return MarketSpec.single(mu=mu, sigma=args.sigma, rate=rate, s0=s0)
 
 
+def _floats(text: str) -> list[float]:
+    """A comma- or space-separated list of numbers, as --s, --b and --sigmas take it."""
+    return [float(tok) for tok in text.replace(",", " ").split()]
+
+
 def _parse_prices(text: str, n: int) -> np.ndarray:
-    values = [float(tok) for tok in text.replace(",", " ").split()]
+    values = _floats(text)
     if len(values) != n:
         raise ValidationError(f"expected {n} prices in --s, got {len(values)}")
     return np.asarray(values)
@@ -118,18 +123,22 @@ def _manifest(args, outputs: list[str]) -> str:
                  indent=2) + "\n"
 
 
-def _emit(args, artifacts: dict[str, str], primary: str) -> None:
-    """Print the primary artifact; with --out, also write files and a manifest.
+def _emit(args, artifacts: dict[str, dict | str]) -> int:
+    """Print the first artifact; with --out, also write every artifact and a manifest.
 
-    Every record is serialised before anything is printed or written.
+    ``artifacts`` maps a file name to a JSON record (a dict) or finished CSV
+    text.  Every record is serialised before anything is printed or written.
     """
-    files = {**artifacts, "manifest.json": _manifest(args, sorted(artifacts))} if args.out else {}
-    sys.stdout.write(artifacts[primary])
+    texts = {name: _json(body) + "\n" if isinstance(body, dict) else body
+             for name, body in artifacts.items()}
+    files = {**texts, "manifest.json": _manifest(args, sorted(texts))} if args.out else {}
+    sys.stdout.write(next(iter(texts.values())))
     if files:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         for name, content in files.items():
             (out_dir / name).write_text(content, encoding="utf-8")
+    return EXIT_OK
 
 
 def _usage_error(message: str) -> int:
@@ -141,47 +150,37 @@ def _cmd_price(args) -> int:
     spec = _build_spec(args)
     s = _parse_prices(args.s, spec.n)
     pricer = price_levered if args.mode == "levered" else price_unlevered
-    quote = pricer(spec, s, args.t, args.T)
-    _emit(args, {"quote.json": _json(quote.as_record()) + "\n"}, "quote.json")
-    return EXIT_OK
+    return _emit(args, {"quote.json": pricer(spec, s, args.t, args.T).as_record()})
 
 
 def _cmd_greeks(args) -> int:
     spec = _build_spec(args)
     s = _parse_prices(args.s, spec.n)
-    report = greeks(spec, s, args.t, args.T)
-    _emit(args, {"greeks.json": _json(report.as_record()) + "\n"}, "greeks.json")
-    return EXIT_OK
+    return _emit(args, {"greeks.json": greeks(spec, s, args.t, args.T).as_record()})
 
 
 def _cmd_iv(args) -> int:
     roots = implied_vols(args.price, args.s, args.s0, args.t, args.T, args.r)
-    record = {"roots": list(roots.roots), "observed_price": args.price,
-              "t": args.t, "T": args.T}
-    _emit(args, {"iv.json": _json(record) + "\n"}, "iv.json")
-    return EXIT_OK
+    return _emit(args, {"iv.json": {"roots": list(roots.roots), "observed_price": args.price,
+                                    "t": args.t, "T": args.T}})
 
 
 def _cmd_lattice(args) -> int:
     if args.what == "demon":
-        artifacts = {"demon.csv": format_demon_csv(demon_simulation(args.N, args.p, args.seed))}
-        _emit(args, artifacts, "demon.csv")
-        return EXIT_OK
+        demon = format_demon_csv(demon_simulation(args.N, args.p, args.seed))
+        return _emit(args, {"demon.csv": demon})
     spec = LatticeSpec(u=args.u, d=args.d, r_per=args.rper, n_steps=args.N)
     if args.what == "payoff":
         if args.j is None:
             return _usage_error("--j is required for payoff")
         value = lattice_payoff(spec, args.j, args.mode)
-        record = {"payoff": value, "j": args.j, "N": args.N, "mode": args.mode}
-        _emit(args, {"payoff.json": _json(record) + "\n"}, "payoff.json")
-        return EXIT_OK
+        return _emit(args, {"payoff.json": {"payoff": value, "j": args.j, "N": args.N,
+                                            "mode": args.mode}})
     if args.k is None or args.n is None:
         return _usage_error("--k and --n are required for price")
     value = lattice_price(spec, LatticeState(args.k, args.n), args.mode)
-    record = {"price": value, "k": args.k, "n": args.n, "N": args.N,
-              "mode": args.mode}
-    _emit(args, {"price.json": _json(record) + "\n"}, "price.json")
-    return EXIT_OK
+    return _emit(args, {"price.json": {"price": value, "k": args.k, "n": args.n, "N": args.N,
+                                       "mode": args.mode}})
 
 
 def _cmd_simulate(args) -> int:
@@ -195,6 +194,8 @@ def _cmd_simulate(args) -> int:
                               steps_per_year=args.steps_per_year,
                               n_paths=args.paths, seed=args.seed)
     result = run_growth_simulation(config)
+    paths = csv_table(["path", "terminal_wealth", "cagr"],
+                      [range(config.n_paths), result.terminal_wealth, result.cagr])
     summary = {
         "scenario": args.scenario,
         "mean_cagr": result.mean_cagr,
@@ -204,13 +205,7 @@ def _cmd_simulate(args) -> int:
         "T": config.T,
         "warmup": config.warmup,
     }
-    artifacts = {
-        "paths.csv": csv_table(["path", "terminal_wealth", "cagr"],
-                               [range(config.n_paths), result.terminal_wealth, result.cagr]),
-        "summary.json": _json(summary) + "\n",
-    }
-    _emit(args, artifacts, "summary.json")
-    return EXIT_OK
+    return _emit(args, {"summary.json": summary, "paths.csv": paths})
 
 
 def _cmd_hedge(args) -> int:
@@ -227,26 +222,20 @@ def _cmd_hedge(args) -> int:
         "intrinsic_at_expiry": intrinsic_value(spec, path.prices[-1], args.T,
                                                args.mode),
     }
-    artifacts = {"ledger.csv": format_ledger_csv(ledger),
-                 "summary.json": _json(summary) + "\n"}
-    _emit(args, artifacts, "summary.json")
-    return EXIT_OK
+    return _emit(args, {"summary.json": summary, "ledger.csv": format_ledger_csv(ledger)})
 
 
 def _cmd_backtest(args) -> int:
     table = load_price_table(args.prices)
-    fractions = [float(tok) for tok in args.b.replace(",", " ").split()]
-    result = discrete_backtest(table, fractions, rebalance_interval=args.interval,
+    result = discrete_backtest(table, _floats(args.b), rebalance_interval=args.interval,
                                rate=args.rate)
     # A ruined account has no growth rate: the library's NaN is written as null.
     summary = {"cagr": None if result.ruined else result.cagr, "ruined": result.ruined,
                "ruin_index": result.ruin_index,
                "terminal_wealth": float(result.wealth[-1]),
                "periods": len(result.wealth) - 1}
-    artifacts = {"wealth.csv": csv_table(["time", "wealth"], [result.times, result.wealth]),
-                 "summary.json": _json(summary) + "\n"}
-    _emit(args, artifacts, "summary.json")
-    return EXIT_OK
+    wealth = csv_table(["time", "wealth"], [result.times, result.wealth])
+    return _emit(args, {"summary.json": summary, "wealth.csv": wealth})
 
 
 def _random_correlation(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -288,29 +277,27 @@ def _cmd_verify(args) -> int:
                          "ok" if ok else "FAIL", est.estimator, est.max_share])
     table = csv_table(["mode", "n", "t", "T", "closed", "mc_mean", "mc_std_error",
                        "gap_in_std_errors", "status", "estimator", "max_share"], list(zip(*rows)))
-    _emit(args, {"verify.csv": table}, "verify.csv")
-    return EXIT_OK if all_ok else EXIT_CHECK_FAILED
+    emitted = _emit(args, {"verify.csv": table})
+    return emitted if all_ok else EXIT_CHECK_FAILED
 
 
 def _cmd_curve(args) -> int:
     if not (math.isfinite(args.lo) and math.isfinite(args.hi)):
         raise ValidationError("--lo and --hi must be finite")
-    sigmas = [float(tok) for tok in args.sigmas.replace(",", " ").split()]
-    header_sigmas = [f"sigma_{s:g}" for s in sigmas]
+    sigmas = _floats(args.sigmas)
     grid = np.linspace(args.lo, args.hi, args.count)
     if args.what == "payoff":
         specs = [MarketSpec.single(mu=args.r, sigma=sig, rate=args.r, s0=args.s0)
                  for sig in sigmas]
         rows = [[float(s_val)] + [intrinsic_value(spec, s_val, args.t, args.mode)
                                   for spec in specs] for s_val in grid]
-        artifacts = {"payoff_curve.csv": csv_table(["s"] + header_sigmas, list(zip(*rows)))}
-        _emit(args, artifacts, "payoff_curve.csv")
-        return EXIT_OK
-    rows = [[float(horizon)] + [time0_unlevered_excess_growth(sig, horizon) for sig in sigmas]
-            for horizon in grid]
-    artifacts = {"regret_curve.csv": csv_table(["T"] + header_sigmas, list(zip(*rows)))}
-    _emit(args, artifacts, "regret_curve.csv")
-    return EXIT_OK
+        name, axis = "payoff_curve.csv", "s"
+    else:
+        rows = [[float(horizon)] + [time0_unlevered_excess_growth(sig, horizon)
+                                    for sig in sigmas] for horizon in grid]
+        name, axis = "regret_curve.csv", "T"
+    header = [axis] + [f"sigma_{s:g}" for s in sigmas]
+    return _emit(args, {name: csv_table(header, list(zip(*rows)))})
 
 
 def build_parser() -> argparse.ArgumentParser:

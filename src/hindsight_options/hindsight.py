@@ -64,6 +64,14 @@ class RebalancingRule:
                 raise ValidationError("unlevered fraction must lie in [0, 1]")
 
 
+def _check_mode(spec: MarketSpec, mode: str) -> None:
+    """Refuse a mode other than levered or unlevered, and unlevered mode beyond one asset."""
+    if mode not in MODES:
+        raise ValidationError(f"unknown mode {mode!r}")
+    if mode == "unlevered" and spec.n != 1:
+        raise ValidationError("unlevered mode is defined for one asset")
+
+
 def _as_prices(spec: MarketSpec, s, t: float) -> np.ndarray:
     """Prices of a state (S, t) checked for shape, positivity and finiteness."""
     if not 0 < t < math.inf:
@@ -250,14 +258,11 @@ def best_rule(spec: MarketSpec, s, t: float, mode: str = "levered") -> Rebalanci
     quadratic log V_t(b).  Unlevered (one asset): the levered scalar clamped
     to [0, 1].
     """
-    if mode not in MODES:
-        raise ValidationError(f"unknown mode {mode!r}")
+    _check_mode(spec, mode)
     with np.errstate(over="ignore"):  # a levered rule that overflows is refused just below
         b = _fractions(spec, _as_prices(spec, s, t), t)
     if mode == "levered":
         return RebalancingRule(b=_representable(b, "log_price_levered"), mode="levered")
-    if spec.n != 1:
-        raise ValidationError("unlevered hindsight optimization is defined for one asset")
     return RebalancingRule(b=[min(max(b[0], 0.0), 1.0)], mode="unlevered")
 
 
@@ -289,13 +294,10 @@ def intrinsic_value(spec: MarketSpec, s, t: float, mode: str = "levered") -> flo
 
 def log_intrinsic_value(spec: MarketSpec, s, t: float, mode: str = "levered") -> float:
     """log V_t*; preferred for long horizons where V_t* overflows."""
-    if mode not in MODES:
-        raise ValidationError(f"unknown mode {mode!r}")
+    _check_mode(spec, mode)
     s = _as_prices(spec, s, t)
     if mode == "levered":
         return float(_log_levered(spec, s, t, t))  # log C at expiry T = t
-    if spec.n != 1:
-        raise ValidationError("unlevered hindsight optimization is defined for one asset")
     return float(_log_unlevered_intrinsic(spec, s, _z(spec, s, t), t))
 
 

@@ -1,7 +1,7 @@
 """Binomial-lattice pricing and replication of the hindsight allocation option.
 
 The market is the standard recombining lattice: each period the stock moves
-by u or d with 0 < d < R < u, where R = 1 + r_per is the per-period gross
+by u or d with 0 < d < R < u < inf, where R = 1 + r_per is the per-period gross
 rate, and q = (R - d)/(u - d) is the risk-neutral up probability.  After j
 ups out of N periods a fixed-fraction rule b holds wealth
 
@@ -47,8 +47,8 @@ class LatticeSpec:
         object.__setattr__(self, "n_steps", int(self.n_steps))
         if self.n_steps < 1:
             raise ValidationError("n_steps must be >= 1")
-        if not 0.0 < self.d < self.gross_rate < self.u:
-            raise ValidationError("need 0 < d < 1 + r_per < u")
+        if not 0.0 < self.d < self.gross_rate < self.u < math.inf:
+            raise ValidationError("need 0 < d < 1 + r_per < u < inf")
 
     @property
     def gross_rate(self) -> float:

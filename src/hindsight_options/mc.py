@@ -44,7 +44,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .errors import ValidationError
-from .hindsight import z_score
+from .hindsight import _check_mode, z_score
 from .market import MarketSpec
 
 _CHUNK = 1 << 16
@@ -150,15 +150,14 @@ def mc_prices(spec: MarketSpec, s, t: float, T: float, modes: Sequence[str],
 
 def _estimator(spec: MarketSpec, s, t: float, T: float, mode: str):
     """``(estimator, s_eval, value)`` of one mode: its name, horizon and payoff evaluator."""
+    _check_mode(spec, mode)
     if mode == "levered":
         if t <= 0:
             raise ValidationError("the levered price diverges as t -> 0+; price at t > 0")
         estimator = "plain" if t > 0.75 * T else "partial"
         s_eval = T if estimator == "plain" else min(1.25 * t, T)
         return estimator, s_eval, _levered_value_fn(spec, s, t, T, s_eval)
-    if mode == "unlevered":
-        return "exact", T, _unlevered_value_fn(spec, s, t, T)
-    raise ValidationError(f"unknown mode {mode!r}")
+    return "exact", T, _unlevered_value_fn(spec, s, t, T)
 
 
 def _levered_value_fn(spec: MarketSpec, s, t: float, T: float, s_eval: float):
@@ -201,8 +200,6 @@ def _unlevered_value_fn(spec: MarketSpec, s, t: float, T: float):
 
     ``value`` only reads ``y``, which other modes share, and returns a new array.
     """
-    if spec.n != 1:
-        raise ValidationError("unlevered pricing is defined for one asset")
     sigma, r, s0 = float(spec.sigma[0]), spec.rate, float(spec.s0[0])
     if t > 0:
         z_score(spec, s, t)  # validates the state prices

@@ -49,9 +49,9 @@ import numpy as np
 from scipy.special import log_ndtr
 
 from .errors import IrrationalPriceError, ValidationError
-from .hindsight import (_as_prices, _exp, _fractions_of, _log_levered, _log_levered_of,
-                        _log_ratio, _log_unlevered_intrinsic, _representable, _unrepresentable,
-                        _whitened, _z, log_intrinsic_value)
+from .hindsight import (_as_prices, _check_mode, _exp, _fractions_of, _log_levered,
+                        _log_levered_of, _log_ratio, _log_unlevered_intrinsic, _representable,
+                        _unrepresentable, _whitened, _z, log_intrinsic_value)
 from .market import MarketSpec
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -193,8 +193,7 @@ def unlevered_terms(spec: MarketSpec, s, t: float, T: float) -> tuple[float, flo
     interior, or clamped at 1; each solves the Black-Scholes equation on its
     own.  A term too small for float64 is returned as 0.0.
     """
-    if spec.n != 1:
-        raise ValidationError("unlevered pricing is defined for one asset")
+    _check_mode(spec, "unlevered")
     _check_horizon(t, T, strict_end=True)
     log_terms, _, _ = _log_unlevered_terms(spec, _as_prices(spec, s, t), t, T)
     return tuple(_exp(float(log_term), "log_price_unlevered", zero_ok=True)
@@ -203,8 +202,7 @@ def unlevered_terms(spec: MarketSpec, s, t: float, T: float) -> tuple[float, flo
 
 def _log_unlevered_price(spec: MarketSpec, s, t: float, T: float):
     """Checked prices, their z and log P of one unlevered state; log P = log V_t* at t = T."""
-    if spec.n != 1:
-        raise ValidationError("unlevered pricing is defined for one asset")
+    _check_mode(spec, "unlevered")
     _check_horizon(t, T)
     s = _as_prices(spec, s, t)
     if t == T:
@@ -301,7 +299,8 @@ def implied_vols(observed_price: float, s: float, s0: float, t: float, T: float,
     :class:`IrrationalPriceError`.  Prices at or above that floor but outside
     the range attainable by any positive volatility (possible when
     Lp > 0 and K < 2 Lp) return no roots.  Every returned root is validated
-    by round-trip repricing.  A non-finite price, s, s0 or rate, or a
+    by round-trip repricing; a candidate whose repriced price overflows
+    float64 is not a root.  A non-finite price, s, s0 or rate, or a
     non-positive price, s or s0, raises :class:`ValidationError`, even where
     the floor underflows to 0.
     """
@@ -335,7 +334,8 @@ def implied_vols(observed_price: float, s: float, s0: float, t: float, T: float,
         q = -0.5 * (qb - math.sqrt(disc))
     candidates = []
     if q != 0.0:
-        candidates.append(q / qa)
+        if qa != 0.0:  # t^2/4 underflows to 0 where q / qa is infinite: no root
+            candidates.append(q / qa)
         candidates.append(qc / q)
     roots = []
     for x in sorted(set(candidates)):
@@ -344,10 +344,13 @@ def implied_vols(observed_price: float, s: float, s0: float, t: float, T: float,
         sigma = math.sqrt(x)
         if roots and abs(sigma - roots[-1]) <= 1e-6 * sigma:
             continue  # double root (float noise in K splits it at ~1e-8): report once
-        repriced = math.exp(
-            0.5 * math.log(T / t) + rate * t
-            + 0.5 * ((log_ratio - (rate - 0.5 * x) * t) / (sigma * math.sqrt(t))) ** 2
-        )
+        try:
+            repriced = math.exp(
+                0.5 * math.log(T / t) + rate * t
+                + 0.5 * ((log_ratio - (rate - 0.5 * x) * t) / (sigma * math.sqrt(t))) ** 2
+            )
+        except OverflowError:
+            continue  # its price exceeds float64, so it is not the observed one
         if abs(repriced - observed_price) <= 1e-9 * observed_price:
             roots.append(sigma)
     return ImpliedVolRoots(roots=tuple(roots))

@@ -20,8 +20,8 @@ import numpy as np
 
 from ._table import csv_table
 from .errors import ValidationError
-from .hindsight import (_fractions, _fractions_of, _log_levered_of, _representable, _whitened,
-                        kelly_rule)
+from .hindsight import (_check_mode, _fractions, _fractions_of, _log_levered_of, _representable,
+                        _whitened, kelly_rule)
 from .market import MarketSpec, PricePath, _check_path_args, _price_blocks
 from .pricing import _unlevered_fractions
 
@@ -143,8 +143,9 @@ def hedge_path(spec: MarketSpec, path: PricePath, t_start: float, T: float,
     refines.  Unlevered mode (one asset) bets S (dP/dS) / P, the analytic
     delta of the unlevered price P in log space, so it stays finite on states
     whose price overflows.  A fraction f for which 1 - f rounds to 1 is held
-    as zero, and so is the expired point t = T.  The hedge trades on the
-    path's own grid; t_start and T must be grid points.
+    as zero, and so is the expired point t = T.  A levered fraction that
+    overflows float64 before T raises :class:`ValidationError`.  The hedge
+    trades on the path's own grid; t_start and T must be grid points.
     """
     if t_start <= 0:
         raise ValidationError("t_start must be positive")
@@ -154,11 +155,12 @@ def hedge_path(spec: MarketSpec, path: PricePath, t_start: float, T: float,
     i1 = _grid_index(path.times, T)
     times = path.times[i0:i1 + 1]
     prices = path.prices[i0:i1 + 1]
+    _check_mode(spec, mode)
     if mode == "levered":
-        fractions = _fractions(spec, prices, times)
-    elif mode == "unlevered":
-        if spec.n != 1:
-            raise ValidationError("unlevered hedging is defined for one asset")
+        with np.errstate(over="ignore"):  # an overflowed trading fraction is refused below
+            fractions = _fractions(spec, prices, times)
+        _representable(fractions[:-1], "log_price_levered")
+    else:
         fractions = np.zeros((len(times), 1))
         live = times < T
         held = _representable(_unlevered_fractions(spec, prices[live], times[live], T),
@@ -166,8 +168,7 @@ def hedge_path(spec: MarketSpec, path: PricePath, t_start: float, T: float,
         # Deep in the cash region f can be subnormal, and so would its shares
         # be; holding none keeps the ledger's fraction, shares and cash agreed.
         fractions[live, 0] = np.where(1.0 - held == 1.0, 0.0, held)
-    else:
-        raise ValidationError(f"unknown mode {mode!r}")
+    fractions[-1] = 0.0  # the expiry row is never traded, whatever its fraction was
     rel = prices[1:] / prices[:-1] - 1.0
     growth = np.exp(spec.rate * np.diff(times)) - 1.0
     risky = np.sum(fractions[:-1] * rel, axis=1)
@@ -177,7 +178,6 @@ def hedge_path(spec: MarketSpec, path: PricePath, t_start: float, T: float,
     wealth[1:] = np.cumprod(1.0 + risky + bond)
     shares = fractions * wealth[:, None] / prices
     cash = wealth * (1.0 - np.sum(fractions, axis=1))
-    fractions[-1] = 0.0
     shares[-1] = 0.0
     cash[-1] = wealth[-1]
     return HedgeLedger(times=times, wealth=wealth, fractions=fractions,

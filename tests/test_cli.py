@@ -80,6 +80,16 @@ def test_iv_round_trip_and_domain_error(capsys):
     assert (code, err) == (0, "")
     assert json.loads(out)["roots"] == pytest.approx([51.7393, 53.4044], abs=1e-4)
 
+    # one candidate's repriced price overflows float64 and t^2/4 underflows to 0:
+    # neither is a root
+    for argv, roots in ((["--price", "1.7976931348617625e+308", "--s", "1", "--s0", "2",
+                          "--t", "0.25", "--T", "1"], [150.67167983146268]),
+                        (["--price", "2.2851505638612438e+129", "--s", "1", "--s0", "1",
+                          "--t", "1.9150069733885168e-259", "--T", "1"], [])):
+        code, out, err = run_cli(capsys, "iv", *argv)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["roots"] == roots
+
     code, _, err = run_cli(capsys, "iv", "--price", "1.2", "--s", "105",
                            "--s0", "100", "--t", "0.5", "--T", "1", "--r", "0.03")
     assert code == 3
@@ -184,11 +194,20 @@ def test_unrepresentable_or_nonfinite_quotes_exit_3(capsys):
                     "--t", "1", "--T", "2"] for mode in ("levered", "unlevered")),
                  # sigma sqrt(t) underflows to 0: z is refused before the division
                  *(["price", "--mode", mode, "--sigma", "1e-300", "--s", "2", "--s0", "1",
-                    "--t", "1e-300", "--T", "2"] for mode in ("levered", "unlevered"))):
+                    "--t", "1e-300", "--T", "2"] for mode in ("levered", "unlevered")),
+                 # z / (sigma sqrt(t)): the hedge's first fraction overflows
+                 ["hedge", "--sigma", "1e-160", "--mu", "0.05", "--t0", "0.5", "--T", "1",
+                  "--steps", "4", "--seed", "1"]):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (3, "")
         assert err.startswith("error: ") and "Traceback" not in err
         assert len(err.splitlines()) == 1
+
+    # u = inf makes q = 0: the lattice itself is refused
+    for what in (["--what", "payoff", "--j", "1"], ["--what", "price", "--k", "1", "--n", "1"]):
+        code, out, err = run_cli(capsys, "lattice", "--N", "5", "--u", "inf", "--d", "0.5",
+                                 *what)
+        assert (code, out, err) == (3, "", "error: need 0 < d < 1 + r_per < u < inf\n")
 
 
 def test_underflowed_quotes_exit_3(capsys):

@@ -12,12 +12,18 @@ from scipy.linalg.lapack import dtrtrs
 
 from hindsight_options import (
     MarketSpec,
+    PricePath,
     RebalancingRule,
     best_rule,
     covariance,
+    hedge_path,
     intrinsic_value,
     kelly_rule,
+    log_intrinsic_value,
+    log_price_unlevered,
+    mc_price,
     simulate_paths,
+    unlevered_terms,
     wealth_of_rule,
     z_score,
 )
@@ -362,3 +368,23 @@ def test_a_tiny_volatility_raises_without_a_warning():
     for call in (z_score, best_rule, intrinsic_value):
         with pytest.raises(ValidationError, match="underflows to 0"):
             call(spec, 2.0, 1e-300)
+
+
+def test_every_mode_taking_api_refuses_a_bad_mode_with_one_message():
+    pair = MarketSpec.pair(mu=(0.0, 0.0), sigma=(0.2, 0.3), rho=0.1, rate=0.0)
+    s = [1.1, 0.9]
+    path = PricePath(times=np.array([0.0, 1.0, 2.0]), prices=np.array([[1.0, 1.0], s, s]))
+    calls = {
+        "best_rule": lambda spec, mode: best_rule(spec, s, 1.0, mode),
+        "log_intrinsic_value": lambda spec, mode: log_intrinsic_value(spec, s, 1.0, mode),
+        "mc_price": lambda spec, mode: mc_price(spec, s, 1.0, 2.0, mode, n_paths=100),
+        "hedge_path": lambda spec, mode: hedge_path(spec, path, 1.0, 2.0, mode),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ValidationError, match="^unknown mode 'covered'$"):
+            call(pair, "covered")
+        with pytest.raises(ValidationError, match="^unlevered mode is defined for one asset$"):
+            call(pair, "unlevered")
+    for unlevered in (unlevered_terms, log_price_unlevered):
+        with pytest.raises(ValidationError, match="^unlevered mode is defined for one asset$"):
+            unlevered(pair, s, 1.0, 2.0)

@@ -48,6 +48,8 @@ def test_spec_validation():
         LatticeSpec(u=1.1, d=0.9, r_per=0.2, n_steps=4)  # R > u
     with pytest.raises(ValidationError):
         LatticeSpec(u=1.1, d=-0.1, r_per=0.0, n_steps=4)
+    with pytest.raises(ValidationError, match="u < inf"):
+        LatticeSpec(u=math.inf, d=0.5, r_per=0.0, n_steps=4)  # q = 0
     spec = shannon_spec(5)
     assert spec.q == pytest.approx(1.0 / 3.0)
     assert 0.0 < GENERIC.q < 1.0

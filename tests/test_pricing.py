@@ -613,6 +613,19 @@ def test_implied_vol_random_round_trips():
         assert min(abs(x - sigma) for x in roots) < 1e-8
 
 
+@given(args=st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 6))
+@settings(max_examples=1000, deadline=None, derandomize=True)
+def test_implied_vols_over_the_whole_finite_domain(args):
+    # price, s, s0, t, T, rate: finite roots or a package error, never a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            roots = implied_vols(*args).roots
+        except (ValidationError, IrrationalPriceError):
+            return
+    assert all(0.0 < root < math.inf for root in roots)
+
+
 # ---------------------------------------------------------------------------
 # Excess growth bound
 # ---------------------------------------------------------------------------

@@ -274,6 +274,11 @@ def test_hedge_path_domain_errors():
         hedge_path(SPEC, path, 1.0005, 2.0)  # off-grid start
     with pytest.raises(ValidationError):
         hedge_path(SPEC, path, 1.0, 2.0, mode="covered")
+    # z / (sigma sqrt(t)) overflows: the first trading fraction is not a float64
+    flat = PricePath(times=np.linspace(0.0, 2.0, 5), prices=np.array([[1.0], [1.5], [1.5],
+                                                                       [1.5], [1.5]]))
+    with pytest.raises(ValidationError, match="log_price_levered"):
+        hedge_path(MarketSpec.single(mu=0.0, sigma=1e-160, rate=0.0), flat, 0.5, 2.0)
     # a price rising from 1 to e^40: the levered factor overflows, yet the
     # unlevered hedge holds the stock from t = 1 and tracks it
     times = np.linspace(0.0, 2.0, 201)
