@@ -62,9 +62,15 @@ class LatticeSpec:
     @classmethod
     def crr(cls, sigma: float, rate: float, horizon: float, n_steps: int) -> "LatticeSpec":
         """Standard calibration u = e^{sigma sqrt(h)}, d = 1/u, R = e^{r h}."""
+        if not (0.0 < horizon < math.inf and n_steps >= 1):
+            raise ValidationError("need 0 < horizon < inf and n_steps >= 1")
         h = horizon / n_steps
-        u = math.exp(sigma * math.sqrt(h))
-        return cls(u=u, d=1.0 / u, r_per=math.expm1(rate * h), n_steps=n_steps)
+        try:
+            u = math.exp(sigma * math.sqrt(h))
+            r_per = math.expm1(rate * h)
+        except OverflowError:
+            raise ValidationError("u = e^{sigma sqrt(h)} or R = e^{r h} overflows float64") from None
+        return cls(u=u, d=1.0 / u, r_per=r_per, n_steps=n_steps)
 
 
 SHANNON = dict(u=2.0, d=0.5, r_per=0.0)
@@ -103,9 +109,25 @@ def _check_terminal(spec: LatticeSpec, j) -> np.ndarray:
 
 
 def _best_rule(spec: LatticeSpec, jf: np.ndarray) -> np.ndarray:
-    """b(j, N) = R / (N (u - d)) * (j/q - (N - j)/(1 - q)) over float j."""
-    n, q = spec.n_steps, spec.q
-    return spec.gross_rate / (n * (spec.u - spec.d)) * (jf / q - (n - jf) / (1.0 - q))
+    """b(j, N) = R / (N (u - d)) * (j/q - (N - j)/(1 - q)) over float j.
+
+    Where N/q overflows (q subnormal) so can N (u - d); every j then takes the
+    same value as R / N * (j/(R - d) - (N - j)/((u - d)(1 - q))), by (u - d) q = R - d.
+    """
+    n, q, gross = spec.n_steps, spec.q, spec.gross_rate
+    if n / q < math.inf:
+        return gross / (n * (spec.u - spec.d)) * (jf / q - (n - jf) / (1.0 - q))
+    return gross / n * (jf / (gross - spec.d) - (n - jf) / ((spec.u - spec.d) * (1.0 - q)))
+
+
+def _xlogy_over_q(spec: LatticeSpec, jf: np.ndarray) -> np.ndarray:
+    """j log(j / q), 0 at j = 0; j (log j - log q) where j / q overflows (q subnormal)."""
+    q = spec.q
+    if spec.n_steps / q < math.inf:
+        return xlogy(jf, jf / q)
+    with np.errstate(over="ignore"):  # the overflowed entries are replaced
+        ratio = jf / q
+    return np.where(np.isinf(ratio), xlogy(jf, jf) - jf * math.log(q), xlogy(jf, ratio))
 
 
 def lattice_best_rule(spec: LatticeSpec, j: int) -> float:
@@ -116,7 +138,7 @@ def lattice_best_rule(spec: LatticeSpec, j: int) -> float:
 def _log_payoff(spec: LatticeSpec, jf: np.ndarray, mode: str) -> np.ndarray:
     """:func:`lattice_log_payoff` over float j already known to lie in [0, N]."""
     n, q, gross = spec.n_steps, spec.q, spec.gross_rate
-    levered = (n * math.log(gross / n) + xlogy(jf, jf / q)
+    levered = (n * math.log(gross / n) + _xlogy_over_q(spec, jf)
                + xlogy(n - jf, (n - jf) / (1.0 - q)))
     if mode == "levered":
         return levered

@@ -6,7 +6,10 @@ at the deterministic fraction V_T*/C(S_{t0}, t0) of the hindsight-optimal
 wealth.  On a discrete grid the capture error shrinks like the square root of
 the step size; :func:`hedge_path` builds the step-by-step ledger and
 :func:`run_growth_simulation` reproduces the long-horizon experiments where
-the account value tracks the quoted option price after a buy-in delay.
+the account value tracks the quoted option price after a buy-in delay.  Its
+growth summary comes from the warmup and expiry points of each path; the
+accounts at every grid point are computed on first access, by redrawing the
+same seeded blocks, with the same bits and for a second pass over the paths.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import datetime as dt
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
 
 import numpy as np
@@ -62,17 +66,18 @@ class SimulationConfig:
 
 @dataclass(frozen=True)
 class SimulationResult:
-    """The accounts of every path plus the growth summary of one scenario run.
+    """The growth summary of one scenario run, plus the accounts of every path.
 
-    ``wealth`` has shape (paths, grid points) and ``fractions`` has shape
-    (paths, grid points, n), with the final row zero (the account ends in
-    cash); ``times`` is the shared grid.
+    ``terminal_wealth`` and ``cagr`` come from the warmup and expiry points of
+    each path.  ``wealth`` has shape (paths, grid points) and ``fractions`` has
+    shape (paths, grid points, n), with the final row zero (the account ends in
+    cash); both are computed on first access by redrawing the same seeded
+    blocks, so their bits are those of the summary, and reading them costs a
+    second pass over the paths.  ``times`` is the shared grid.
     """
 
     config: SimulationConfig
     times: np.ndarray
-    wealth: np.ndarray
-    fractions: np.ndarray
     terminal_wealth: np.ndarray
     cagr: np.ndarray  # continuously compounded, log(W_T)/T per path
     kelly_fractions: np.ndarray
@@ -81,6 +86,18 @@ class SimulationResult:
     @property
     def mean_cagr(self) -> float:
         return float(np.mean(self.cagr))
+
+    @cached_property
+    def _accounts(self) -> tuple[np.ndarray, np.ndarray]:
+        return _growth_accounts(self.config)
+
+    @property
+    def wealth(self) -> np.ndarray:
+        return self._accounts[0]
+
+    @property
+    def fractions(self) -> np.ndarray:
+        return self._accounts[1]
 
 
 @dataclass(frozen=True)
@@ -184,6 +201,21 @@ def hedge_path(spec: MarketSpec, path: PricePath, t_start: float, T: float,
                        shares=shares, cash=cash)
 
 
+def _tracked(w_buy: np.ndarray, log_c: np.ndarray) -> np.ndarray:
+    """W = W_warmup exp(log C - log C_warmup), with log C from the warmup on per path."""
+    return w_buy[:, None] * np.exp(log_c - log_c[:, :1])
+
+
+def _growth_blocks(config: SimulationConfig):
+    """The grid, the warmup's index in it, and the seeded (first, prices) blocks of a run."""
+    steps = round(config.T * config.steps_per_year)
+    _check_path_args(config.T, steps, config.n_paths, "physical", config.seed)
+    times = np.linspace(0.0, config.T, steps + 1)
+    blocks = _price_blocks(config.spec, config.T, steps, config.n_paths, "physical",
+                           config.seed)
+    return times, _grid_index(times, config.warmup), blocks
+
+
 def run_growth_simulation(config: SimulationConfig) -> SimulationResult:
     """Long-horizon experiment: hold the market, then buy the levered option.
 
@@ -194,39 +226,48 @@ def run_growth_simulation(config: SimulationConfig) -> SimulationResult:
     The reported CAGR is continuously compounded and concentrates on the
     growth-optimal rate as T grows.
 
-    Paths are drawn and evaluated in blocks of a fixed path-step budget, so
-    memory beyond the result arrays stays bounded; path i equals path i of
-    ``simulate_paths``.  The result holds the accounts as arrays of shape
-    (n_paths, grid points[, n]).
+    Paths are drawn in blocks of a fixed path-step budget, so memory beyond
+    one value per path stays bounded; path i equals path i of
+    ``simulate_paths``.  The summary prices only the warmup and expiry points
+    of each path.  The result's ``wealth`` and ``fractions``, the accounts at
+    every grid point, are computed on first access by redrawing the same
+    seeded blocks: their bits are the same, and reading them costs a second
+    pass over the paths.
     """
     spec = config.spec
-    steps = round(config.T * config.steps_per_year)
-    _check_path_args(config.T, steps, config.n_paths, "physical", config.seed)
-    times = np.linspace(0.0, config.T, steps + 1)
-    i_buy = _grid_index(times, config.warmup)
-    after = times[i_buy:]
+    times, i_buy, blocks = _growth_blocks(config)
+    ends = [i_buy, len(times) - 1]
     basket_shares = (1.0 / spec.n) / spec.s0
     kelly, growth_rate = kelly_rule(spec)
 
-    wealth = np.empty((config.n_paths, steps + 1))
-    fractions = np.empty((config.n_paths, steps + 1, spec.n))
-    for first, prices in _price_blocks(spec, config.T, steps, config.n_paths,
-                                       "physical", config.seed):
+    terminal = np.empty(config.n_paths)
+    for first, prices in blocks:
+        slab = prices[:, ends]
+        log_c = _log_levered_of(spec, *_whitened(spec, slab, times[ends]), times[ends], config.T)
+        terminal[first:first + len(prices)] = _tracked(slab[:, 0] @ basket_shares, log_c)[:, -1]
+    cagr = np.log(terminal) / config.T
+    return SimulationResult(config=config, times=times, terminal_wealth=terminal, cagr=cagr,
+                            kelly_fractions=kelly.b, kelly_growth_rate=growth_rate)
+
+
+def _growth_accounts(config: SimulationConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Wealth and fractions of every path at every grid point, as arrays."""
+    spec = config.spec
+    times, i_buy, blocks = _growth_blocks(config)
+    after = times[i_buy:]
+    basket_shares = (1.0 / spec.n) / spec.s0
+    wealth = np.empty((config.n_paths, len(times)))
+    fractions = np.empty((config.n_paths, len(times), spec.n))
+    for first, prices in blocks:
         rows = slice(first, first + len(prices))
         w, f = wealth[rows], fractions[rows]
         w[:, :i_buy + 1] = prices[:, :i_buy + 1] @ basket_shares
         state = _whitened(spec, prices[:, i_buy:], after)
-        log_c = _log_levered_of(spec, *state, after, config.T)
-        w[:, i_buy:] = w[:, i_buy, None] * np.exp(log_c - log_c[:, :1])
+        w[:, i_buy:] = _tracked(w[:, i_buy], _log_levered_of(spec, *state, after, config.T))
         f[:, :i_buy] = basket_shares * prices[:, :i_buy] / w[:, :i_buy, None]
         f[:, i_buy:] = _fractions_of(spec, *state, after)
     fractions[:, -1] = 0.0  # the account is liquidated at T
-
-    terminal = wealth[:, -1].copy()
-    cagr = np.log(terminal) / config.T
-    return SimulationResult(config=config, times=times, wealth=wealth, fractions=fractions,
-                            terminal_wealth=terminal, cagr=cagr, kelly_fractions=kelly.b,
-                            kelly_growth_rate=growth_rate)
+    return wealth, fractions
 
 
 def discrete_backtest(table: PriceTable, b, rebalance_interval: int = 1,

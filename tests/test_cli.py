@@ -308,6 +308,21 @@ def test_lattice_subcommands(tmp_path, capsys):
             == format_demon_csv(demon_simulation(6, 0.5, 4)).encode("utf-8"))
 
 
+@pytest.mark.filterwarnings("error")
+def test_lattice_with_a_subnormal_q_prints_finite_values(capsys):
+    # q = 0.5 / 1e308 is subnormal, so j / q overflows although the payoff is a float64
+    tiny_q = ["lattice", "--N", "5", "--u", "1e308", "--d", "0.5"]
+    for argv, key, want in (
+            ([*tiny_q, "--what", "payoff", "--j", "1"], "payoff", 1.6384e307),  # (1/5)^5 (1/q) 4^4
+            ([*tiny_q, "--what", "payoff", "--j", "1", "--mode", "unlevered"], "payoff",
+             1.6384e307),  # b(1, 5) = 0.4: the levered payoff
+            ([*tiny_q, "--what", "price", "--k", "0", "--n", "0"], "price", 10970 / 5**5)):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        value = json.loads(out)[key]
+        assert math.isfinite(value) and value == pytest.approx(want, rel=1e-12)
+
+
 def test_backtest_subcommand(tmp_path, capsys):
     csv = tmp_path / "px.csv"
     csv.write_text("time,px\n0.0,100\n1.0,200\n2.0,100\n")
@@ -345,6 +360,13 @@ def test_simulate_and_hedge_small_runs(tmp_path, capsys):
     paths_csv = (tmp_path / "sim" / "paths.csv").read_text().splitlines()
     assert paths_csv[0] == "path,terminal_wealth,cagr"
     assert len(paths_csv) == 4
+
+    code, _, _ = run_cli(capsys, "simulate", "--scenario", "sim3", "--T", "20", "--warmup", "1",
+                         "--steps-per-year", "12", "--paths", "10000",
+                         "--out", str(tmp_path / "wide"))
+    assert code == 0
+    paths_csv = (tmp_path / "wide" / "paths.csv").read_text().splitlines()
+    assert len(paths_csv) == 1 + 10_000 and paths_csv[-1].startswith("9999,")
 
     code, out, _ = run_cli(capsys, "hedge", "--sigma", "0.3", "--r", "0.02",
                            "--mu", "0.07", "--t0", "1", "--T", "2",

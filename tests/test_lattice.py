@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import logsumexp
+from mpmath import mp, mpf
+from scipy.special import logsumexp, xlogy
 
 from hindsight_options import (
     LatticeSpec,
@@ -50,6 +51,13 @@ def test_spec_validation():
         LatticeSpec(u=1.1, d=-0.1, r_per=0.0, n_steps=4)
     with pytest.raises(ValidationError, match="u < inf"):
         LatticeSpec(u=math.inf, d=0.5, r_per=0.0, n_steps=4)  # q = 0
+    with pytest.raises(ValidationError, match="overflows"):
+        LatticeSpec.crr(sigma=1000.0, rate=0.0, horizon=1e6, n_steps=1)  # e^{1e6}
+    with pytest.raises(ValidationError, match="overflows"):
+        LatticeSpec.crr(sigma=0.2, rate=1000.0, horizon=1e6, n_steps=1)
+    for horizon, n_steps in ((-1.0, 3), (math.nan, 3), (1.0, 0)):
+        with pytest.raises(ValidationError, match="horizon"):
+            LatticeSpec.crr(sigma=0.2, rate=0.0, horizon=horizon, n_steps=n_steps)
     spec = shannon_spec(5)
     assert spec.q == pytest.approx(1.0 / 3.0)
     assert 0.0 < GENERIC.q < 1.0
@@ -132,6 +140,40 @@ def test_levered_payoff_depends_only_on_q_and_gross_rate(scale):
     for j in range(8):
         assert (lattice_payoff(other, j, "levered")
                 == pytest.approx(lattice_payoff(base, j, "levered"), rel=1e-10))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("u", [1e308, 4e307])
+def test_subnormal_q_gives_the_exact_payoffs_and_rules(u):
+    # q = 0.5 / (u - 0.5) is subnormal: j / q overflows for every j >= 1 at
+    # u = 1e308, and for j >= 3 only at u = 4e307, where j <= 2 keeps the
+    # xlogy(j, j / q) bits.  Against 50-digit arithmetic with the exact q.
+    spec = LatticeSpec(u=u, d=0.5, r_per=0.0, n_steps=5)
+    n = 5
+    j = np.arange(n + 1, dtype=float)
+    log_payoff = lattice.lattice_log_payoff(spec, j)
+    rules = _best_rule(spec, j)
+
+    def xlog(a, b):
+        return a * mp.log(a / b) if a else 0
+
+    with mp.workdps(50):
+        q = mpf(0.5) / (mpf(u) - mpf(0.5))
+        for k in range(n + 1):
+            want = n * mp.log(mpf(1) / n) + xlog(k, q) + xlog(n - k, 1 - q)
+            assert float(log_payoff[k]) == pytest.approx(float(want), rel=1e-14)
+            rule = (k - n * q) / (n * mpf(0.5) * (1 - q))  # R (j - Nq) / (N (R - d) (1 - q))
+            assert rules[k] == pytest.approx(float(rule), rel=1e-14)
+    if u == 4e307:
+        with np.errstate(all="ignore"):
+            assert log_payoff[1] == n * math.log(1.0 / n) + xlogy(1.0, 1.0 / spec.q) + xlogy(
+                4.0, 4.0 / (1.0 - spec.q))
+    unlevered = lattice.lattice_log_payoff(spec, j, "unlevered")
+    np.testing.assert_array_equal(unlevered[1:3], log_payoff[1:3])  # b = 0.4, 0.8
+    assert unlevered[0] == 0.0  # cash
+    np.testing.assert_allclose(unlevered[3:], j[3:] * math.log(u) + (n - j[3:]) * math.log(0.5),
+                               rtol=1e-15)  # hold
+    assert lattice_price(spec, LatticeState(0, 0)) == pytest.approx(10970 / 5**5, rel=1e-12)
 
 
 def test_terminal_state_price_is_the_payoff():

@@ -2,6 +2,7 @@
 
 import datetime as dt
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from hindsight_options.replication import PriceTable, format_ledger_csv
 from hindsight_options.errors import ValidationError
 from hindsight_options import hindsight, market, replication
 from hindsight_options.hindsight import _fractions, _log_levered
-from hindsight_options.market import _BLOCK_PATH_STEPS, cholesky_with_tolerance
+from hindsight_options.market import _BLOCK_PATH_STEPS, _STREAM_PATHS, cholesky_with_tolerance
 from unlevered_reference import mp_unlevered_fraction
 
 SPEC = MarketSpec.single(mu=0.07, sigma=0.3, rate=0.02, s0=1.0)
@@ -375,9 +376,39 @@ def test_growth_simulation_equals_the_per_path_loop(name):
     np.testing.assert_array_equal(result.cagr, np.log(terminal) / 30.0)
 
 
+THREE_ASSETS = MarketSpec(n=3, mu=[0.05, 0.08, 0.11], sigma=[0.3, 0.45, 0.6],
+                          corr=[[1.0, 0.3, -0.2], [0.3, 1.0, 0.4], [-0.2, 0.4, 1.0]],
+                          rate=0.02, s0=[1.0, 2.5, 0.7])
+
+
+@pytest.mark.parametrize("config", [
+    scenario_config("sim1", T=4.0, warmup=1.0, n_paths=1100, seed=41),
+    scenario_config("sim2", T=4.0, warmup=1.0, n_paths=1100, seed=42),
+    scenario_config("sim3", T=4.0, warmup=1.0, n_paths=1100, seed=43),
+    SimulationConfig(spec=THREE_ASSETS, T=3.0, warmup=0.5, steps_per_year=24,
+                     n_paths=1100, seed=44),
+], ids=["sim1", "sim2", "sim3", "three-assets"])
+def test_growth_summary_equals_the_accounts_bit_for_bit(config):
+    # The summary prices the warmup and expiry points alone, with a 2-D mat-vec
+    # for the basket; the accounts price every point, with a stacked one.  Past
+    # path 1024 (a stream boundary) and over several blocks both give the bits
+    # of the per-path loop.
+    steps = round(config.T * config.steps_per_year)
+    assert config.n_paths > _STREAM_PATHS and config.n_paths > _BLOCK_PATH_STEPS // steps
+    result = run_growth_simulation(config)
+    terminal = np.array([wealth[-1] for _, wealth, _ in reference_growth_accounts(config)])
+    np.testing.assert_array_equal(result.terminal_wealth, terminal)
+    np.testing.assert_array_equal(result.cagr, np.log(terminal) / config.T)
+    np.testing.assert_array_equal(result.wealth[:, -1], terminal)
+    np.testing.assert_array_equal(result.cagr, np.log(result.wealth[:, -1]) / config.T)
+
+
 @pytest.mark.parametrize("name", ["sim1", "sim3"])
 def test_growth_simulation_whitens_each_block_once(name, monkeypatch):
-    # one whitening per block feeds log C and b(S, t), with the bits of the two evaluated apart
+    # The summary whitens one (paths, 2, n) slab of warmup and expiry states
+    # per block.  Reading the accounts redraws the blocks and whitens each once
+    # from the warmup on; that one whitening feeds log C and b(S, t), with the
+    # bits of the two evaluated apart.
     steps = 360
     n_paths = _BLOCK_PATH_STEPS // steps + 3  # two blocks of paths
     config = scenario_config(name, T=30.0, n_paths=n_paths, seed=31)
@@ -391,21 +422,39 @@ def test_growth_simulation_whitens_each_block_once(name, monkeypatch):
     whiten = hindsight._whiten
     monkeypatch.setattr(hindsight, "_whiten", counting_whiten)
     result = run_growth_simulation(config)
+    summary_shapes = [shape for shape in whitened if len(shape) == 3]
+    whitened.clear()
+    wealth, fractions = result.wealth, result.fractions
+    assert result.wealth is wealth  # computed once, on first access
+    account_shapes = [shape for shape in whitened if len(shape) == 3]
     monkeypatch.undo()
     times = result.times
     i_buy = round(config.warmup * config.steps_per_year)
     blocks = list(market._price_blocks(spec, config.T, steps, n_paths, "physical", config.seed))
     assert len(blocks) == 2
-    assert [shape for shape in whitened if len(shape) == 3] == [
-        (len(prices), steps + 1 - i_buy, spec.n) for _, prices in blocks]
+    assert summary_shapes == [(len(prices), 2, spec.n) for _, prices in blocks]
+    assert account_shapes == [(len(prices), steps + 1 - i_buy, spec.n) for _, prices in blocks]
     for first, prices in blocks:
         rows = slice(first, first + len(prices))
-        wealth, fractions = result.wealth[rows], result.fractions[rows]
         log_c = _log_levered(spec, prices[:, i_buy:], times[i_buy:], config.T)
         np.testing.assert_array_equal(
-            wealth[:, i_buy:], wealth[:, i_buy, None] * np.exp(log_c - log_c[:, :1]))
-        np.testing.assert_array_equal(fractions[:, i_buy:-1],
+            wealth[rows, i_buy:], wealth[rows, i_buy, None] * np.exp(log_c - log_c[:, :1]))
+        np.testing.assert_array_equal(fractions[rows, i_buy:-1],
                                       _fractions(spec, prices[:, i_buy:-1], times[i_buy:-1]))
+
+
+def test_growth_summary_at_1e4_paths_stays_small():
+    # the summary keeps one value per path and one block of prices at a time
+    config = scenario_config("sim3", T=20.0, warmup=1.0, steps_per_year=12, n_paths=10_000)
+    tracemalloc.start()
+    try:
+        result = run_growth_simulation(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert result.terminal_wealth.shape == result.cagr.shape == (10_000,)
+    assert np.all(np.isfinite(result.cagr))
 
 
 def test_growth_simulation_cagr_concentrates_near_kelly():
