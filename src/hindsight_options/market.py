@@ -226,9 +226,14 @@ def _check_path_args(horizon: float, steps: int, n_paths: int, measure: str,
         raise ValidationError("seed must be nonnegative")
 
 
-def _price_blocks(spec: MarketSpec, horizon: float, steps: int, n_paths: int,
+def _price_blocks(spec: MarketSpec, dt: float | np.ndarray, steps: int, n_paths: int,
                   measure: str, seed: int) -> Iterator[tuple[int, np.ndarray]]:
     """Draw paths block by block for a validated spec and checked arguments.
+
+    ``dt`` is the length of every step, a float on a uniform grid, or an
+    array of shape (steps, 1) holding the length of each; it broadcasts over
+    the steps, so a uniform grid forms no per-step array.  Each step is the
+    exact lognormal transition over its length.
 
     Yields ``(first, prices)`` where ``prices`` holds paths ``first, first + 1,
     ...`` with shape (paths in block, steps + 1, n).  A block holds at most
@@ -239,10 +244,11 @@ def _price_blocks(spec: MarketSpec, horizon: float, steps: int, n_paths: int,
     on ``n_paths`` or on the block it lands in, and path 0 draws what a
     one-path stream ``SeedSequence((seed, 0))`` does.
     """
-    dt = horizon / steps
     growth = spec.mu if measure == "physical" else np.full(spec.n, spec.rate)
-    drift = (growth - 0.5 * spec.sigma**2) * dt
-    vol = spec.sigma * math.sqrt(dt)
+    # A log-price beyond float64 gives a price of 0, inf or nan, refused below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        drift = (growth - 0.5 * spec.sigma**2) * dt
+        vol = spec.sigma * np.sqrt(dt)
     log_s0 = np.log(spec.s0)
     block = max(1, _BLOCK_PATH_STEPS // steps)
 
@@ -262,13 +268,14 @@ def _price_blocks(spec: MarketSpec, horizon: float, steps: int, n_paths: int,
         # A stacked matmul multiplies each path's draws on its own, exactly as
         # a per-path product would, so blocking leaves every value unchanged.
         eps = eps @ spec.lower.T
-        eps *= vol
-        eps += drift
-        np.cumsum(eps, axis=1, out=eps)
-        eps += log_s0
         prices = np.empty((stop - first, steps + 1, spec.n))
         prices[:, 0] = spec.s0
-        np.exp(eps, out=prices[:, 1:])
+        with np.errstate(over="ignore", invalid="ignore"):
+            eps *= vol
+            eps += drift
+            np.cumsum(eps, axis=1, out=eps)
+            eps += log_s0
+            np.exp(eps, out=prices[:, 1:])
         if np.any(prices <= 0) or not np.all(np.isfinite(prices)):
             raise ValidationError("simulated prices must be strictly positive and finite")
         yield first, prices
@@ -298,7 +305,8 @@ def simulate_paths(spec: MarketSpec, horizon: float, steps: int, n_paths: int,
     if np.any(np.diff(times) <= 0):
         raise ValidationError("time grid must start at 0 and strictly increase")
     return [PricePath._checked(times, prices)
-            for _, block in _price_blocks(spec, horizon, steps, n_paths, measure, seed)
+            for _, block in _price_blocks(spec, horizon / steps, steps, n_paths, measure,
+                                          seed)
             for prices in block]
 
 

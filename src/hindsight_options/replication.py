@@ -6,10 +6,10 @@ at the deterministic fraction V_T*/C(S_{t0}, t0) of the hindsight-optimal
 wealth.  On a discrete grid the capture error shrinks like the square root of
 the step size; :func:`hedge_path` builds the step-by-step ledger and
 :func:`run_growth_simulation` reproduces the long-horizon experiments where
-the account value tracks the quoted option price after a buy-in delay.  Its
-growth summary comes from the warmup and expiry points of each path; the
-accounts at every grid point are computed on first access, by redrawing the
-same seeded blocks, with the same bits and for a second pass over the paths.
+the account value tracks the quoted option price after a buy-in delay.  A
+growth run draws two exact increments per path, to the warmup and on to
+expiry, since its summary reads S at those two points alone; it keeps no
+accounts, and growth path i is not path i of ``simulate_paths``.
 """
 
 from __future__ import annotations
@@ -17,15 +17,13 @@ from __future__ import annotations
 import datetime as dt
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import repeat
 
 import numpy as np
 
 from ._table import csv_table
 from .errors import ValidationError
-from .hindsight import (_check_mode, _fractions, _fractions_of, _log_levered_of, _representable,
-                        _whitened, kelly_rule)
+from .hindsight import _check_mode, _fractions, _log_levered, _representable, kelly_rule
 from .market import MarketSpec, PricePath, _check_path_args, _price_blocks
 from .pricing import _unlevered_fractions
 
@@ -66,18 +64,9 @@ class SimulationConfig:
 
 @dataclass(frozen=True)
 class SimulationResult:
-    """The growth summary of one scenario run, plus the accounts of every path.
-
-    ``terminal_wealth`` and ``cagr`` come from the warmup and expiry points of
-    each path.  ``wealth`` has shape (paths, grid points) and ``fractions`` has
-    shape (paths, grid points, n), with the final row zero (the account ends in
-    cash); both are computed on first access by redrawing the same seeded
-    blocks, so their bits are those of the summary, and reading them costs a
-    second pass over the paths.  ``times`` is the shared grid.
-    """
+    """The growth summary of one scenario run: one terminal wealth and CAGR per path."""
 
     config: SimulationConfig
-    times: np.ndarray
     terminal_wealth: np.ndarray
     cagr: np.ndarray  # continuously compounded, log(W_T)/T per path
     kelly_fractions: np.ndarray
@@ -86,18 +75,6 @@ class SimulationResult:
     @property
     def mean_cagr(self) -> float:
         return float(np.mean(self.cagr))
-
-    @cached_property
-    def _accounts(self) -> tuple[np.ndarray, np.ndarray]:
-        return _growth_accounts(self.config)
-
-    @property
-    def wealth(self) -> np.ndarray:
-        return self._accounts[0]
-
-    @property
-    def fractions(self) -> np.ndarray:
-        return self._accounts[1]
 
 
 @dataclass(frozen=True)
@@ -161,7 +138,8 @@ def hedge_path(spec: MarketSpec, path: PricePath, t_start: float, T: float,
     delta of the unlevered price P in log space, so it stays finite on states
     whose price overflows.  A fraction f for which 1 - f rounds to 1 is held
     as zero, and so is the expired point t = T.  A levered fraction that
-    overflows float64 before T raises :class:`ValidationError`.  The hedge
+    overflows float64 before T raises :class:`ValidationError`, and so does
+    a wealth that does (a bond growth e^{r dt} beyond float64, say).  The hedge
     trades on the path's own grid; t_start and T must be grid points.
     """
     if t_start <= 0:
@@ -187,12 +165,15 @@ def hedge_path(spec: MarketSpec, path: PricePath, t_start: float, T: float,
         fractions[live, 0] = np.where(1.0 - held == 1.0, 0.0, held)
     fractions[-1] = 0.0  # the expiry row is never traded, whatever its fraction was
     rel = prices[1:] / prices[:-1] - 1.0
-    growth = np.exp(spec.rate * np.diff(times)) - 1.0
-    risky = np.sum(fractions[:-1] * rel, axis=1)
-    bond = (1.0 - np.sum(fractions[:-1], axis=1)) * growth
     wealth = np.empty(len(times))
     wealth[0] = 1.0
-    wealth[1:] = np.cumprod(1.0 + risky + bond)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite wealth is refused below
+        growth = np.exp(spec.rate * np.diff(times)) - 1.0
+        risky = np.sum(fractions[:-1] * rel, axis=1)
+        bond = (1.0 - np.sum(fractions[:-1], axis=1)) * growth
+        wealth[1:] = np.cumprod(1.0 + risky + bond)
+    if not np.all(np.isfinite(wealth)):
+        raise ValidationError("hedge wealth is not representable in float64")
     shares = fractions * wealth[:, None] / prices
     cash = wealth * (1.0 - np.sum(fractions, axis=1))
     shares[-1] = 0.0
@@ -206,14 +187,23 @@ def _tracked(w_buy: np.ndarray, log_c: np.ndarray) -> np.ndarray:
     return w_buy[:, None] * np.exp(log_c - log_c[:, :1])
 
 
-def _growth_blocks(config: SimulationConfig):
-    """The grid, the warmup's index in it, and the seeded (first, prices) blocks of a run."""
-    steps = round(config.T * config.steps_per_year)
+def _warmup_time(config: SimulationConfig) -> float:
+    """The grid time of the warmup: i (T / steps), where the grid would place point i.
+
+    The grid itself is never built.  Its point i is the time np.linspace(0, T,
+    steps + 1) gives, and the warmup must lie on it within the hedge's grid
+    tolerance.
+    """
+    try:
+        steps = round(config.T * config.steps_per_year)
+    except OverflowError:
+        raise ValidationError("T * steps_per_year must be finite") from None
     _check_path_args(config.T, steps, config.n_paths, "physical", config.seed)
-    times = np.linspace(0.0, config.T, steps + 1)
-    blocks = _price_blocks(config.spec, config.T, steps, config.n_paths, "physical",
-                           config.seed)
-    return times, _grid_index(times, config.warmup), blocks
+    i_buy = round(config.warmup * config.steps_per_year)
+    t_buy = config.T if i_buy == steps else i_buy * (config.T / steps)  # linspace ends at T
+    if not abs(t_buy - config.warmup) <= _GRID_TOL * max(1.0, config.warmup):
+        raise ValidationError(f"time {config.warmup} is not a grid point of the path")
+    return t_buy
 
 
 def run_growth_simulation(config: SimulationConfig) -> SimulationResult:
@@ -226,48 +216,29 @@ def run_growth_simulation(config: SimulationConfig) -> SimulationResult:
     The reported CAGR is continuously compounded and concentrates on the
     growth-optimal rate as T grows.
 
-    Paths are drawn in blocks of a fixed path-step budget, so memory beyond
-    one value per path stays bounded; path i equals path i of
-    ``simulate_paths``.  The summary prices only the warmup and expiry points
-    of each path.  The result's ``wealth`` and ``fractions``, the accounts at
-    every grid point, are computed on first access by redrawing the same
-    seeded blocks: their bits are the same, and reading them costs a second
-    pass over the paths.
+    Only S at the warmup and at T enter W_T, and their joint law is exactly
+    lognormal, so each path draws two increments, over [0, t_w] and
+    [t_w, T], with t_w the warmup's point on the grid of ``steps_per_year``
+    (which is checked, never built).  The run keeps one value per path and
+    no accounts.  Path i draws from the stream of path i of
+    ``simulate_paths``, but two normals per asset instead of one per grid
+    step, so growth path i is not ``simulate_paths`` path i.
     """
     spec = config.spec
-    times, i_buy, blocks = _growth_blocks(config)
-    ends = [i_buy, len(times) - 1]
+    t_buy = _warmup_time(config)
+    ends = np.array([t_buy, config.T])
     basket_shares = (1.0 / spec.n) / spec.s0
     kelly, growth_rate = kelly_rule(spec)
 
     terminal = np.empty(config.n_paths)
-    for first, prices in blocks:
-        slab = prices[:, ends]
-        log_c = _log_levered_of(spec, *_whitened(spec, slab, times[ends]), times[ends], config.T)
+    for first, prices in _price_blocks(spec, np.diff(ends, prepend=0.0)[:, None], 2,
+                                       config.n_paths, "physical", config.seed):
+        slab = prices[:, 1:]
+        log_c = _log_levered(spec, slab, ends, config.T)
         terminal[first:first + len(prices)] = _tracked(slab[:, 0] @ basket_shares, log_c)[:, -1]
     cagr = np.log(terminal) / config.T
-    return SimulationResult(config=config, times=times, terminal_wealth=terminal, cagr=cagr,
+    return SimulationResult(config=config, terminal_wealth=terminal, cagr=cagr,
                             kelly_fractions=kelly.b, kelly_growth_rate=growth_rate)
-
-
-def _growth_accounts(config: SimulationConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Wealth and fractions of every path at every grid point, as arrays."""
-    spec = config.spec
-    times, i_buy, blocks = _growth_blocks(config)
-    after = times[i_buy:]
-    basket_shares = (1.0 / spec.n) / spec.s0
-    wealth = np.empty((config.n_paths, len(times)))
-    fractions = np.empty((config.n_paths, len(times), spec.n))
-    for first, prices in blocks:
-        rows = slice(first, first + len(prices))
-        w, f = wealth[rows], fractions[rows]
-        w[:, :i_buy + 1] = prices[:, :i_buy + 1] @ basket_shares
-        state = _whitened(spec, prices[:, i_buy:], after)
-        w[:, i_buy:] = _tracked(w[:, i_buy], _log_levered_of(spec, *state, after, config.T))
-        f[:, :i_buy] = basket_shares * prices[:, :i_buy] / w[:, :i_buy, None]
-        f[:, i_buy:] = _fractions_of(spec, *state, after)
-    fractions[:, -1] = 0.0  # the account is liquidated at T
-    return wealth, fractions
 
 
 def discrete_backtest(table: PriceTable, b, rebalance_interval: int = 1,

@@ -197,7 +197,10 @@ def test_unrepresentable_or_nonfinite_quotes_exit_3(capsys):
                     "--t", "1e-300", "--T", "2"] for mode in ("levered", "unlevered")),
                  # z / (sigma sqrt(t)): the hedge's first fraction overflows
                  ["hedge", "--sigma", "1e-160", "--mu", "0.05", "--t0", "0.5", "--T", "1",
-                  "--steps", "4", "--seed", "1"]):
+                  "--steps", "4", "--seed", "1"],
+                 # e^{r dt} overflows: the hedge's wealth is not a float64
+                 ["hedge", "--r", "1e300", "--mu", "0", "--sigma", "0.2", "--t0", "0.5",
+                  "--T", "1", "--steps", "4", "--seed", "1"]):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (3, "")
         assert err.startswith("error: ") and "Traceback" not in err
@@ -377,6 +380,33 @@ def test_simulate_and_hedge_small_runs(tmp_path, capsys):
     path = simulate_paths(spec, 2.0, 400, 1, seed=11)[0]
     assert ((tmp_path / "hedge" / "ledger.csv").read_bytes()
             == format_ledger_csv(hedge_path(spec, path, 1.0, 2.0)).encode("utf-8"))
+
+
+def test_simulate_builds_no_grid(tmp_path, capsys):
+    # a grid of 2e14 steps would not fit in memory; the run prices two points per path
+    code, _, err = run_cli(capsys, "simulate", "--scenario", "sim1", "--T", "200",
+                           "--warmup", "5", "--steps-per-year", "1000000000000",
+                           "--paths", "2", "--out", str(tmp_path / "fine"))
+    assert (code, err) == (0, "")
+    assert len((tmp_path / "fine" / "paths.csv").read_text().splitlines()) == 3
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_paths_and_hedges_exit_3_with_one_line(tmp_path, capsys):
+    spec = tmp_path / "fast.cfg"
+    save_market_spec(MarketSpec.single(mu=50.0, sigma=0.2, rate=0.0), str(spec))
+    for argv in (["simulate", "--scenario", "custom", "--config", str(spec), "--T", "20",
+                  "--warmup", "1", "--steps-per-year", "1", "--paths", "2"],
+                 ["hedge", "--mu", "50", "--sigma", "0.2", "--r", "0", "--t0", "1", "--T", "20",
+                  "--steps", "4", "--seed", "1"],
+                 # the drift product mu dt overflows before the exp does
+                 ["hedge", "--mu", "1e308", "--sigma", "0.2", "--r", "0", "--t0", "1", "--T", "20",
+                  "--steps", "4", "--seed", "1"],
+                 ["hedge", "--r", "1e300", "--mu", "0", "--sigma", "0.2", "--t0", "0.5",
+                  "--T", "1", "--steps", "4", "--seed", "1"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 def test_verify_subcommand_passes(capsys):

@@ -18,7 +18,7 @@ from hindsight_options import (
     validate_market,
 )
 from hindsight_options.errors import ValidationError
-from hindsight_options.market import (_BLOCK_PATH_STEPS, _STREAM_PATHS,
+from hindsight_options.market import (_BLOCK_PATH_STEPS, _STREAM_PATHS, _price_blocks,
                                       cholesky_with_tolerance)
 
 CORR3 = [[1.0, 0.3, -0.2], [0.3, 1.0, 0.5], [-0.2, 0.5, 1.0]]
@@ -286,6 +286,31 @@ def test_path_zero_draws_the_one_path_stream():
         log_steps = (spec.mu - 0.5 * spec.sigma**2) * dt + spec.sigma * math.sqrt(dt) * eps
         np.testing.assert_array_equal(
             got.prices[1:], np.exp(np.log(spec.s0) + np.cumsum(log_steps, axis=0)))
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_price_blocks_take_one_length_per_step(n):
+    # A (steps, 1) array of equal lengths gives the bits of the one uniform
+    # length; uneven lengths give each step its own exact transition.
+    spec = SPECS_BY_N[n]
+    uniform = np.concatenate([b for _, b in _price_blocks(spec, 0.25, 8, 40, "physical", 3)])
+    each = np.concatenate([b for _, b in _price_blocks(spec, np.full((8, 1), 0.25), 8, 40,
+                                                       "physical", 3)])
+    np.testing.assert_array_equal(each, uniform)
+    dt = np.array([[2.5], [0.5], [7.0]])
+    (_, got), = _price_blocks(spec, dt, 3, 1, "risk_neutral", 5)
+    rng = np.random.default_rng(np.random.SeedSequence((5, 0)))
+    eps = rng.standard_normal((3, spec.n)) @ spec.lower.T
+    log_steps = (spec.rate - 0.5 * spec.sigma**2) * dt + spec.sigma * np.sqrt(dt) * eps
+    np.testing.assert_array_equal(got[0, 1:],
+                                  np.exp(np.log(spec.s0) + np.cumsum(log_steps, axis=0)))
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowed_prices_are_refused_without_a_warning():
+    spec = MarketSpec.single(mu=50.0, sigma=0.2, rate=0.0)
+    with pytest.raises(ValidationError, match="simulated prices"):
+        simulate_paths(spec, 20.0, 4, 2, seed=1)
 
 
 def test_path_index_stream_independent_of_n_paths():

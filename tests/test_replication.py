@@ -3,6 +3,7 @@
 import datetime as dt
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ from hindsight_options.replication import PriceTable, format_ledger_csv
 from hindsight_options.errors import ValidationError
 from hindsight_options import hindsight, market, replication
 from hindsight_options.hindsight import _fractions, _log_levered
-from hindsight_options.market import _BLOCK_PATH_STEPS, _STREAM_PATHS, cholesky_with_tolerance
+from hindsight_options.market import _STREAM_PATHS, cholesky_with_tolerance, covariance
 from unlevered_reference import mp_unlevered_fraction
 
 SPEC = MarketSpec.single(mu=0.07, sigma=0.3, rate=0.02, s0=1.0)
@@ -287,6 +288,13 @@ def test_hedge_path_domain_errors():
     ledger = hedge_path(MarketSpec.single(0.0, 0.1, 0.0), deep, 1.0, 2.0, mode="unlevered")
     np.testing.assert_array_equal(ledger.fractions[:-1], 1.0)
     assert ledger.wealth[-1] == pytest.approx(math.exp(20.0), rel=1e-12)
+    # e^{r dt} - 1 overflows: the bond growth, and so the wealth, is not a float64
+    huge_rate = MarketSpec.single(mu=0.0, sigma=0.2, rate=1e300)
+    path = simulate_paths(huge_rate, 1.0, 4, 1, seed=1)[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="hedge wealth"):
+            hedge_path(huge_rate, path, 0.5, 1.0)
 
 
 def test_growth_simulation_matches_scenario_kellys():
@@ -299,81 +307,88 @@ def test_growth_simulation_matches_scenario_kellys():
         assert result.kelly_growth_rate == pytest.approx(rate, abs=1e-3)
 
 
+def growth_accounts(spec, path, warmup, T):
+    """The growth account along a path: the basket until the warmup, then W_w C / C_w."""
+    i_buy = int(np.searchsorted(path.times, warmup))
+    times, prices = path.times, path.prices
+    basket_shares = (1.0 / spec.n) / spec.s0
+    wealth = np.empty(len(times))
+    wealth[:i_buy + 1] = prices[:i_buy + 1] @ basket_shares
+    log_c = _log_levered(spec, prices[i_buy:], times[i_buy:], T)
+    wealth[i_buy:] = replication._tracked(wealth[i_buy:i_buy + 1], log_c[None])[0]
+    return i_buy, wealth
+
+
 def test_growth_simulation_wealth_tracks_stock_then_price():
-    config = scenario_config("sim1", T=30.0, n_paths=2, seed=5)
-    result = run_growth_simulation(config)
-    spec = config.spec
-    paths = simulate_paths(spec, 30.0, 360, 2, measure="physical", seed=5)
-    for wealth, path in zip(result.wealth, paths):
-        i5 = int(np.searchsorted(path.times, 5.0))
+    # the tracking formula the growth run applies at its two points, applied
+    # along whole simulate_paths paths: the stock, then W_w C(S_t, t) / C(S_w, w)
+    spec = scenario_spec("sim1")
+    for path in simulate_paths(spec, 30.0, 360, 2, measure="physical", seed=5):
+        i5, wealth = growth_accounts(spec, path, 5.0, 30.0)
         np.testing.assert_allclose(wealth[:i5 + 1], path.prices[:i5 + 1, 0], rtol=1e-12)
-        k = i5 + 120
-        expected = path.prices[i5, 0] * math.exp(
-            log_price_levered(spec, path.prices[k], path.times[k], 30.0)
-            - log_price_levered(spec, path.prices[i5], 5.0, 30.0))
-        assert wealth[k] == pytest.approx(expected, rel=1e-12)
-        assert result.terminal_wealth[0] == result.wealth[0][-1]
-        assert result.cagr[0] == pytest.approx(math.log(result.terminal_wealth[0]) / 30.0)
+        for k in (i5 + 120, len(wealth) - 1):
+            expected = path.prices[i5, 0] * math.exp(
+                log_price_levered(spec, path.prices[k], path.times[k], 30.0)
+                - log_price_levered(spec, path.prices[i5], 5.0, 30.0))
+            assert wealth[k] == pytest.approx(expected, rel=1e-12)
 
 
 def test_growth_simulation_agrees_with_an_explicit_hedge():
     # price tracking and a self-financing delta hedge are the same account up
     # to discretization error, which accumulates in the log over the horizon
-    config = scenario_config("sim2", T=10.0, steps_per_year=384, n_paths=3, seed=9)
-    result = run_growth_simulation(config)
-    spec = config.spec
-    paths = simulate_paths(spec, 10.0, 3840, 3, measure="physical", seed=9)
-    for wealth, path in zip(result.wealth, paths):
-        i5 = int(np.searchsorted(path.times, 5.0))
+    spec = scenario_spec("sim2")
+    for path in simulate_paths(spec, 10.0, 3840, 3, measure="physical", seed=9):
+        i5, wealth = growth_accounts(spec, path, 5.0, 10.0)
         hedged = hedge_path(spec, path, 5.0, 10.0)
-        tracked = wealth[i5:] / wealth[i5]
-        assert abs(math.log(hedged.wealth[-1] / tracked[-1])) < 0.2
+        assert abs(math.log(hedged.wealth[-1] / (wealth[-1] / wealth[i5]))) < 0.2
 
 
 def reference_growth_accounts(config):
-    """Path-by-path growth accounts: (times, wealth, fractions) per path."""
+    """Each path's account at the warmup and at T, path by path.
+
+    Path i draws row i % 1024 of the stream (seed, i // 1024): two normals per
+    asset, the exact lognormal increments over [0, t_w] and [t_w, T], with t_w
+    the warmup's point of the grid np.linspace gives.
+    """
     spec = config.spec
     steps = round(config.T * config.steps_per_year)
     i_buy = round(config.warmup * config.steps_per_year)
+    t = np.array([np.linspace(0.0, config.T, steps + 1)[i_buy], config.T])
+    dt = np.diff(t, prepend=0.0)[:, None]
+    drift = (spec.mu - 0.5 * spec.sigma**2) * dt
+    vol = spec.sigma * np.sqrt(dt)
     lower = cholesky_with_tolerance(spec.corr)
     basket_shares = (1.0 / spec.n) / spec.s0
-    accounts = []
-    for path in simulate_paths(spec, config.T, steps, config.n_paths, seed=config.seed):
-        times, prices = path.times, path.prices
-        t, s = times[i_buy:], prices[i_buy:]
+    accounts = np.empty((config.n_paths, 2))
+    for i in range(config.n_paths):
+        chunk, row = divmod(i, _STREAM_PATHS)
+        if row == 0:
+            rng = np.random.default_rng(np.random.SeedSequence((config.seed, chunk)))
+            draws = rng.standard_normal((min(_STREAM_PATHS, config.n_paths - i), 2, spec.n))
+        s = np.exp(np.log(spec.s0) + np.cumsum(drift + vol * (draws[row] @ lower.T), axis=0))
         z = ((np.log(s / spec.s0) - (spec.rate - 0.5 * spec.sigma**2) * t[:, None])
              / (spec.sigma * np.sqrt(t)[:, None]))
         w = solve_triangular(lower, z.T, lower=True)
-        log_c = (0.5 * spec.n * np.log(config.T / t) + spec.rate * t
-                 + 0.5 * np.sum(w * w, axis=0))
-        y = solve_triangular(lower.T, w, lower=False)
-
-        wealth = np.empty(len(times))
-        wealth[:i_buy + 1] = prices[:i_buy + 1] @ basket_shares
-        wealth[i_buy:] = wealth[i_buy] * np.exp(log_c - log_c[0])
-        fractions = np.empty((len(times), spec.n))
-        fractions[:i_buy] = basket_shares * prices[:i_buy] / wealth[:i_buy, None]
-        fractions[i_buy:] = (y / spec.sigma[:, None]).T / np.sqrt(t)[:, None]
-        fractions[-1] = 0.0
-        accounts.append((times, wealth, fractions))
+        log_c = 0.5 * spec.n * np.log(config.T / t) + spec.rate * t + 0.5 * np.sum(w * w, axis=0)
+        accounts[i, 0] = (s @ basket_shares)[0]  # a mat-vec, as the run's basket is
+        accounts[i, 1] = accounts[i, 0] * np.exp(log_c[1] - log_c[0])
     return accounts
 
 
 @pytest.mark.parametrize("name", ["sim1", "sim2", "sim3"])
-def test_growth_simulation_equals_the_per_path_loop(name):
-    steps = 360
-    n_paths = _BLOCK_PATH_STEPS // steps + 3  # more than one block of paths
-    config = scenario_config(name, T=30.0, n_paths=n_paths, seed=23)
+def test_growth_simulation_equals_the_per_path_loop(name, monkeypatch):
+    # Each path is priced on its own: blocks of 400 paths (the last one
+    # straddling the stream boundary at path 1024) give the bits of the
+    # per-path loop, and path i does not depend on n_paths or on its block.
+    config = scenario_config(name, T=30.0, n_paths=1100, seed=23)
+    whole = run_growth_simulation(scenario_config(name, T=30.0, n_paths=3000, seed=23))
+    monkeypatch.setattr(market, "_BLOCK_PATH_STEPS", 2 * 400)
     result = run_growth_simulation(config)
-    want = reference_growth_accounts(config)
-    assert len(result.wealth) == len(result.fractions) == n_paths
-    for p, (times, wealth, fractions) in enumerate(want):
-        np.testing.assert_array_equal(result.times, times)
-        np.testing.assert_array_equal(result.wealth[p], wealth)
-        np.testing.assert_array_equal(result.fractions[p], fractions)
-    terminal = np.array([account[1][-1] for account in want])
-    np.testing.assert_array_equal(result.terminal_wealth, terminal)
-    np.testing.assert_array_equal(result.cagr, np.log(terminal) / 30.0)
+    want = reference_growth_accounts(config)[:, 1]
+    np.testing.assert_array_equal(result.terminal_wealth, want)
+    np.testing.assert_array_equal(result.cagr, np.log(want) / 30.0)
+    np.testing.assert_array_equal(whole.terminal_wealth[:1100], result.terminal_wealth)
+    np.testing.assert_array_equal(whole.cagr[:1100], result.cagr)
 
 
 THREE_ASSETS = MarketSpec(n=3, mu=[0.05, 0.08, 0.11], sigma=[0.3, 0.45, 0.6],
@@ -389,29 +404,51 @@ THREE_ASSETS = MarketSpec(n=3, mu=[0.05, 0.08, 0.11], sigma=[0.3, 0.45, 0.6],
                      n_paths=1100, seed=44),
 ], ids=["sim1", "sim2", "sim3", "three-assets"])
 def test_growth_summary_equals_the_accounts_bit_for_bit(config):
-    # The summary prices the warmup and expiry points alone, with a 2-D mat-vec
-    # for the basket; the accounts price every point, with a stacked one.  Past
-    # path 1024 (a stream boundary) and over several blocks both give the bits
-    # of the per-path loop.
-    steps = round(config.T * config.steps_per_year)
-    assert config.n_paths > _STREAM_PATHS and config.n_paths > _BLOCK_PATH_STEPS // steps
+    # The run prices a (paths, 2, n) slab of warmup and expiry states with a
+    # stacked whitening and a 2-D mat-vec for the basket; past path 1024 (a
+    # stream boundary) it gives the bits of the per-path accounts.
+    assert config.n_paths > _STREAM_PATHS
     result = run_growth_simulation(config)
-    terminal = np.array([wealth[-1] for _, wealth, _ in reference_growth_accounts(config)])
+    terminal = reference_growth_accounts(config)[:, 1]
     np.testing.assert_array_equal(result.terminal_wealth, terminal)
     np.testing.assert_array_equal(result.cagr, np.log(terminal) / config.T)
-    np.testing.assert_array_equal(result.wealth[:, -1], terminal)
-    np.testing.assert_array_equal(result.cagr, np.log(result.wealth[:, -1]) / config.T)
+
+
+@pytest.mark.parametrize("name", ["sim1", "sim3"])
+def test_growth_endpoints_follow_the_exact_lognormal_law(name, monkeypatch):
+    # (log S_w, log S_T) is Gaussian with mean log s0 + (mu - sigma^2/2) t and
+    # covariance sigma_i sigma_j rho_ij min(t_a, t_b), across assets too; the
+    # states the run prices match both within 5 standard errors
+    config = scenario_config(name, T=20.0, warmup=5.0, n_paths=100_000, seed=61)
+    spec = config.spec
+    states = []
+
+    def recording_log_levered(spec, s, t, T):
+        states.append((s.copy(), np.array(t)))
+        return log_levered(spec, s, t, T)
+
+    log_levered = replication._log_levered
+    monkeypatch.setattr(replication, "_log_levered", recording_log_levered)
+    run_growth_simulation(config)
+    t = states[0][1]
+    assert all(np.array_equal(times, [5.0, 20.0]) for _, times in states)
+    x = np.log(np.concatenate([s for s, _ in states])).reshape(config.n_paths, -1)
+    mean = (np.log(spec.s0) + (spec.mu - 0.5 * spec.sigma**2) * t[:, None]).ravel()
+    cov = (np.minimum.outer(t, t)[:, None, :, None]
+           * covariance(spec)[None, :, None, :]).reshape(x.shape[1], x.shape[1])
+    n = config.n_paths
+    assert np.all(np.abs(x.mean(axis=0) - mean) < 5.0 * np.sqrt(np.diag(cov) / n))
+    sample = np.cov(x.T, ddof=1)
+    se = np.sqrt((np.outer(np.diag(cov), np.diag(cov)) + cov**2) / n)
+    assert np.all(np.abs(sample - cov) < 5.0 * se)
 
 
 @pytest.mark.parametrize("name", ["sim1", "sim3"])
 def test_growth_simulation_whitens_each_block_once(name, monkeypatch):
-    # The summary whitens one (paths, 2, n) slab of warmup and expiry states
-    # per block.  Reading the accounts redraws the blocks and whitens each once
-    # from the warmup on; that one whitening feeds log C and b(S, t), with the
-    # bits of the two evaluated apart.
-    steps = 360
-    n_paths = _BLOCK_PATH_STEPS // steps + 3  # two blocks of paths
-    config = scenario_config(name, T=30.0, n_paths=n_paths, seed=31)
+    # The run whitens one (paths, 2, n) slab of warmup and expiry states per
+    # block, and that one whitening gives log C's bits.
+    monkeypatch.setattr(market, "_BLOCK_PATH_STEPS", 2 * 600)
+    config = scenario_config(name, T=30.0, n_paths=1100, seed=31)
     spec = config.spec
     whitened = []
 
@@ -422,25 +459,19 @@ def test_growth_simulation_whitens_each_block_once(name, monkeypatch):
     whiten = hindsight._whiten
     monkeypatch.setattr(hindsight, "_whiten", counting_whiten)
     result = run_growth_simulation(config)
-    summary_shapes = [shape for shape in whitened if len(shape) == 3]
-    whitened.clear()
-    wealth, fractions = result.wealth, result.fractions
-    assert result.wealth is wealth  # computed once, on first access
-    account_shapes = [shape for shape in whitened if len(shape) == 3]
-    monkeypatch.undo()
-    times = result.times
-    i_buy = round(config.warmup * config.steps_per_year)
-    blocks = list(market._price_blocks(spec, config.T, steps, n_paths, "physical", config.seed))
-    assert len(blocks) == 2
-    assert summary_shapes == [(len(prices), 2, spec.n) for _, prices in blocks]
-    assert account_shapes == [(len(prices), steps + 1 - i_buy, spec.n) for _, prices in blocks]
+    monkeypatch.setattr(hindsight, "_whiten", whiten)
+    assert [shape for shape in whitened if len(shape) == 3] == [(600, 2, spec.n),
+                                                                (500, 2, spec.n)]
+    ends = np.array([5.0, 30.0])
+    basket_shares = (1.0 / spec.n) / spec.s0
+    blocks = market._price_blocks(spec, np.diff(ends, prepend=0.0)[:, None], 2,
+                                  config.n_paths, "physical", config.seed)
     for first, prices in blocks:
-        rows = slice(first, first + len(prices))
-        log_c = _log_levered(spec, prices[:, i_buy:], times[i_buy:], config.T)
+        slab = prices[:, 1:]
+        log_c = _log_levered(spec, slab, ends, config.T)
         np.testing.assert_array_equal(
-            wealth[rows, i_buy:], wealth[rows, i_buy, None] * np.exp(log_c - log_c[:, :1]))
-        np.testing.assert_array_equal(fractions[rows, i_buy:-1],
-                                      _fractions(spec, prices[:, i_buy:-1], times[i_buy:-1]))
+            result.terminal_wealth[first:first + len(prices)],
+            (slab[:, 0] @ basket_shares) * np.exp(log_c[:, 1] - log_c[:, 0]))
 
 
 def test_growth_summary_at_1e4_paths_stays_small():
@@ -464,10 +495,11 @@ def test_growth_simulation_cagr_concentrates_near_kelly():
 
 
 def test_sim3_uses_leverage_for_long_stretches():
-    config = scenario_config("sim3", T=60.0, n_paths=5, seed=3)
-    result = run_growth_simulation(config)
-    stretches = [np.mean(np.sum(fractions[61:-1], axis=1) > 1.0)
-                 for fractions in result.fractions]
+    # b(S, t) past the warmup, along simulate_paths paths, exceeds 1 in total
+    spec = scenario_spec("sim3")
+    stretches = [np.mean(np.sum(_fractions(spec, path.prices[61:-1], path.times[61:-1]),
+                                axis=1) > 1.0)
+                 for path in simulate_paths(spec, 60.0, 720, 5, seed=3)]
     assert max(stretches) > 0.2
 
 
@@ -481,6 +513,8 @@ def test_simulation_config_validation():
         scenario_config("sim1", T=math.inf)
     with pytest.raises(ValidationError, match="seed"):
         run_growth_simulation(scenario_config("sim1", T=10.0, n_paths=1, seed=-1))
+    with pytest.raises(ValidationError, match="steps_per_year"):
+        run_growth_simulation(scenario_config("sim1", T=10.0, steps_per_year=10**400, n_paths=1))
 
 
 # ---------------------------------------------------------------------------
