@@ -201,8 +201,7 @@ def _warmup_time(config: SimulationConfig) -> float:
     _check_path_args(config.T, steps, config.n_paths, "physical", config.seed)
     i_buy = round(config.warmup * config.steps_per_year)
     t_buy = config.T if i_buy == steps else i_buy * (config.T / steps)  # linspace ends at T
-    if not abs(t_buy - config.warmup) <= _GRID_TOL * max(1.0, config.warmup):
-        raise ValidationError(f"time {config.warmup} is not a grid point of the path")
+    _grid_index(np.array([t_buy]), config.warmup)
     return t_buy
 
 

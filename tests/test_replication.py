@@ -403,11 +403,13 @@ THREE_ASSETS = MarketSpec(n=3, mu=[0.05, 0.08, 0.11], sigma=[0.3, 0.45, 0.6],
     SimulationConfig(spec=THREE_ASSETS, T=3.0, warmup=0.5, steps_per_year=24,
                      n_paths=1100, seed=44),
 ], ids=["sim1", "sim2", "sim3", "three-assets"])
-def test_growth_summary_equals_the_accounts_bit_for_bit(config):
+def test_growth_summary_equals_the_accounts_bit_for_bit(config, monkeypatch):
     # The run prices a (paths, 2, n) slab of warmup and expiry states with a
-    # stacked whitening and a 2-D mat-vec for the basket; past path 1024 (a
-    # stream boundary) it gives the bits of the per-path accounts.
-    assert config.n_paths > _STREAM_PATHS
+    # stacked whitening and a 2-D mat-vec for the basket; across blocks of
+    # 400 paths and past path 1024 (a stream boundary) it gives the bits of
+    # the per-path accounts.
+    monkeypatch.setattr(market, "_BLOCK_PATH_STEPS", 2 * 400)
+    assert config.n_paths > _STREAM_PATHS and config.n_paths > market._BLOCK_PATH_STEPS // 2
     result = run_growth_simulation(config)
     terminal = reference_growth_accounts(config)[:, 1]
     np.testing.assert_array_equal(result.terminal_wealth, terminal)
