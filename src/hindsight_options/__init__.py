@@ -8,7 +8,6 @@ replication, and an independent Monte Carlo oracle for every closed form.
 
 from .errors import IrrationalPriceError, ValidationError
 from .hindsight import (
-    HindsightState,
     RebalancingRule,
     best_rule,
     intrinsic_value,

@@ -358,7 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="market spec for custom scenarios")
     p.add_argument("--T", type=float, default=200.0)
     p.add_argument("--warmup", type=float, default=5.0)
-    p.add_argument("--steps-per-year", type=int, default=12)
+    p.add_argument("--steps-per-year", type=int, default=12,
+                   help="no effect: the run builds no grid (kept, still >= 1, so argvs run)")
     p.add_argument("--paths", type=int, default=100)
     common(p, seeded=True)
     p.set_defaults(handler=_cmd_simulate)

@@ -12,7 +12,10 @@ deviations
     z_i = [log(S_i / S_i0) - (r - sigma_i^2 / 2) t] / (sigma_i sqrt(t)).
 
 Everything here is drift-free: the state (S, t) is a sufficient statistic, so
-none of these functions read ``spec.mu`` except :func:`kelly_rule`.
+none of these functions read ``spec.mu`` except :func:`kelly_rule`.  The
+state reaches every closed form through z alone, and z is formed in one
+kernel, which raises :class:`ValidationError` where z is not a finite
+float64; :func:`z_score` returns that array.
 """
 
 from __future__ import annotations
@@ -31,19 +34,6 @@ MODES = ("levered", "unlevered")
 _TINY = np.finfo(float).tiny
 # Entries of w up to 2^500 square and sum (n < 2^23) to a finite float64.
 _QUAD_SAFE = 2.0 ** 500
-
-
-@dataclass(frozen=True)
-class HindsightState:
-    """Sufficient statistic for hindsight optimization: z-scores and elapsed time."""
-
-    z: np.ndarray
-    t: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "z", np.atleast_1d(np.asarray(self.z, dtype=float)))
-        if self.t <= 0:
-            raise ValidationError("z-scores are undefined at t <= 0")
 
 
 @dataclass(frozen=True)
@@ -133,14 +123,21 @@ def _log_ratio(s, s0):
 def _z(spec: MarketSpec, s: np.ndarray, t) -> np.ndarray:
     """z_i = [log(S_i/S_i0) - (r - sigma_i^2/2) t] / (sigma_i sqrt(t)).
 
-    A denominator that underflows to 0 is refused before the division.
+    The one place z is formed, and refused where it is not a finite float64:
+    where the drift product or the division overflows, or sigma sqrt(t)
+    underflows to 0.  Every other kernel reads a finite z.
     """
     t = np.asarray(t, dtype=float)[..., None]
-    scale = spec.sigma * np.sqrt(t)
-    if np.count_nonzero(scale) < scale.size:  # cheaper than scale.all() on a few entries
-        raise ValidationError("sigma sqrt(t) underflows to 0 at this state, "
-                              "so its z-score is not a finite float64")
-    return (_log_ratio(s, spec.s0) - spec._log_drift * t) / scale
+    try:  # without a flag, log(S/S0) is np.log(S/S0): no quotient under- or overflowed
+        with np.errstate(all="raise"):  # checking flags is cheaper than checking entries
+            z = (np.log(s / spec.s0) - spec._log_drift * t) / (spec.sigma * np.sqrt(t))
+    except FloatingPointError:
+        with np.errstate(all="ignore"):  # a non-finite z is refused below
+            z = (_log_ratio(s, spec.s0) - spec._log_drift * t) / (spec.sigma * np.sqrt(t))
+    if not np.isfinite(z).all():
+        raise ValidationError("z-score is not a finite float64 at this state: it overflows, "
+                              "or sigma sqrt(t) underflows to 0")
+    return z
 
 
 def _trtrs(a: np.ndarray, b: np.ndarray, lower: bool) -> np.ndarray:
@@ -164,17 +161,10 @@ def _trtrs(a: np.ndarray, b: np.ndarray, lower: bool) -> np.ndarray:
     return x[:, :b.shape[1]]
 
 
-def _solve(a: np.ndarray, b: np.ndarray, lower: bool) -> np.ndarray:
-    """:func:`_trtrs` of a finite ``b``; a non-finite one gets ``solve_triangular``'s error."""
-    if not np.isfinite(b).all():
-        return solve_triangular(a, b, lower=lower)
-    return _trtrs(a, b, lower)
-
-
 def _whiten(spec: MarketSpec, z: np.ndarray) -> np.ndarray:
     """w = L^{-1} z as columns of shape (n, points), points in C order of z[..., n].
 
-    A non-finite z gives a non-finite w: the callers check what they read.
+    A w that overflows from a finite z is not finite: the callers check what they read.
     """
     return _trtrs(spec.lower, z.reshape(-1, spec.n).T, lower=True)
 
@@ -204,7 +194,7 @@ def _log_levered_of(spec: MarketSpec, z: np.ndarray, w: np.ndarray, t, T: float)
 
 def _fractions_of(spec: MarketSpec, z: np.ndarray, w: np.ndarray, t) -> np.ndarray:
     """Levered best rule b(S, t) = M^{-1} R^{-1} z / sqrt(t), from :func:`_whitened`."""
-    y = _solve(spec.lower.T, w, lower=False)
+    y = _trtrs(spec.lower.T, w, lower=False)
     return (y / spec.sigma[:, None]).T.reshape(z.shape) / np.sqrt(t)[..., None]
 
 
@@ -216,7 +206,7 @@ def _log_unlevered_intrinsic(spec: MarketSpec, s: np.ndarray, z: np.ndarray, t) 
     z = z[..., 0]
     rt = spec.rate * t
     cap = spec.sigma[0] * np.sqrt(t)
-    inner = np.minimum(z, cap)  # z where it is used; capped so an unused z^2 cannot overflow
+    inner = np.minimum(abs(z), cap)  # z where it is used; |z| capped so no z^2 overflows
     return np.where(z <= 0.0, rt,
                     np.where(z >= cap, _log_ratio(s[..., 0], spec.s0[0]), rt + 0.5 * inner * inner))
 
@@ -232,23 +222,31 @@ def _fractions(spec: MarketSpec, s: np.ndarray, t) -> np.ndarray:
     return _fractions_of(spec, z, _whiten(spec, z), t)
 
 
+def _finite_z(z) -> np.ndarray:
+    """A caller's z as a float array, refused unless every entry is finite."""
+    z = np.asarray(z, dtype=float)
+    if not np.isfinite(z).all():
+        raise ValidationError("z must be finite")
+    return z
+
+
 def corr_solve(spec: MarketSpec, z: np.ndarray) -> np.ndarray:
     """Solve corr @ x = z (shape (n,)) by two triangular solves with ``spec.lower``."""
-    return _solve(spec.lower.T, _whiten(spec, np.asarray(z, dtype=float)), lower=False)[:, 0]
+    return _trtrs(spec.lower.T, _whiten(spec, _finite_z(z)), lower=False)[:, 0]
 
 
 def corr_quad(spec: MarketSpec, z: np.ndarray) -> float:
     """z' corr^{-1} z = |L^{-1} z|^2 for z of shape (n,), summed as the kernels sum it."""
-    w = _solve(spec.lower, np.asarray(z, dtype=float).reshape(-1, spec.n).T, lower=True)
+    w = _whiten(spec, _finite_z(z))
     return float(np.sum(w * w))
 
 
-def z_score(spec: MarketSpec, s, t: float) -> HindsightState:
-    """Normalized log-price deviation; a unit normal under the martingale measure.
+def z_score(spec: MarketSpec, s, t: float) -> np.ndarray:
+    """Normalized log-price deviations z[n]; a unit normal under the martingale measure.
 
     z_i = [log(S_i/S_i0) - (rate - sigma_i^2/2) t] / (sigma_i sqrt(t))
     """
-    return HindsightState(z=_z(spec, _as_prices(spec, s, t), t), t=float(t))
+    return _z(spec, _as_prices(spec, s, t), t)
 
 
 def best_rule(spec: MarketSpec, s, t: float, mode: str = "levered") -> RebalancingRule:
@@ -271,12 +269,14 @@ def wealth_of_rule(spec: MarketSpec, s, t: float, rule: RebalancingRule) -> floa
 
     A wealth too small for float64 is returned as 0.0.
     """
-    state = z_score(spec, s, t)
+    z = z_score(spec, s, t)
     b = rule.b
     if b.shape != (spec.n,):
         raise ValidationError(f"rule has {b.shape[0]} fractions for {spec.n} assets")
-    quad = float(b @ covariance(spec) @ b)
-    return _exp((spec.rate - 0.5 * quad) * t + math.sqrt(t) * float(state.z @ (spec.sigma * b)),
+    with np.errstate(over="ignore", invalid="ignore"):  # _exp refuses a NaN or +inf log wealth
+        quad = float(b @ covariance(spec) @ b)
+        linear = float(z @ (spec.sigma * b))
+    return _exp((spec.rate - 0.5 * quad) * t + math.sqrt(t) * linear,
                 "the log wealth (r - b' Sigma b / 2) t + sqrt(t) z' M b", zero_ok=True)
 
 

@@ -297,17 +297,21 @@ def simulate_paths(spec: MarketSpec, horizon: float, steps: int, n_paths: int,
     Returns
     -------
     list[PricePath]
-        ``n_paths`` paths, each with ``steps + 1`` grid points.
+        ``n_paths`` paths, each with ``steps + 1`` grid points; paths that cannot
+        be allocated raise :class:`ValidationError`.
     """
     _check_path_args(horizon, steps, n_paths, measure, seed)
-    times = np.linspace(0.0, horizon, steps + 1)
-    # _price_blocks checks every price, so the paths need only this grid check.
-    if np.any(np.diff(times) <= 0):
-        raise ValidationError("time grid must start at 0 and strictly increase")
-    return [PricePath._checked(times, prices)
-            for _, block in _price_blocks(spec, horizon / steps, steps, n_paths, measure,
-                                          seed)
-            for prices in block]
+    try:
+        times = np.linspace(0.0, horizon, steps + 1)
+        # _price_blocks checks every price, so the paths need only this grid check.
+        if np.any(np.diff(times) <= 0):
+            raise ValidationError("time grid must start at 0 and strictly increase")
+        return [PricePath._checked(times, prices)
+                for _, block in _price_blocks(spec, horizon / steps, steps, n_paths, measure,
+                                              seed)
+                for prices in block]
+    except MemoryError:
+        raise ValidationError(f"{n_paths} paths of {steps} steps do not fit in memory") from None
 
 
 def save_market_spec(spec: MarketSpec, path: str) -> None:

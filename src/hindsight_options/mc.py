@@ -165,7 +165,7 @@ def _levered_value_fn(spec: MarketSpec, s, t: float, T: float, s_eval: float):
 
     ``value`` only reads ``y``, which other modes share, and returns a new array.
     """
-    x_t = solve_triangular(spec.lower, z_score(spec, s, t).z, lower=True)
+    x_t = solve_triangular(spec.lower, z_score(spec, s, t), lower=True)
     w_t = math.sqrt(t / s_eval)
     w_y = math.sqrt(1.0 - t / s_eval)
     a_0 = (spec.rate * t + 0.5 * spec.n * math.log(T / s_eval)

@@ -360,23 +360,29 @@ def excess_growth_bound(spec: MarketSpec, s, t: float, T: float) -> float:
     """Deterministic bound on the hindsight-optimum growth in excess of the hedge.
 
     Equals log C(S, t) / (T - t) = {rt + z' R^{-1} z / 2 + n log(T/t) / 2} / (T - t)
-    and decreases to 0 as T grows with the state fixed.
+    and decreases to 0 as T grows with the state fixed.  A bound that overflows
+    float64, as where T - t is subnormal, raises :class:`ValidationError`.
     """
     _check_horizon(t, T, strict_end=True)
-    return float(_log_levered(spec, _as_prices(spec, s, t), t, T)) / (T - t)
+    return _representable(float(_log_levered(spec, _as_prices(spec, s, t), t, T)) / (T - t),
+                          "log_price_levered")
 
 
 def time0_unlevered_excess_growth(sigma: float, T: float) -> float:
     """Regret rate of a time-0 unlevered buyer: log(1 + sigma sqrt(T/(2 pi))) / T.
 
-    Where the premium overflows float64, the rate is taken from its log.
+    Where the premium overflows float64, the rate is taken from its log.  A
+    rate that overflows float64, as at a subnormal T, raises :class:`ValidationError`.
     """
     if T <= 0:
         raise ValidationError("T must be positive")
     premium = _time0_premium(sigma, T)
-    if premium < math.inf:
-        return math.log1p(premium) / T
-    return (math.log(sigma) + 0.5 * math.log(T) - math.log(_SQRT_2PI)) / T
+    log_price = (math.log1p(premium) if premium < math.inf
+                 else math.log(sigma) + 0.5 * math.log(T) - math.log(_SQRT_2PI))
+    rate = log_price / float(T)  # a float division overflows to inf without a warning
+    if not math.isfinite(rate):
+        raise ValidationError("the regret rate is not representable in float64")
+    return rate
 
 
 __all__ = [

@@ -24,7 +24,7 @@ import numpy as np
 from ._table import csv_table
 from .errors import ValidationError
 from .hindsight import _check_mode, _fractions, _log_levered, _representable, kelly_rule
-from .market import MarketSpec, PricePath, _check_path_args, _price_blocks
+from .market import MarketSpec, PricePath, _price_blocks
 from .pricing import _unlevered_fractions
 
 _GRID_TOL = 1e-9
@@ -46,7 +46,11 @@ class HedgeLedger:
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Scenario settings for a long-horizon growth experiment."""
+    """Scenario settings for a long-horizon growth experiment.
+
+    ``steps_per_year`` has no effect on the run, which builds no grid; it is
+    kept, and still checked to be >= 1, so that existing configs and argvs run.
+    """
 
     spec: MarketSpec
     T: float
@@ -60,6 +64,8 @@ class SimulationConfig:
             raise ValidationError("need 0 < warmup < T, with T finite")
         if self.steps_per_year < 1 or self.n_paths < 1:
             raise ValidationError("steps_per_year and n_paths must be >= 1")
+        if self.seed < 0:
+            raise ValidationError("seed must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -187,24 +193,6 @@ def _tracked(w_buy: np.ndarray, log_c: np.ndarray) -> np.ndarray:
     return w_buy[:, None] * np.exp(log_c - log_c[:, :1])
 
 
-def _warmup_time(config: SimulationConfig) -> float:
-    """The grid time of the warmup: i (T / steps), where the grid would place point i.
-
-    The grid itself is never built.  Its point i is the time np.linspace(0, T,
-    steps + 1) gives, and the warmup must lie on it within the hedge's grid
-    tolerance.
-    """
-    try:
-        steps = round(config.T * config.steps_per_year)
-    except OverflowError:
-        raise ValidationError("T * steps_per_year must be finite") from None
-    _check_path_args(config.T, steps, config.n_paths, "physical", config.seed)
-    i_buy = round(config.warmup * config.steps_per_year)
-    t_buy = config.T if i_buy == steps else i_buy * (config.T / steps)  # linspace ends at T
-    _grid_index(np.array([t_buy]), config.warmup)
-    return t_buy
-
-
 def run_growth_simulation(config: SimulationConfig) -> SimulationResult:
     """Long-horizon experiment: hold the market, then buy the levered option.
 
@@ -215,17 +203,15 @@ def run_growth_simulation(config: SimulationConfig) -> SimulationResult:
     The reported CAGR is continuously compounded and concentrates on the
     growth-optimal rate as T grows.
 
-    Only S at the warmup and at T enter W_T, and their joint law is exactly
-    lognormal, so each path draws two increments, over [0, t_w] and
-    [t_w, T], with t_w the warmup's point on the grid of ``steps_per_year``
-    (which is checked, never built).  The run keeps one value per path and
-    no accounts.  Path i draws from the stream of path i of
-    ``simulate_paths``, but two normals per asset instead of one per grid
-    step, so growth path i is not ``simulate_paths`` path i.
+    Only S at the warmup t_w and at T enter W_T, and their joint law is
+    exactly lognormal, so each path draws two increments, over [0, t_w] and
+    [t_w, T].  The run keeps one value per path and no accounts.  Path i
+    draws from the stream of path i of ``simulate_paths``, but two normals
+    per asset instead of one per grid step, so growth path i is not
+    ``simulate_paths`` path i.
     """
     spec = config.spec
-    t_buy = _warmup_time(config)
-    ends = np.array([t_buy, config.T])
+    ends = np.array([config.warmup, config.T], dtype=float)
     basket_shares = (1.0 / spec.n) / spec.s0
     kelly, growth_rate = kelly_rule(spec)
 

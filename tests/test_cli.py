@@ -169,6 +169,7 @@ def test_missing_price_file_exits_4(capsys):
     assert "i/o error" in err
 
 
+@pytest.mark.filterwarnings("error")
 def test_unrepresentable_or_nonfinite_quotes_exit_3(capsys):
     deep = ["--sigma", "0.1", "--s", "1e30", "--t", "0.01", "--T", "2"]
     deep_lattice = ["lattice", "--N", "2000", "--u", "1.02", "--d", "0.98", "--rper", "0"]
@@ -192,9 +193,18 @@ def test_unrepresentable_or_nonfinite_quotes_exit_3(capsys):
                  # z ~ 7e299: z' R^{-1} z overflows, so not even log C is representable
                  *(["price", "--mode", mode, "--sigma", "1e-300", "--s", "2", "--s0", "1",
                     "--t", "1", "--T", "2"] for mode in ("levered", "unlevered")),
-                 # sigma sqrt(t) underflows to 0: z is refused before the division
+                 # sigma sqrt(t) underflows to 0: z is refused
                  *(["price", "--mode", mode, "--sigma", "1e-300", "--s", "2", "--s0", "1",
                     "--t", "1e-300", "--T", "2"] for mode in ("levered", "unlevered")),
+                 # the drift product (r - sigma^2/2) t overflows: z is refused
+                 ["price", "--r=-1e300", "--mu", "0", "--sigma", "1", "--s", "1",
+                  "--t", "1e10", "--T", "2e10"],
+                 # the division by a subnormal sigma sqrt(t) overflows: z is refused
+                 ["price", "--sigma", "1e-320", "--s", "1", "--t", "2", "--T", "3.7",
+                  "--r", "1.99", "--mu", "2.99"],
+                 # log(1 + premium) / T overflows at a subnormal T
+                 ["curve", "--what", "regret", "--sigmas", "1e262", "--lo", "5e-324",
+                  "--hi", "5e-324", "--count", "1"],
                  # z / (sigma sqrt(t)): the hedge's first fraction overflows
                  ["hedge", "--sigma", "1e-160", "--mu", "0.05", "--t0", "0.5", "--T", "1",
                   "--steps", "4", "--seed", "1"],
@@ -403,7 +413,10 @@ def test_overflowing_paths_and_hedges_exit_3_with_one_line(tmp_path, capsys):
                  ["hedge", "--mu", "1e308", "--sigma", "0.2", "--r", "0", "--t0", "1", "--T", "20",
                   "--steps", "4", "--seed", "1"],
                  ["hedge", "--r", "1e300", "--mu", "0", "--sigma", "0.2", "--t0", "0.5",
-                  "--T", "1", "--steps", "4", "--seed", "1"]):
+                  "--T", "1", "--steps", "4", "--seed", "1"],
+                 # a grid of 1e12 steps fails at its first allocation
+                 ["hedge", "--mu", "0", "--sigma", "0.2", "--r", "0", "--t0", "1", "--T", "2",
+                  "--steps", "1000000000000", "--seed", "1"]):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (3, "")
         assert err.startswith("error: ") and len(err.splitlines()) == 1

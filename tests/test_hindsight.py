@@ -29,7 +29,7 @@ from hindsight_options import (
 )
 from hindsight_options import hindsight
 from hindsight_options.errors import ValidationError
-from hindsight_options.hindsight import corr_solve
+from hindsight_options.hindsight import corr_quad, corr_solve
 
 SPEC = MarketSpec.single(mu=0.0, sigma=0.2, rate=0.03, s0=100.0)
 
@@ -41,30 +41,31 @@ def drift_price(spec, t):
 
 def grid_max_wealth(spec, s, t, lo=-10.0, hi=10.0, step=0.01):
     """Brute-force hindsight optimum over a dense single-asset b grid."""
-    state = z_score(spec, s, t)
+    z = z_score(spec, s, t)
     b = np.arange(lo, hi + step / 2, step)
     sigma = float(spec.sigma[0])
     exponent = ((spec.rate - 0.5 * sigma**2 * b**2) * t
-                + math.sqrt(t) * float(state.z[0]) * sigma * b)
+                + math.sqrt(t) * float(z[0]) * sigma * b)
     return b, np.exp(exponent)
 
 
 def test_z_is_zero_on_the_drift_path():
-    assert z_score(SPEC, drift_price(SPEC, 0.5), 0.5).z[0] == pytest.approx(0.0, abs=1e-14)
+    assert z_score(SPEC, drift_price(SPEC, 0.5), 0.5)[0] == pytest.approx(0.0, abs=1e-14)
 
 
 def test_z_matches_direct_arithmetic():
     # (log 1.05 - 0.005) / (0.2 sqrt(0.5))
     expected = (math.log(1.05) - 0.005) / (0.2 * math.sqrt(0.5))
-    state = z_score(SPEC, 105.0, 0.5)
-    assert state.z[0] == pytest.approx(expected, rel=1e-14)
-    assert state.z[0] == pytest.approx(0.3096, abs=5e-5)
+    z = z_score(SPEC, 105.0, 0.5)
+    assert z.shape == (1,)
+    assert z[0] == pytest.approx(expected, rel=1e-14)
+    assert z[0] == pytest.approx(0.3096, abs=5e-5)
 
 
 def test_z_is_unit_normal_under_the_martingale_measure():
     spec = MarketSpec.single(mu=0.1, sigma=0.4, rate=0.02)
     paths = simulate_paths(spec, 1.5, 1, 4000, measure="risk_neutral", seed=17)
-    zs = np.array([z_score(spec, p.prices[-1], 1.5).z[0] for p in paths])
+    zs = np.array([z_score(spec, p.prices[-1], 1.5)[0] for p in paths])
     assert stats.kstest(zs, "norm").pvalue > 0.01
 
 
@@ -94,7 +95,7 @@ def test_best_rule_decouples_for_identity_correlation():
     s = np.array([1.3, 0.7])
     t = 2.0
     rule = best_rule(spec, s, t)
-    z = z_score(spec, s, t).z
+    z = z_score(spec, s, t)
     np.testing.assert_allclose(rule.b, z / (spec.sigma * math.sqrt(t)), rtol=1e-12)
 
 
@@ -103,7 +104,7 @@ def test_multi_asset_argmax_beats_grid():
     s = np.array([1.4, 0.8])
     t = 1.7
     best = wealth_of_rule(spec, s, t, best_rule(spec, s, t))
-    z = z_score(spec, s, t).z
+    z = z_score(spec, s, t)
     cov = covariance(spec)
     grid = np.arange(-10.0, 10.0 + 0.005, 0.01)
     top = -np.inf
@@ -217,7 +218,7 @@ def test_state_functions_never_read_the_drift():
     bumped = MarketSpec.pair(mu=(0.95, -0.4), sigma=(0.3, 0.5), rho=0.25, rate=0.02)
     s = np.array([1.2, 0.9])
     t = 1.4
-    assert np.array_equal(z_score(base, s, t).z, z_score(bumped, s, t).z)
+    assert np.array_equal(z_score(base, s, t), z_score(bumped, s, t))
     assert np.array_equal(best_rule(base, s, t).b, best_rule(bumped, s, t).b)
     rule = RebalancingRule(b=[0.4, -0.3])
     assert wealth_of_rule(base, s, t, rule) == wealth_of_rule(bumped, s, t, rule)
@@ -296,8 +297,8 @@ def test_unit_factor_solve_copies_its_input():
     assert x.tolist() == [0.3] and not np.shares_memory(x, z)
     x[0] = 1.0
     assert z[0] == 0.3
-    # a non-finite right-hand side keeps LAPACK's refusal
-    with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+    # a non-finite right-hand side is refused before the solve
+    with pytest.raises(ValidationError, match="^z must be finite$"):
         corr_solve(spec, [math.inf])
 
 
@@ -341,17 +342,20 @@ def test_solve_is_scipys_solve_triangular_bit_for_bit():
                       rng.normal(size=(1, n)).T, rng.normal(size=(7, n)).T):
                 b *= 10.0 ** rng.uniform(-5, 5)
                 before = b.copy()
-                got = hindsight._solve(a, b, lower)
+                got = hindsight._trtrs(a, b, lower)
                 want = lapack_solve(a, b, lower)
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
                 assert b.tobytes() == before.tobytes()
-            for bad in (math.inf, -math.inf, math.nan):
-                b = rng.normal(size=(n, 3))
-                b[n - 1, 1] = bad
-                with pytest.raises(ValueError, match="must not contain infs or NaNs"):
-                    hindsight._solve(a, b, lower)
+        # the public solves refuse a non-finite z themselves
+        for bad in (math.inf, -math.inf, math.nan):
+            z = rng.normal(size=n)
+            z[n - 1] = bad
+            for solve in (corr_solve, corr_quad):
+                with pytest.raises(ValidationError, match="^z must be finite$"):
+                    solve(spec, z)
 
 
+@pytest.mark.filterwarnings("error")
 def test_a_tiny_volatility_raises_without_a_warning():
     # z ~ 7e299 at sigma = 1e-300: b(S, t) and z' R^{-1} z overflow
     spec = MarketSpec.single(mu=0.0, sigma=1e-300, rate=0.0, s0=1.0)
@@ -364,10 +368,22 @@ def test_a_tiny_volatility_raises_without_a_warning():
     # the excess return per unit volatility is 1e200: b* and its growth rate overflow
     with pytest.raises(ValidationError, match="Kelly rule is not representable"):
         kelly_rule(MarketSpec.single(mu=1.0, sigma=1e-200, rate=0.0))
-    # sigma sqrt(t) underflows to 0 at t = 1e-300: z is refused before the division
+    # sigma sqrt(t) underflows to 0 at t = 1e-300: z is refused
     for call in (z_score, best_rule, intrinsic_value):
         with pytest.raises(ValidationError, match="underflows to 0"):
             call(spec, 2.0, 1e-300)
+    # the drift product (r - sigma^2/2) t overflows: z is refused, not handed to a solve
+    with pytest.raises(ValidationError, match="^z-score is not a finite float64"):
+        best_rule(MarketSpec.single(0.0, 1.0, -1e300), 1.0, 1e10)
+    # log 2 / (sigma sqrt(2)) overflows at a subnormal sigma: z is refused, not taken as inf
+    with pytest.raises(ValidationError, match="^z-score is not a finite float64"):
+        intrinsic_value(MarketSpec.single(0.0, 1e-320, 0.0), 2.0, 2.0, "unlevered")
+    # z ~ -3e300 is in the cash region, where its square is never formed; e^{rt} overflows
+    with pytest.raises(ValidationError, match="use log_intrinsic_value$"):
+        intrinsic_value(MarketSpec.single(0.0, 1.0, 1e300), 1.0, 10.0, "unlevered")
+    # b' Sigma b and z' M b overflow, so the log wealth is -inf + inf
+    with pytest.raises(ValidationError, match="not representable in float64"):
+        wealth_of_rule(MarketSpec.single(0.0, 1e100, 0.0), 1.0, 1.0, RebalancingRule([1e200]))
 
 
 def test_every_mode_taking_api_refuses_a_bad_mode_with_one_message():

@@ -165,7 +165,7 @@ def test_auto_takes_plain_only_after_three_quarters_of_the_horizon():
 # give the same per-observation values up to rounding.
 
 def reference_levered_value_fn(spec, s, t, T, s_eval):
-    z_t = z_score(spec, s, t).z
+    z_t = z_score(spec, s, t)
     inv_lower = solve_triangular(spec.lower, np.eye(spec.n), lower=True)
     w_t = math.sqrt(t / s_eval)
     w_y = math.sqrt(1.0 - t / s_eval)
@@ -322,7 +322,7 @@ def test_max_share_is_the_largest_observation_over_the_sum():
 # the in-place arithmetic and the shared draws; the estimates must keep every bit.
 
 def einsum_levered_value_fn(spec, s, t, T, s_eval):
-    x_t = solve_triangular(spec.lower, z_score(spec, s, t).z, lower=True)
+    x_t = solve_triangular(spec.lower, z_score(spec, s, t), lower=True)
     w_t = math.sqrt(t / s_eval)
     w_y = math.sqrt(1.0 - t / s_eval)
     a_0 = (spec.rate * t + 0.5 * spec.n * math.log(T / s_eval)

@@ -631,10 +631,11 @@ def test_implied_vols_over_the_whole_finite_domain(args):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.filterwarnings("error")
 def test_excess_growth_bound_formula_and_limits():
     t, T = 1.0, 3.0
     s = state_price(SPEC, 1.1, t)
-    z = z_score(SPEC, s, t).z[0]
+    z = z_score(SPEC, s, t)[0]
     expected = (0.03 * t + 0.5 * z * z + 0.5 * math.log(T / t)) / (T - t)
     assert excess_growth_bound(SPEC, s, t, T) == pytest.approx(expected, rel=1e-12)
 
@@ -642,8 +643,12 @@ def test_excess_growth_bound_formula_and_limits():
     bounds = [excess_growth_bound(SPEC, s, t, T_) for T_ in horizons]
     assert all(a > b for a, b in zip(bounds, bounds[1:]))
     assert bounds[-1] < 1e-4
+    # log C / (T - t) overflows where T - t is subnormal
+    with pytest.raises(ValidationError, match="use log_price_levered$"):
+        excess_growth_bound(MarketSpec.single(0.0, 0.2, 0.0), 1.0, 1e-309, 3e-309)
 
 
+@pytest.mark.filterwarnings("error")
 def test_time0_unlevered_excess_growth_value():
     exact = math.log(1.0 + 0.7 * math.sqrt(5.0 / (2.0 * math.pi))) / 5.0
     assert time0_unlevered_excess_growth(0.7, 5.0) == pytest.approx(exact, rel=1e-14)
@@ -653,3 +658,7 @@ def test_time0_unlevered_excess_growth_value():
         with mp.workdps(40):
             want = float(mp.log1p(mpf(1e300) * mp.sqrt(mpf(T) / (2 * mp.pi))) / mpf(T))
         assert time0_unlevered_excess_growth(1e300, T) == pytest.approx(want, rel=1e-14)
+    # log(1 + premium) / T overflows at a subnormal T, also where T is a numpy float
+    for T in (5e-324, np.float64(5e-324)):
+        with pytest.raises(ValidationError, match="^the regret rate is not representable"):
+            time0_unlevered_excess_growth(1e262, T)
