@@ -15,17 +15,17 @@ import math
 import sys
 from importlib.metadata import PackageNotFoundError, version as pkg_version
 from pathlib import Path
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from ._table import csv_table
 from .errors import ValidationError
 from .hindsight import intrinsic_value
 from .lattice import (
+    DemonLedger,
     LatticeSpec,
     LatticeState,
     demon_simulation,
-    format_demon_csv,
     lattice_payoff,
     lattice_price,
 )
@@ -39,9 +39,9 @@ from .pricing import (
     time0_unlevered_excess_growth,
 )
 from .replication import (
+    HedgeLedger,
     SimulationConfig,
     discrete_backtest,
-    format_ledger_csv,
     hedge_path,
     load_price_table,
     run_growth_simulation,
@@ -54,6 +54,9 @@ EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_IO = 4
 
+# CSV rows written per piece, which bounds the cell strings alive at once.
+_PIECE_ROWS = 1024
+
 
 def _tool_version() -> str:
     try:
@@ -65,6 +68,46 @@ def _tool_version() -> str:
 def _json(record: dict, indent: int | None = None) -> str:
     """Strict JSON: a NaN or infinity raises ValueError instead of printing."""
     return json.dumps(record, sort_keys=True, indent=indent, allow_nan=False)
+
+
+def _cells(column: Sequence) -> Iterator[str]:
+    values = np.asarray(column)
+    if values.dtype == np.float64:
+        return map(repr, values.tolist())  # shortest round-trip, plain-float repr
+    return map(str, column)
+
+
+def _csv_table(header: Sequence[str], columns: Sequence[Sequence]) -> str:
+    """A header row, then one row per index of the equal-length ``columns``.
+
+    The one writer behind every CSV artifact.  A column of float64 values
+    prints ``repr(float(x))`` of each value, the shortest repr that reads back
+    to the same float; any other column prints ``str`` of each cell.  Rows are
+    formatted a piece at a time, each cell by a builtin mapped over the piece,
+    never by a Python function per cell.
+    """
+    rows = len(columns[0]) if columns else 0
+    pieces = [",".join(header), "\n"]
+    for first in range(0, rows, _PIECE_ROWS):
+        cells = [_cells(column[first:first + _PIECE_ROWS]) for column in columns]
+        pieces += ["\n".join(map(",".join, zip(*cells))), "\n"]
+    return "".join(pieces)
+
+
+def _ledger_csv(ledger: HedgeLedger) -> str:
+    """A hedge ledger: time, wealth, cash, then fraction_i and shares_i, one row per grid point."""
+    n = ledger.fractions.shape[1]
+    header = (["time", "wealth", "cash"]
+              + [f"fraction_{i + 1}" for i in range(n)]
+              + [f"shares_{i + 1}" for i in range(n)])
+    return _csv_table(header, [ledger.times, ledger.wealth, ledger.cash,
+                               *ledger.fractions.T, *ledger.shares.T])
+
+
+def _demon_csv(ledger: DemonLedger) -> str:
+    """A demon run: step, upticks, stock, wealth."""
+    return _csv_table(["step", "upticks", "stock", "wealth"],
+                      [ledger.steps, ledger.upticks, ledger.stock, ledger.wealth])
 
 
 def _add_market_args(parser: argparse.ArgumentParser) -> None:
@@ -167,8 +210,7 @@ def _cmd_iv(args) -> int:
 
 def _cmd_lattice(args) -> int:
     if args.what == "demon":
-        demon = format_demon_csv(demon_simulation(args.N, args.p, args.seed))
-        return _emit(args, {"demon.csv": demon})
+        return _emit(args, {"demon.csv": _demon_csv(demon_simulation(args.N, args.p, args.seed))})
     spec = LatticeSpec(u=args.u, d=args.d, r_per=args.rper, n_steps=args.N)
     if args.what == "payoff":
         if args.j is None:
@@ -194,8 +236,8 @@ def _cmd_simulate(args) -> int:
                               steps_per_year=args.steps_per_year,
                               n_paths=args.paths, seed=args.seed)
     result = run_growth_simulation(config)
-    paths = csv_table(["path", "terminal_wealth", "cagr"],
-                      [range(config.n_paths), result.terminal_wealth, result.cagr])
+    paths = _csv_table(["path", "terminal_wealth", "cagr"],
+                       [range(config.n_paths), result.terminal_wealth, result.cagr])
     summary = {
         "scenario": args.scenario,
         "mean_cagr": result.mean_cagr,
@@ -222,7 +264,7 @@ def _cmd_hedge(args) -> int:
         "intrinsic_at_expiry": intrinsic_value(spec, path.prices[-1], args.T,
                                                args.mode),
     }
-    return _emit(args, {"summary.json": summary, "ledger.csv": format_ledger_csv(ledger)})
+    return _emit(args, {"summary.json": summary, "ledger.csv": _ledger_csv(ledger)})
 
 
 def _cmd_backtest(args) -> int:
@@ -234,7 +276,7 @@ def _cmd_backtest(args) -> int:
                "ruin_index": result.ruin_index,
                "terminal_wealth": float(result.wealth[-1]),
                "periods": len(result.wealth) - 1}
-    wealth = csv_table(["time", "wealth"], [result.times, result.wealth])
+    wealth = _csv_table(["time", "wealth"], [result.times, result.wealth])
     return _emit(args, {"summary.json": summary, "wealth.csv": wealth})
 
 
@@ -275,8 +317,9 @@ def _cmd_verify(args) -> int:
             rows.append([mode, n, float(t), float(horizon), closed, est.mean,
                          est.std_error, gap_in_se,
                          "ok" if ok else "FAIL", est.estimator, est.max_share])
-    table = csv_table(["mode", "n", "t", "T", "closed", "mc_mean", "mc_std_error",
-                       "gap_in_std_errors", "status", "estimator", "max_share"], list(zip(*rows)))
+    table = _csv_table(["mode", "n", "t", "T", "closed", "mc_mean", "mc_std_error",
+                        "gap_in_std_errors", "status", "estimator", "max_share"],
+                       list(zip(*rows)))
     emitted = _emit(args, {"verify.csv": table})
     return emitted if all_ok else EXIT_CHECK_FAILED
 
@@ -297,7 +340,7 @@ def _cmd_curve(args) -> int:
                                     for sig in sigmas] for horizon in grid]
         name, axis = "regret_curve.csv", "T"
     header = [axis] + [f"sigma_{s:g}" for s in sigmas]
-    return _emit(args, {name: csv_table(header, list(zip(*rows)))})
+    return _emit(args, {name: _csv_table(header, list(zip(*rows)))})
 
 
 def build_parser() -> argparse.ArgumentParser:

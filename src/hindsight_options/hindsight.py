@@ -28,7 +28,7 @@ from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dtrtrs
 
 from .errors import ValidationError
-from .market import MarketSpec, covariance
+from .market import MarketSpec
 
 MODES = ("levered", "unlevered")
 _TINY = np.finfo(float).tiny
@@ -47,6 +47,8 @@ class RebalancingRule:
         object.__setattr__(self, "b", np.atleast_1d(np.asarray(self.b, dtype=float)))
         if self.mode not in MODES:
             raise ValidationError(f"unknown mode {self.mode!r}")
+        if not np.isfinite(self.b).all():
+            raise ValidationError("fractions must be finite")
         if self.mode == "unlevered":
             if self.b.shape != (1,):
                 raise ValidationError("unlevered rules are defined for one asset only")
@@ -267,16 +269,19 @@ def best_rule(spec: MarketSpec, s, t: float, mode: str = "levered") -> Rebalanci
 def wealth_of_rule(spec: MarketSpec, s, t: float, rule: RebalancingRule) -> float:
     """Realized wealth V_t(b) of a $1 deposit, computed from (S, t) alone.
 
-    A wealth too small for float64 is returned as 0.0.
+    The log wealth is rt - u' R u / 2 + z' u with the exposure u = sqrt(t) M b
+    formed first, so that b' Sigma b overflowing before it meets a small t
+    loses nothing.  A wealth too small for float64 is returned as 0.0.
     """
     z = z_score(spec, s, t)
     b = rule.b
     if b.shape != (spec.n,):
         raise ValidationError(f"rule has {b.shape[0]} fractions for {spec.n} assets")
     with np.errstate(over="ignore", invalid="ignore"):  # _exp refuses a NaN or +inf log wealth
-        quad = float(b @ covariance(spec) @ b)
-        linear = float(z @ (spec.sigma * b))
-    return _exp((spec.rate - 0.5 * quad) * t + math.sqrt(t) * linear,
+        u = math.sqrt(t) * spec.sigma * b
+        quad = float(u @ spec.corr @ u)
+        linear = float(z @ u)
+    return _exp(spec.rate * t - 0.5 * quad + linear,
                 "the log wealth (r - b' Sigma b / 2) t + sqrt(t) z' M b", zero_ok=True)
 
 

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, xlogy
 
-from ._table import csv_table
 from .errors import ValidationError
 from .hindsight import _exp, _representable
 
@@ -331,9 +330,3 @@ def demon_simulation(n_steps: int, p: float, seed: int) -> DemonLedger:
     with np.errstate(over="ignore"):  # exp2 of an integer is exact until it overflows
         stock = _representable(np.exp2((2 * k - n).astype(float)), "lattice_log_price")
     return DemonLedger(steps=n, upticks=k, stock=stock, wealth=np.exp(log_wealth))
-
-
-def format_demon_csv(ledger: DemonLedger) -> str:
-    """The demon ledger as CSV (step, upticks, stock, wealth); floats as shortest reprs."""
-    return csv_table(["step", "upticks", "stock", "wealth"],
-                     [ledger.steps, ledger.upticks, ledger.stock, ledger.wealth])

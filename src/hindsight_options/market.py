@@ -195,9 +195,9 @@ def validate_market(spec: MarketSpec) -> MarketSpec:
         raise ValidationError(f"correlation matrix must be {n}x{n}, got {corr.shape}")
     if not np.all(np.isfinite(corr)):
         raise ValidationError("correlation matrix must be finite")
-    if not np.allclose(corr, corr.T, atol=1e-12):
+    if not np.all(abs(corr - corr.T) <= 1e-12):
         raise ValidationError("correlation matrix must be symmetric")
-    if not np.allclose(np.diag(corr), 1.0, atol=1e-12):
+    if not np.all(abs(np.diag(corr) - 1.0) <= 1e-12):
         raise ValidationError("correlation matrix must have a unit diagonal")
     if np.any(np.abs(corr) > 1.0 + 1e-12):
         raise ValidationError("correlation entries must lie in [-1, 1]")

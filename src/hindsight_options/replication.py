@@ -21,7 +21,6 @@ from itertools import repeat
 
 import numpy as np
 
-from ._table import csv_table
 from .errors import ValidationError
 from .hindsight import _check_mode, _fractions, _log_levered, _representable, kelly_rule
 from .market import MarketSpec, PricePath, _price_blocks
@@ -157,19 +156,17 @@ def hedge_path(spec: MarketSpec, path: PricePath, t_start: float, T: float,
     times = path.times[i0:i1 + 1]
     prices = path.prices[i0:i1 + 1]
     _check_mode(spec, mode)
+    fractions = np.zeros((len(times), spec.n))  # the expiry row is never traded
     if mode == "levered":
         with np.errstate(over="ignore"):  # an overflowed trading fraction is refused below
-            fractions = _fractions(spec, prices, times)
-        _representable(fractions[:-1], "log_price_levered")
+            traded = _fractions(spec, prices[:-1], times[:-1])
+        fractions[:-1] = _representable(traded, "log_price_levered")
     else:
-        fractions = np.zeros((len(times), 1))
-        live = times < T
-        held = _representable(_unlevered_fractions(spec, prices[live], times[live], T),
+        held = _representable(_unlevered_fractions(spec, prices[:-1], times[:-1], T),
                               "log_price_unlevered")
         # Deep in the cash region f can be subnormal, and so would its shares
         # be; holding none keeps the ledger's fraction, shares and cash agreed.
-        fractions[live, 0] = np.where(1.0 - held == 1.0, 0.0, held)
-    fractions[-1] = 0.0  # the expiry row is never traded, whatever its fraction was
+        fractions[:-1, 0] = np.where(1.0 - held == 1.0, 0.0, held)
     rel = prices[1:] / prices[:-1] - 1.0
     wealth = np.empty(len(times))
     wealth[0] = 1.0
@@ -186,11 +183,6 @@ def hedge_path(spec: MarketSpec, path: PricePath, t_start: float, T: float,
     cash[-1] = wealth[-1]
     return HedgeLedger(times=times, wealth=wealth, fractions=fractions,
                        shares=shares, cash=cash)
-
-
-def _tracked(w_buy: np.ndarray, log_c: np.ndarray) -> np.ndarray:
-    """W = W_warmup exp(log C - log C_warmup), with log C from the warmup on per path."""
-    return w_buy[:, None] * np.exp(log_c - log_c[:, :1])
 
 
 def run_growth_simulation(config: SimulationConfig) -> SimulationResult:
@@ -220,7 +212,8 @@ def run_growth_simulation(config: SimulationConfig) -> SimulationResult:
                                        config.n_paths, "physical", config.seed):
         slab = prices[:, 1:]
         log_c = _log_levered(spec, slab, ends, config.T)
-        terminal[first:first + len(prices)] = _tracked(slab[:, 0] @ basket_shares, log_c)[:, -1]
+        terminal[first:first + len(prices)] = ((slab[:, 0] @ basket_shares)
+                                               * np.exp(log_c[:, 1] - log_c[:, 0]))
     cagr = np.log(terminal) / config.T
     return SimulationResult(config=config, terminal_wealth=terminal, cagr=cagr,
                             kelly_fractions=kelly.b, kelly_growth_rate=growth_rate)
@@ -394,16 +387,3 @@ def _parse_rows_by_cell(path: str, lines: list[str],
         raw_times.append(stamp)
         rows.append(prices_row)
     return np.asarray(raw_times), np.asarray(rows)
-
-
-def format_ledger_csv(ledger: HedgeLedger) -> str:
-    """A ledger as CSV text: time, wealth, cash, then fraction_i and shares_i.
-
-    Cells are shortest round-trip float reprs, one row per grid point.
-    """
-    n = ledger.fractions.shape[1]
-    header = (["time", "wealth", "cash"]
-              + [f"fraction_{i + 1}" for i in range(n)]
-              + [f"shares_{i + 1}" for i in range(n)])
-    return csv_table(header, [ledger.times, ledger.wealth, ledger.cash,
-                              *ledger.fractions.T, *ledger.shares.T])

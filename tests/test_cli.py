@@ -18,11 +18,9 @@ from hindsight_options import (
     simulate_paths,
 )
 from hindsight_options import cli
-from hindsight_options._table import csv_table
-from hindsight_options.cli import build_parser, main
-from hindsight_options.lattice import format_demon_csv
+from hindsight_options.cli import _csv_table, _demon_csv, _ledger_csv, build_parser, main
 from hindsight_options.mc import McEstimate
-from hindsight_options.replication import HedgeLedger, format_ledger_csv
+from hindsight_options.replication import HedgeLedger
 
 
 def run_cli(capsys, *argv):
@@ -275,9 +273,9 @@ def reference_csv(header, rows):
 def test_csv_table_matches_the_row_wise_writer(rows):
     header = ["value", "count", "label"]
     columns = list(zip(*rows)) if rows else [(), (), ()]
-    assert csv_table(header, columns) == reference_csv(header, rows)
+    assert _csv_table(header, columns) == reference_csv(header, rows)
     floats = np.array([row[0] for row in rows], dtype=float)
-    assert csv_table(header[:1], [floats]) == reference_csv(header[:1], [[x] for x in floats])
+    assert _csv_table(header[:1], [floats]) == reference_csv(header[:1], [[x] for x in floats])
 
 
 def test_ledger_and_demon_csv_match_the_row_wise_writers():
@@ -289,14 +287,14 @@ def test_ledger_and_demon_csv_match_the_row_wise_writers():
                              ledger.fractions, ledger.shares])
     want = ("time,wealth,cash,fraction_1,fraction_2,shares_1,shares_2\n"
             + "".join(",".join(map(repr, row)) + "\n" for row in table.tolist()))
-    assert format_ledger_csv(ledger) == want
+    assert _ledger_csv(ledger) == want
 
     demon = demon_simulation(40, 0.7, seed=3)
     want = "step,upticks,stock,wealth\n" + "".join(
         f"{int(step)},{int(ups)},{float(stock)!r},{float(wealth)!r}\n"
         for step, ups, stock, wealth in zip(demon.steps, demon.upticks, demon.stock,
                                             demon.wealth))
-    assert format_demon_csv(demon) == want
+    assert _demon_csv(demon) == want
 
 
 def test_lattice_subcommands(tmp_path, capsys):
@@ -318,7 +316,7 @@ def test_lattice_subcommands(tmp_path, capsys):
     assert lines[0] == "step,upticks,stock,wealth"
     assert len(lines) == 8
     assert ((tmp_path / "demon" / "demon.csv").read_bytes()
-            == format_demon_csv(demon_simulation(6, 0.5, 4)).encode("utf-8"))
+            == _demon_csv(demon_simulation(6, 0.5, 4)).encode("utf-8"))
 
 
 @pytest.mark.filterwarnings("error")
@@ -389,7 +387,7 @@ def test_simulate_and_hedge_small_runs(tmp_path, capsys):
     spec = MarketSpec.single(mu=0.07, sigma=0.3, rate=0.02)
     path = simulate_paths(spec, 2.0, 400, 1, seed=11)[0]
     assert ((tmp_path / "hedge" / "ledger.csv").read_bytes()
-            == format_ledger_csv(hedge_path(spec, path, 1.0, 2.0)).encode("utf-8"))
+            == _ledger_csv(hedge_path(spec, path, 1.0, 2.0)).encode("utf-8"))
 
 
 def test_simulate_builds_no_grid(tmp_path, capsys):
@@ -524,6 +522,27 @@ def test_multi_asset_price_through_a_config(tmp_path, capsys):
                            "--s", "1.1,0.9", "--t", "1", "--T", "2")
     assert code == 3
     assert "multi-asset" in err
+
+    # --r overrides a multi-asset config's rate and keeps the rest of the spec
+    code, out, err = run_cli(capsys, "price", "--config", str(cfg), "--r", "0.05",
+                             "--s", "1.1,0.9", "--t", "1", "--T", "2")
+    assert (code, err) == (0, "")
+    repriced = MarketSpec.pair(mu=(0.05, 0.08), sigma=(0.4, 0.6), rho=0.3, rate=0.05)
+    assert json.loads(out)["price"] == price_levered(repriced, [1.1, 0.9], 1.0, 2.0).price
+
+
+def test_spec_and_price_flag_refusals_exit_3_with_one_line(capsys):
+    for argv, message in (
+            (["price", "--s", "1", "--t", "0.5", "--T", "1"],
+             "either --config or --sigma is required"),
+            (["greeks", "--sigma", "0.2", "--s", "1,2", "--t", "0.5", "--T", "1"],
+             "expected 1 prices in --s, got 2"),
+            (["price", "--sigma", "0.2", "--s", "", "--t", "0.5", "--T", "1"],
+             "expected 1 prices in --s, got 0"),
+            (["simulate", "--scenario", "custom", "--paths", "2"],
+             "custom scenario requires --config")):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (3, "", f"error: {message}\n")
 
 
 # Each subcommand's flags as the manifest records them: every flag but --out.

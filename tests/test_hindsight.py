@@ -142,6 +142,31 @@ def test_rebalancing_rule_validation():
         RebalancingRule(b=[0.2, 0.3], mode="unlevered")
     with pytest.raises(ValidationError, match="not representable in float64"):
         wealth_of_rule(MarketSpec.single(0.0, 0.1, 0.0), 1e30, 0.01, RebalancingRule([50.0]))
+    with pytest.raises(ValidationError, match="^rule has 2 fractions for 1 assets$"):
+        wealth_of_rule(SPEC, 105.0, 1.0, RebalancingRule([0.2, 0.3]))
+    with pytest.raises(ValidationError, match=r"^expected 1 prices, got shape \(2,\)$"):
+        z_score(SPEC, [105.0, 95.0], 1.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_rule_refuses_a_nonfinite_fraction():
+    for b, mode in (([math.nan], "levered"), ([math.inf], "levered"),
+                    ([0.5, -math.inf], "levered"), ([math.nan], "unlevered")):
+        with pytest.raises(ValidationError, match="^fractions must be finite$"):
+            RebalancingRule(b=b, mode=mode)
+
+
+@pytest.mark.filterwarnings("error")
+def test_wealth_of_rule_scales_by_t_before_the_quadratic_overflows():
+    # b' Sigma b = 1e310 overflows float64, but (b' Sigma b) t / 2 = 5 at t = 1e-309
+    spec = MarketSpec.single(mu=0.0, sigma=1.0, rate=0.0)
+    wealth = wealth_of_rule(spec, 1.0, 1e-309, RebalancingRule([1e155]))
+    assert wealth == pytest.approx(math.exp(-5.0), rel=1e-12)
+    # u = sqrt(t) M b overflows itself: a log wealth of -inf is 0.0, -inf + inf is refused
+    wide = MarketSpec.single(mu=0.0, sigma=1e154, rate=0.0)
+    assert wealth_of_rule(wide, 1.0, 1.0, RebalancingRule([-1e155])) == 0.0
+    with pytest.raises(ValidationError, match="not representable in float64"):
+        wealth_of_rule(wide, 1.0, 1.0, RebalancingRule([1e155]))
 
 
 def test_all_cash_earns_the_riskfree_rate():
@@ -355,6 +380,14 @@ def test_solve_is_scipys_solve_triangular_bit_for_bit():
                     solve(spec, z)
 
 
+def test_corr_quad_is_z_corr_inverse_z():
+    spec = MarketSpec.pair(mu=(0.0, 0.0), sigma=(0.3, 0.5), rho=0.6, rate=0.0)
+    z = np.array([1.2, -0.7])
+    want = float(z @ np.linalg.solve(spec.corr, z))
+    assert corr_quad(spec, z) == pytest.approx(want, rel=1e-13)
+    assert corr_quad(spec, z) == pytest.approx(float(z @ corr_solve(spec, z)), rel=1e-13)
+
+
 @pytest.mark.filterwarnings("error")
 def test_a_tiny_volatility_raises_without_a_warning():
     # z ~ 7e299 at sigma = 1e-300: b(S, t) and z' R^{-1} z overflow
@@ -381,7 +414,7 @@ def test_a_tiny_volatility_raises_without_a_warning():
     # z ~ -3e300 is in the cash region, where its square is never formed; e^{rt} overflows
     with pytest.raises(ValidationError, match="use log_intrinsic_value$"):
         intrinsic_value(MarketSpec.single(0.0, 1.0, 1e300), 1.0, 10.0, "unlevered")
-    # b' Sigma b and z' M b overflow, so the log wealth is -inf + inf
+    # u' R u and z' u overflow, so the log wealth is -inf + inf
     with pytest.raises(ValidationError, match="not representable in float64"):
         wealth_of_rule(MarketSpec.single(0.0, 1e100, 0.0), 1.0, 1.0, RebalancingRule([1e200]))
 
@@ -396,6 +429,8 @@ def test_every_mode_taking_api_refuses_a_bad_mode_with_one_message():
         "mc_price": lambda spec, mode: mc_price(spec, s, 1.0, 2.0, mode, n_paths=100),
         "hedge_path": lambda spec, mode: hedge_path(spec, path, 1.0, 2.0, mode),
     }
+    with pytest.raises(ValidationError, match="^unknown mode 'covered'$"):
+        RebalancingRule(b=[0.5], mode="covered")
     for name, call in calls.items():
         with pytest.raises(ValidationError, match="^unknown mode 'covered'$"):
             call(pair, "covered")

@@ -28,7 +28,8 @@ from hindsight_options import (
 )
 from hindsight_options import lattice
 from hindsight_options.errors import ValidationError
-from hindsight_options.lattice import _best_rule, _log_node_rows, _logsumexp, format_demon_csv
+from hindsight_options.cli import _demon_csv
+from hindsight_options.lattice import _best_rule, _log_node_rows, _logsumexp
 
 GENERIC = LatticeSpec(u=1.25, d=0.85, r_per=0.03, n_steps=12)
 
@@ -58,6 +59,8 @@ def test_spec_validation():
     for horizon, n_steps in ((-1.0, 3), (math.nan, 3), (1.0, 0)):
         with pytest.raises(ValidationError, match="horizon"):
             LatticeSpec.crr(sigma=0.2, rate=0.0, horizon=horizon, n_steps=n_steps)
+    with pytest.raises(ValidationError, match="^n_steps must be >= 1$"):
+        LatticeSpec(u=2.0, d=0.5, r_per=0.0, n_steps=0)
     spec = shannon_spec(5)
     assert spec.q == pytest.approx(1.0 / 3.0)
     assert 0.0 < GENERIC.q < 1.0
@@ -372,7 +375,7 @@ def test_demon_fair_coin_beats_the_stock_in_median():
 
 def test_demon_csv():
     ledger = demon_simulation(5, 0.5, seed=1)
-    lines = format_demon_csv(ledger).strip().splitlines()
+    lines = _demon_csv(ledger).strip().splitlines()
     assert lines[0] == "step,upticks,stock,wealth"
     assert len(lines) == 7
     first = lines[1].split(",")
@@ -388,6 +391,17 @@ def test_state_validation():
         lattice_payoff(GENERIC, 13)
     with pytest.raises(ValidationError):
         lattice_delta(GENERIC, LatticeState(2, 12), 1.0)
+    for s in (0.0, -1.0):
+        with pytest.raises(ValidationError, match="^stock price must be positive$"):
+            lattice_delta(GENERIC, LatticeState(2, 5), s)
+    with pytest.raises(ValidationError, match="^unknown mode 'covered'$"):
+        lattice_payoff(GENERIC, 3, "covered")
+    for moves in (np.ones(11), np.full(12, 2), np.r_[np.zeros(11), -1]):
+        with pytest.raises(ValidationError, match="^moves must be 12 entries of 0 or 1$"):
+            hedge_lattice_path(GENERIC, moves)
+    for p in (-0.1, 1.1, math.nan):
+        with pytest.raises(ValidationError, match=r"^p must lie in \[0, 1\]$"):
+            demon_simulation(5, p, seed=1)
     # values beyond float64 name the log-space API instead of returning inf
     deep = LatticeSpec(u=1.02, d=0.98, r_per=0.0, n_steps=2000)
     with pytest.raises(ValidationError, match="use lattice_log_price"):

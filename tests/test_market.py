@@ -122,6 +122,29 @@ def test_asymmetric_and_nonsquare_corr_rejected():
     with pytest.raises(ValidationError, match="correlation matrix must be finite"):
         MarketSpec(n=2, mu=[0, 0], sigma=[0.2, 0.2],
                    corr=[[1.0, math.nan], [math.nan, 1.0]], rate=0.0, s0=[1, 1])
+    with pytest.raises(ValidationError, match=r"^correlation entries must lie in \[-1, 1\]$"):
+        MarketSpec.pair(mu=(0.0, 0.0), sigma=(0.2, 0.2), rho=1.5, rate=0.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_corr_symmetry_and_unit_diagonal_are_absolute_to_1e_12():
+    # within numpy's default rtol of 1e-5, but beyond an absolute 1e-12
+    with pytest.raises(ValidationError, match="^correlation matrix must be symmetric$"):
+        MarketSpec(n=2, mu=[0, 0], sigma=[0.2, 0.2], corr=[[1.0, 0.5], [0.500004, 1.0]],
+                   rate=0.0, s0=[1, 1])
+    with pytest.raises(ValidationError, match="^correlation matrix must have a unit diagonal$"):
+        MarketSpec(n=1, mu=[0], sigma=[0.2], corr=[[0.999991]], rate=0.0, s0=[1])
+    for corr in ([[1.0 + 5e-13]], [[1.0 - 5e-13]]):
+        assert MarketSpec(n=1, mu=[0], sigma=[0.2], corr=corr, rate=0.0, s0=[1]).n == 1
+    near = MarketSpec(n=2, mu=[0, 0], sigma=[0.2, 0.2], corr=[[1.0, 0.5], [0.5 + 5e-13, 1.0]],
+                      rate=0.0, s0=[1, 1])
+    assert near.n == 2
+
+
+def test_a_rate_that_is_not_a_number_is_refused():
+    for rate in ("x", None, [0.01, 0.02]):
+        with pytest.raises(ValidationError, match="^rate must be a number$"):
+            MarketSpec(n=1, mu=[0.0], sigma=[0.2], corr=[[1.0]], rate=rate, s0=[1.0])
 
 
 _BAD = [math.nan, math.inf, -math.inf, 0.0, -0.5]
@@ -338,6 +361,8 @@ def test_price_path_validation():
         PricePath(times=[0.0, 1.0, 1.0], prices=[[1.0], [1.1], [1.2]])
     with pytest.raises(ValidationError):
         PricePath(times=[0.0, 1.0], prices=[[1.0], [-0.5]])
+    with pytest.raises(ValidationError, match="^times and prices must align row-for-row$"):
+        PricePath(times=[0.0, 1.0], prices=[[1.0], [1.1], [1.2]])
 
 
 def test_simulate_paths_rejects_bad_arguments():
@@ -355,6 +380,11 @@ def test_simulate_paths_rejects_bad_arguments():
                 simulate_paths(spec, horizon, 10, 1)
         with pytest.raises(ValidationError, match="seed"):
             simulate_paths(spec, 1.0, 10, 1, seed=-1)
+        with pytest.raises(ValidationError, match="^n_paths must be >= 1$"):
+            simulate_paths(spec, 1.0, 10, 0)
+        # a horizon of 5e-324 over two steps cannot give a grid that increases
+        with pytest.raises(ValidationError, match="^time grid must start at 0 and strictly"):
+            simulate_paths(spec, 5e-324, 2, 1)
 
 
 def test_spec_file_round_trip(tmp_path):
@@ -390,3 +420,15 @@ def test_spec_file_errors_name_the_line(tmp_path):
     with pytest.raises(ValidationError) as err:
         load_market_spec(str(negative))
     assert str(err.value) == f"{negative}: volatilities must be strictly positive"
+    good = "n = 1\nmu = 0\nsigma = 0.2\ncorr = 1\nrate = 0\ns0 = 1\n"
+    for text, message in (
+            (good.replace("mu = 0", "mu = 0 abc"), f"{bad}:2: could not convert string"),
+            (good.replace("mu = 0", "mu ="), f"{bad}:2: no values for key 'mu'"),
+            (good + "rate = 0.01\n", f"{bad}: key 'rate' given 2 times"),
+            (good.replace("n = 1", "n = 2").replace("mu = 0", "mu = 0 0")
+             .replace("sigma = 0.2", "sigma = 0.2 0.2").replace("corr = 1", "corr = 1 0")
+             .replace("s0 = 1", "s0 = 1 1"), f"{bad}: expected 2 corr rows, got 1")):
+        bad.write_text(text)
+        with pytest.raises(ValidationError) as err:
+            load_market_spec(str(bad))
+        assert str(err.value).startswith(message)

@@ -123,6 +123,12 @@ def test_domain_checks():
         mc_price(SPEC, 1.0, 1.0, 2.0, "straddle", n_paths=1000, seed=0)
     with pytest.raises(ValidationError):
         mc_price(SPEC, 1.0, 1.0, 2.0, "levered", n_paths=1000, seed=-1)
+    # antithetic pairs round 5 paths down to 4, the fewest with a standard error
+    assert mc_price(SPEC, 1.0, 1.0, 2.0, "levered", n_paths=5, seed=0).n_obs == 2
+    for n_paths, antithetic in ((3, True), (1, False)):
+        with pytest.raises(ValidationError, match="^too few paths for a standard error$"):
+            mc_price(SPEC, 1.0, 1.0, 2.0, "levered", n_paths=n_paths, seed=0,
+                     antithetic=antithetic)
     pair = MarketSpec.pair(mu=(0.0, 0.0), sigma=(0.2, 0.2), rho=0.0, rate=0.0)
     with pytest.raises(ValidationError, match="one asset"):
         mc_price(pair, [1.0, 1.0], 1.0, 2.0, "unlevered", n_paths=1000, seed=0)

@@ -479,6 +479,9 @@ def test_time0_price_values():
     assert price_time0_unlevered(0.3, 0.0) == 1.0
     with pytest.raises(ValidationError, match="not representable"):
         price_time0_unlevered(1e300, 1e30)
+    for T in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValidationError, match="^T must be nonnegative and finite$"):
+            price_time0_unlevered(0.3, T)
 
 
 # ---------------------------------------------------------------------------
@@ -597,6 +600,9 @@ def test_rational_but_unattainable_price_returns_no_roots():
     floor = min_rational_price(1, t, T, r)
     roots = implied_vols(floor * (1.0 + 1e-9), s, s0, t, T, r).roots
     assert roots == ()
+    # at the floor itself K = 0, and with S/S0 > e^{rt} both roots of the
+    # quadratic, each -4 Lp / t, are negative
+    assert implied_vols(2.0, 1.1, 1.0, 0.5, 2.0, 0.0).roots == ()
 
 
 def test_implied_vol_random_round_trips():
@@ -662,3 +668,6 @@ def test_time0_unlevered_excess_growth_value():
     for T in (5e-324, np.float64(5e-324)):
         with pytest.raises(ValidationError, match="^the regret rate is not representable"):
             time0_unlevered_excess_growth(1e262, T)
+    for T in (0.0, -1.0):
+        with pytest.raises(ValidationError, match="^T must be positive$"):
+            time0_unlevered_excess_growth(0.7, T)

@@ -31,7 +31,8 @@ from hindsight_options import (
     scenario_spec,
     simulate_paths,
 )
-from hindsight_options.replication import PriceTable, format_ledger_csv
+from hindsight_options.cli import _ledger_csv
+from hindsight_options.replication import PriceTable
 from hindsight_options.errors import ValidationError
 from hindsight_options import hindsight, market, replication
 from hindsight_options.hindsight import _fractions, _log_levered
@@ -276,6 +277,9 @@ def test_hedge_path_domain_errors():
         hedge_path(SPEC, path, 1.0005, 2.0)  # off-grid start
     with pytest.raises(ValidationError):
         hedge_path(SPEC, path, 1.0, 2.0, mode="covered")
+    for t_start, T in ((2.0, 1.0), (1.0, 1.0)):
+        with pytest.raises(ValidationError, match="^need t_start < T$"):
+            hedge_path(SPEC, path, t_start, T)
     # z / (sigma sqrt(t)) overflows: the first trading fraction is not a float64
     flat = PricePath(times=np.linspace(0.0, 2.0, 5), prices=np.array([[1.0], [1.5], [1.5],
                                                                        [1.5], [1.5]]))
@@ -315,7 +319,7 @@ def growth_accounts(spec, path, warmup, T):
     wealth = np.empty(len(times))
     wealth[:i_buy + 1] = prices[:i_buy + 1] @ basket_shares
     log_c = _log_levered(spec, prices[i_buy:], times[i_buy:], T)
-    wealth[i_buy:] = replication._tracked(wealth[i_buy:i_buy + 1], log_c[None])[0]
+    wealth[i_buy:] = wealth[i_buy] * np.exp(log_c - log_c[0])
     return i_buy, wealth
 
 
@@ -513,6 +517,9 @@ def test_simulation_config_validation():
         scenario_config("sim1", T=math.inf)
     with pytest.raises(ValidationError, match="seed"):
         run_growth_simulation(scenario_config("sim1", T=10.0, n_paths=1, seed=-1))
+    for steps_per_year, n_paths in ((0, 1), (12, 0)):
+        with pytest.raises(ValidationError, match="^steps_per_year and n_paths must be >= 1$"):
+            scenario_config("sim1", steps_per_year=steps_per_year, n_paths=n_paths)
 
 
 # ---------------------------------------------------------------------------
@@ -575,6 +582,8 @@ def test_backtest_validation():
         discrete_backtest(table, [0.5, 0.5])
     with pytest.raises(ValidationError):
         discrete_backtest(table, [0.5], rebalance_interval=0)
+    with pytest.raises(ValidationError, match="^need at least two rebalance points$"):
+        discrete_backtest(table_from([100.0, 120.0, 90.0]), [0.5], rebalance_interval=3)
     for b in ([math.nan], [math.inf], [-math.inf]):
         with pytest.raises(ValidationError, match="fractions must be finite"):
             discrete_backtest(table, b)
@@ -768,7 +777,7 @@ def test_load_price_table_errors_equal_the_cell_by_cell_parser(tmp_path, text):
 def test_ledger_csv_layout():
     path = simulate_paths(SPEC, 2.0, 50, 1, seed=61)[0]
     ledger = hedge_path(SPEC, path, 1.0, 2.0)
-    lines = format_ledger_csv(ledger).strip().splitlines()
+    lines = _ledger_csv(ledger).strip().splitlines()
     assert lines[0] == "time,wealth,cash,fraction_1,shares_1"
     assert len(lines) == len(ledger.times) + 1
     cells = lines[1].split(",")
