@@ -58,6 +58,7 @@ EXIT_IO = 4
 _PIECE_ROWS = 1024
 
 
+@functools.cache  # importlib.metadata scans sys.path on every lookup
 def _tool_version() -> str:
     try:
         return pkg_version("hindsight-options")

@@ -269,9 +269,10 @@ def best_rule(spec: MarketSpec, s, t: float, mode: str = "levered") -> Rebalanci
 def wealth_of_rule(spec: MarketSpec, s, t: float, rule: RebalancingRule) -> float:
     """Realized wealth V_t(b) of a $1 deposit, computed from (S, t) alone.
 
-    The log wealth is rt - u' R u / 2 + z' u with the exposure u = sqrt(t) M b
+    The log wealth is rt + u' (z - R u / 2) with the exposure u = sqrt(t) M b
     formed first, so that b' Sigma b overflowing before it meets a small t
-    loses nothing.  A wealth too small for float64 is returned as 0.0.
+    loses nothing, and a u that overflows gives a log wealth of -inf rather
+    than -inf + inf.  A wealth too small for float64 is returned as 0.0.
     """
     z = z_score(spec, s, t)
     b = rule.b
@@ -279,10 +280,9 @@ def wealth_of_rule(spec: MarketSpec, s, t: float, rule: RebalancingRule) -> floa
         raise ValidationError(f"rule has {b.shape[0]} fractions for {spec.n} assets")
     with np.errstate(over="ignore", invalid="ignore"):  # _exp refuses a NaN or +inf log wealth
         u = math.sqrt(t) * spec.sigma * b
-        quad = float(u @ spec.corr @ u)
-        linear = float(z @ u)
-    return _exp(spec.rate * t - 0.5 * quad + linear,
-                "the log wealth (r - b' Sigma b / 2) t + sqrt(t) z' M b", zero_ok=True)
+        excess = float(u @ (z - 0.5 * (spec.corr @ u)))
+    return _exp(spec.rate * t + excess, "the log wealth rt + u' (z - R u / 2), u = sqrt(t) M b",
+                zero_ok=True)
 
 
 def intrinsic_value(spec: MarketSpec, s, t: float, mode: str = "levered") -> float:

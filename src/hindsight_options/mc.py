@@ -19,16 +19,24 @@ and simulating only up to s = min(1.25 t, T) keeps 1 - t/s <= 1/5 < 1/4
 plain for t > 3T/4, partial otherwise.
 
 Payoffs are evaluated in whitened coordinates: with x_t = L^{-1} z_t solved
-once, L^{-1} z_s = w_t x_t + w_y y, so the antithetic pair +-y pays
-exp(a +- c), a = a_0 + w_y^2 |y|^2 / 2, c = w_t w_y x_t . y.  With one asset
-|y|^2 and x_t . y are the products y_0 y_0 and y_0 k_0, which give the bits of
-the einsum and the mat-vec at a fraction of their cost.  The unlevered
-payoff (the best fixed fraction in hindsight, clipped to [0, 1]) has log
-rT + c (z_T - c/2) with c = clip(z_T, 0, w); draws that clamp to cash pay
-exactly discount * e^{rT}.
+once, L^{-1} z_s = w_t x_t + w_y y for a unit-normal row y, so the
+antithetic pair +-y pays exp(a +- c), a = a_0 + w_y^2 |y|^2 / 2,
+c = k . y, k = w_t w_y x_t.  The payoff reads y only through k . y and
+|y|^2, and y is isotropic: a rotation taking k to |k| e_1 leaves its law
+unchanged, so (k . y, |y|^2) has the law of (kappa g, g^2 + r) with g unit
+normal, r ~ chi^2_{n-1} independent of g, and kappa = +-|k| (Glasserman,
+*Monte Carlo Methods in Financial Engineering*, 2003).  Each observation
+therefore draws one normal g and, for n >= 2, one chi^2_{n-1} variate r,
+whatever the asset count; the antithetic pair +-g shares its r.  With one
+asset there is no r and kappa = k_0, so g is y itself and the payoff has the
+bits of the y form; with n >= 2 assets the draws (g, r) sample the same law
+as the rows y with different numbers.  The unlevered payoff
+(the best fixed fraction in hindsight, clipped to [0, 1]) has log
+rT + c (z_T - c/2) with c = clip(z_T, 0, w), z_T affine in g; draws that
+clamp to cash pay exactly discount * e^{rT}.
 
 :func:`mc_prices` prices several modes of one state in one pass: each chunk
-of normals is drawn once and every mode's evaluator reads it, read-only, so a
+of draws is made once and every mode's evaluator reads it, read-only, so a
 one-asset state's levered and unlevered estimates share their draws (common
 random numbers).  Each estimate equals, bit for bit, the one :func:`mc_price`
 returns for its mode alone.
@@ -91,7 +99,8 @@ def mc_price(spec: MarketSpec, s, t: float, T: float, mode: str = "levered",
         at the initial prices) except for the levered option, whose time-0
         price is infinite.
     antithetic : bool
-        Pair each normal draw with its negation; n_paths is rounded down to
+        Pair each normal draw g with its negation, the pair sharing its
+        chi-square draw; n_paths is rounded down to
         an even count and each pair contributes one observation to the
         standard error.  Pairing helps the monotone unlevered payoff; the
         levered payoff is nearly even in the shock, so there it is roughly
@@ -106,7 +115,7 @@ def mc_prices(spec: MarketSpec, s, t: float, T: float, modes: Sequence[str],
               antithetic: bool = True) -> tuple[McEstimate, ...]:
     """:func:`mc_price` for each of ``modes`` in one pass over the draws.
 
-    Every chunk of normals is drawn once and fed to each mode's payoff, so the
+    Every chunk of draws is made once and fed to each mode's payoff, so the
     estimates share their draws (common random numbers) and each equals, field
     for field, what :func:`mc_price` returns for its mode alone.
     """
@@ -128,10 +137,9 @@ def mc_prices(spec: MarketSpec, s, t: float, T: float, modes: Sequence[str],
     top = [0.0] * len(runs)
     with np.errstate(over="ignore"):
         for rng, size in _chunk_streams(seed, n_obs, _CHUNK):
-            y = rng.standard_normal((size, spec.n))
-            y.flags.writeable = False  # shared by every mode's payoff
+            g, r = _draws(rng, size, spec.n)
             for i, (_, _, value) in enumerate(runs):
-                vals = value(y, antithetic)
+                vals = value(g, r, antithetic)
                 total[i] += float(np.sum(vals))
                 top[i] = max(top[i], float(np.max(vals)))
                 total_sq[i] += float(np.sum(np.multiply(vals, vals, out=vals)))
@@ -148,6 +156,22 @@ def mc_prices(spec: MarketSpec, s, t: float, T: float, modes: Sequence[str],
     return tuple(estimates)
 
 
+def _draws(rng: np.random.Generator, size: int, n: int):
+    """Read-only ``(g, r)``: unit normals, then chi^2_{n-1} variates (None for n = 1)."""
+    g = rng.standard_normal(size)
+    g.flags.writeable = False  # shared by every mode's payoff
+    if n == 1:
+        return g, None
+    if n == 2:  # numpy's Gamma(1/2) sampler costs about three normals
+        r = np.square(rng.standard_normal(size))
+    elif n == 3:  # chisquare(2) doubles a unit exponential: these numbers, drawn faster
+        r = 2.0 * rng.standard_exponential(size)
+    else:
+        r = rng.chisquare(n - 1, size)
+    r.flags.writeable = False
+    return g, r
+
+
 def _estimator(spec: MarketSpec, s, t: float, T: float, mode: str):
     """``(estimator, s_eval, value)`` of one mode: its name, horizon and payoff evaluator."""
     _check_mode(spec, mode)
@@ -161,9 +185,10 @@ def _estimator(spec: MarketSpec, s, t: float, T: float, mode: str):
 
 
 def _levered_value_fn(spec: MarketSpec, s, t: float, T: float, s_eval: float):
-    """Discounted-payoff evaluator ``value(y, antithetic)`` for unit-normal rows y.
+    """Discounted-payoff evaluator ``value(g, r, antithetic)`` for the draws of :func:`_draws`.
 
-    ``value`` only reads ``y``, which other modes share, and returns a new array.
+    ``value`` only reads ``g`` and ``r``, which other modes share, and returns
+    a new array.
     """
     x_t = solve_triangular(spec.lower, z_score(spec, s, t), lower=True)
     w_t = math.sqrt(t / s_eval)
@@ -172,17 +197,15 @@ def _levered_value_fn(spec: MarketSpec, s, t: float, T: float, s_eval: float):
            + 0.5 * w_t * w_t * float(x_t @ x_t))
     half_wy2 = 0.5 * w_y * w_y
     k = (w_t * w_y) * x_t
+    kappa = math.copysign(math.hypot(*k), k[0])  # k_0 itself for one asset
 
-    def value(y: np.ndarray, antithetic: bool) -> np.ndarray:
-        if spec.n == 1:  # one product per row where einsum and the mat-vec cost far more
-            y0 = y[:, 0]
-            a = y0 * y0
-            c = y0 * k[0]
-        else:
-            a = np.einsum("ij,ij->i", y, y)
-            c = y @ k
+    def value(g: np.ndarray, r: np.ndarray | None, antithetic: bool) -> np.ndarray:
+        a = g * g
+        if r is not None:
+            a += r
         a *= half_wy2
         a += a_0
+        c = g * kappa
         if not antithetic:
             a += c
             return np.exp(a, out=a)
@@ -196,9 +219,10 @@ def _levered_value_fn(spec: MarketSpec, s, t: float, T: float, s_eval: float):
 
 
 def _unlevered_value_fn(spec: MarketSpec, s, t: float, T: float):
-    """Discounted-payoff evaluator ``value(y, antithetic)`` for unit-normal rows y.
+    """Discounted-payoff evaluator ``value(g, r, antithetic)`` for the draws of :func:`_draws`.
 
-    ``value`` only reads ``y``, which other modes share, and returns a new array.
+    ``value`` only reads ``g`` (one asset has no ``r``), which other modes
+    share, and returns a new array.
     """
     sigma, r, s0 = float(spec.sigma[0]), spec.rate, float(spec.s0[0])
     if t > 0:
@@ -207,7 +231,7 @@ def _unlevered_value_fn(spec: MarketSpec, s, t: float, T: float):
     tau = T - t
     w = sigma * math.sqrt(T)
     mu_rn = r - 0.5 * sigma * sigma
-    # z_T = z_mid + k y: the hindsight z-score at T for the draw y
+    # z_T = z_mid + k g: the hindsight z-score at T for the draw g
     z_mid = (log_s_t - math.log(s0) + mu_rn * tau - mu_rn * T) / w
     k = sigma * math.sqrt(tau) / w
     cash = math.exp(-r * tau) * math.exp(r * T)
@@ -219,8 +243,8 @@ def _unlevered_value_fn(spec: MarketSpec, s, t: float, T: float):
         z_T *= c
         return np.exp(z_T, out=z_T)
 
-    def value(y: np.ndarray, antithetic: bool) -> np.ndarray:
-        ky = k * y[:, 0]
+    def value(g: np.ndarray, r: None, antithetic: bool) -> np.ndarray:
+        ky = k * g
         pay = growth(z_mid + ky)
         if antithetic:
             pay += growth(np.subtract(z_mid, ky, out=ky))

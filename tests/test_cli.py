@@ -687,8 +687,8 @@ def test_verify_reports_a_gap_at_zero_standard_error(monkeypatch, capsys):
 # columns move only where the oracle's arithmetic or streams change on purpose.
 VERIFY_STDOUT_SHA256 = {
     1: "4c0c1355531cba58a44042ffaaed8ad41d3033bc8631ae088ef56ed4a1249754",
-    2: "bfced9b58e561071f708003920f48be01a164cd14c7be9ffcdaa63575655988f",
-    3: "320d155e1ad1efa37069e44927953d37f9d6fc62f82af693386a92ec39f3dc6d",
+    2: "4f5dc884db07939412a92d0cb75998e4527dc73576e88fefdb471efa12c3ac49",
+    3: "8dd6c1b62d48418477ce166eca17a301cdd35fe457546753f07aa789161075c4",
 }
 
 

@@ -162,11 +162,17 @@ def test_wealth_of_rule_scales_by_t_before_the_quadratic_overflows():
     spec = MarketSpec.single(mu=0.0, sigma=1.0, rate=0.0)
     wealth = wealth_of_rule(spec, 1.0, 1e-309, RebalancingRule([1e155]))
     assert wealth == pytest.approx(math.exp(-5.0), rel=1e-12)
-    # u = sqrt(t) M b overflows itself: a log wealth of -inf is 0.0, -inf + inf is refused
+    # u = sqrt(t) M b overflows itself: u' (z - R u / 2) is -inf, so the wealth is 0.0
     wide = MarketSpec.single(mu=0.0, sigma=1e154, rate=0.0)
-    assert wealth_of_rule(wide, 1.0, 1.0, RebalancingRule([-1e155])) == 0.0
+    for b in (1e155, -1e155):
+        assert wealth_of_rule(wide, 1.0, 1.0, RebalancingRule([b])) == 0.0
+    # u = 1e300 is finite and u' (z - R u / 2) ~ -5e599 overflows to -inf: 0.0
+    wealth = wealth_of_rule(MarketSpec.single(0.0, 1e100, 0.0), 1.0, 1.0, RebalancingRule([1e200]))
+    assert wealth == 0.0
+    # R u holds 0 * inf = NaN for u = (inf, -inf) at rho = 0: a NaN log wealth is refused
+    pair = MarketSpec.pair(mu=(0.0, 0.0), sigma=(1e154, 1e154), rho=0.0, rate=0.0)
     with pytest.raises(ValidationError, match="not representable in float64"):
-        wealth_of_rule(wide, 1.0, 1.0, RebalancingRule([1e155]))
+        wealth_of_rule(pair, [1.0, 1.0], 1.0, RebalancingRule([1e155, -1e155]))
 
 
 def test_all_cash_earns_the_riskfree_rate():
@@ -414,9 +420,6 @@ def test_a_tiny_volatility_raises_without_a_warning():
     # z ~ -3e300 is in the cash region, where its square is never formed; e^{rt} overflows
     with pytest.raises(ValidationError, match="use log_intrinsic_value$"):
         intrinsic_value(MarketSpec.single(0.0, 1.0, 1e300), 1.0, 10.0, "unlevered")
-    # u' R u and z' u overflow, so the log wealth is -inf + inf
-    with pytest.raises(ValidationError, match="not representable in float64"):
-        wealth_of_rule(MarketSpec.single(0.0, 1e100, 0.0), 1.0, 1.0, RebalancingRule([1e200]))
 
 
 def test_every_mode_taking_api_refuses_a_bad_mode_with_one_message():

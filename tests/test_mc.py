@@ -19,6 +19,7 @@ from hindsight_options.hindsight import z_score
 from hindsight_options.mc import (
     _CHUNK,
     _chunk_streams,
+    _draws,
     _levered_value_fn,
     _unlevered_value_fn,
 )
@@ -154,6 +155,28 @@ def test_multi_asset_levered_estimate():
     assert abs(est.mean - closed) < 4.0 * est.std_error
 
 
+MULTI_ASSET = {
+    2: MarketSpec.pair(mu=(0.03, 0.01), sigma=(0.3, 0.6), rho=-0.5, rate=0.02),
+    3: MarketSpec(n=3, mu=[0.04, 0.0, 0.02], sigma=[0.3, 0.5, 0.4],
+                  corr=[[1.0, -0.3, 0.1], [-0.3, 1.0, 0.4], [0.1, 0.4, 1.0]],
+                  rate=0.01, s0=[1.0, 1.0, 1.0]),
+}
+
+
+@pytest.mark.parametrize("n", sorted(MULTI_ASSET))
+@pytest.mark.parametrize("antithetic", [True, False])
+def test_multi_asset_estimates_from_one_normal_and_one_chi_square(n, antithetic):
+    # each observation draws g and r ~ chi^2_{n-1} in place of n normals
+    spec = MULTI_ASSET[n]
+    s = np.array([1.25, 0.8, 1.1])[:n]
+    T = 2.0
+    for t, used, seed in ((0.3 * T, "partial", 31), (0.8 * T, "plain", 32)):
+        est = mc_price(spec, s, t, T, "levered", n_paths=300_000, seed=seed,
+                       antithetic=antithetic)
+        assert est.estimator == used
+        assert abs(est.mean - price_levered(spec, s, t, T).price) < 4.0 * est.std_error
+
+
 def test_auto_takes_plain_only_after_three_quarters_of_the_horizon():
     T = 4.0
     cases = [(3.0, "partial", 3.75),  # t = 3T/4 exactly
@@ -211,12 +234,44 @@ def reference_values(value, y, antithetic):
     return 0.5 * (value(y) + value(-y)) if antithetic else value(y)
 
 
-def reference_mc(value, n, n_paths, seed, antithetic=True):
-    """The chunk loop of mc_price around a reference evaluator."""
+def direction(spec, s, t):
+    """k / kappa, the unit vector of k = w_t w_y L^{-1} z_t signed by its first entry."""
+    x_t = solve_triangular(spec.lower, z_score(spec, s, t), lower=True)
+    return x_t / math.copysign(math.hypot(*x_t), x_t[0])
+
+
+def draws_of(y, k_hat):
+    """The evaluators' (g, r) of rows y: g = y . k_hat, r = |y|^2 - g^2 (None for one asset)."""
+    g = y @ k_hat
+    if y.shape[1] == 1:
+        return g, None
+    return g, np.einsum("ij,ij->i", y, y) - g * g
+
+
+def rows_of(g, r, k_hat):
+    """Rows y with y . k_hat = g and |y|^2 = g^2 + r: g k_hat plus sqrt(r) along a unit
+    vector orthogonal to k_hat."""
+    basis = np.linalg.qr(k_hat[:, None], mode="complete")[0]
+    return np.outer(g, k_hat) + np.outer(np.sqrt(r), basis[:, 1])
+
+
+def reference_mc(value, n, n_paths, seed, antithetic=True, k_hat=None):
+    """The chunk loop of mc_price around a reference evaluator of rows y.
+
+    One asset draws the rows themselves; n >= 2 draws a normal g and then a
+    chi^2_{n-1} variate r per row (a squared normal at n = 2) and reads the
+    row of ``rows_of(g, r, k_hat)``.
+    """
     n_obs = n_paths // 2 if antithetic else n_paths
     total = total_sq = 0.0
     for rng, size in _chunk_streams(seed, n_obs, _CHUNK):
-        vals = reference_values(value, rng.standard_normal((size, n)), antithetic)
+        if n == 1:
+            y = rng.standard_normal((size, 1))
+        else:
+            g = rng.standard_normal(size)
+            r = np.square(rng.standard_normal(size)) if n == 2 else rng.chisquare(n - 1, size)
+            y = rows_of(g, r, k_hat)
+        vals = reference_values(value, y, antithetic)
         total += float(np.sum(vals))
         total_sq += float(np.sum(vals * vals))
     mean = total / n_obs
@@ -249,7 +304,8 @@ def test_whitened_levered_values_match_the_reference(n, estimator, antithetic):
         spec, s, t, T = random_state(rng, n)
         s_eval = T if estimator == "plain" else min(1.25 * t, T)
         y = rng.standard_normal((500, n))
-        new = _levered_value_fn(spec, s, t, T, s_eval)(y, antithetic)
+        new = _levered_value_fn(spec, s, t, T, s_eval)(*draws_of(y, direction(spec, s, t)),
+                                                        antithetic)
         old = reference_values(reference_levered_value_fn(spec, s, t, T, s_eval), y,
                                antithetic)
         np.testing.assert_allclose(new, old, rtol=1e-12, atol=0.0)
@@ -263,7 +319,7 @@ def test_unlevered_values_match_the_reference_in_all_three_regions(antithetic):
     for i in range(30):
         spec, s, t, T = random_state(rng, 1)
         t = 0.0 if i % 10 == 0 else t  # time 0 starts from s0
-        new = _unlevered_value_fn(spec, s, t, T)(y, antithetic)
+        new = _unlevered_value_fn(spec, s, t, T)(y[:, 0], None, antithetic)
         old = reference_values(reference_unlevered_value_fn(spec, s, t, T), y, antithetic)
         np.testing.assert_allclose(new, old, rtol=1e-12, atol=0.0)
         sigma, r = float(spec.sigma[0]), spec.rate
@@ -294,13 +350,13 @@ def test_all_cash_state_is_bit_identical_to_the_reference_loop():
 
 def test_estimates_read_the_unchanged_streams():
     rng = np.random.default_rng(77)
-    for n in (1, 3):
+    for n in (1, 3, 2, 4):
         spec, s, t, T = random_state(rng, n)
         for antithetic in (True, False):
             est = mc_price(spec, s, t, T, "levered", n_paths=150_000, seed=4,
                            antithetic=antithetic)
             ref = reference_levered_value_fn(spec, s, t, T, est.s_eval)
-            mean, se = reference_mc(ref, n, 150_000, 4, antithetic)
+            mean, se = reference_mc(ref, n, 150_000, 4, antithetic, direction(spec, s, t))
             assert est.mean == pytest.approx(mean, rel=1e-12)
             assert est.std_error == pytest.approx(se, rel=1e-12)
     spec, s, t, T = random_state(rng, 1)
@@ -413,6 +469,8 @@ EXTREME_Y = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-160, -1e-200, 1.0, -1.0, 8.
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_levered_values_are_the_einsum_form_bit_for_bit(n):
+    # bit for bit with one asset, where g = y_0 and there is no r; to 1e-12 for
+    # n >= 2, where g = y . k_hat and r = |y|^2 - g^2 round apart from the rows
     rng = np.random.default_rng(43 + n)
     for i in range(20):
         spec, s, t, T = random_state(rng, n)
@@ -423,9 +481,13 @@ def test_levered_values_are_the_einsum_form_bit_for_bit(n):
         for y in ys:
             for antithetic in (True, False):
                 with np.errstate(over="ignore", invalid="ignore"):
-                    new = _levered_value_fn(spec, s, t, T, s_eval)(y, antithetic)
+                    new = _levered_value_fn(spec, s, t, T, s_eval)(
+                        *draws_of(y, direction(spec, s, t)), antithetic)
                     old = einsum_levered_value_fn(spec, s, t, T, s_eval)(y, antithetic)
-                assert new.tobytes() == old.tobytes()
+                if n == 1:
+                    assert new.tobytes() == old.tobytes()
+                else:
+                    np.testing.assert_allclose(new, old, rtol=1e-12, atol=0.0)
 
 
 def test_unlevered_values_keep_their_out_of_place_bits():
@@ -436,7 +498,7 @@ def test_unlevered_values_keep_their_out_of_place_bits():
         for y in (rng.standard_normal((1000, 1)) * rng.uniform(0.1, 10.0), EXTREME_Y):
             for antithetic in (True, False):
                 with np.errstate(over="ignore", invalid="ignore"):
-                    new = _unlevered_value_fn(spec, s, t, T)(y, antithetic)
+                    new = _unlevered_value_fn(spec, s, t, T)(y[:, 0], None, antithetic)
                     old = out_of_place_unlevered_value_fn(spec, s, t, T)(y, antithetic)
                 assert new.tobytes() == old.tobytes()
 
@@ -449,12 +511,13 @@ def test_evaluators_only_read_the_draws_they_share():
                       for s_eval in (T, min(1.25 * t, T))]
         if n == 1:
             evaluators += [_unlevered_value_fn(spec, s, t, T), _unlevered_value_fn(spec, s, 0.0, T)]
-        y = rng.standard_normal((300, n))
-        y.flags.writeable = False
-        before = y.copy()
+        g, r = _draws(rng, 300, n)
+        draws = [g] if r is None else [g, r]
+        assert len(draws) == min(n, 2) and not any(draw.flags.writeable for draw in draws)
+        before = [draw.copy() for draw in draws]
         for value in evaluators:
             for antithetic in (True, False):
-                vals = value(y, antithetic)
+                vals = value(g, r, antithetic)
                 assert vals.shape == (300,) and vals.flags.writeable
-                assert not np.shares_memory(vals, y)
-        assert np.array_equal(y, before)
+                assert not any(np.shares_memory(vals, draw) for draw in draws)
+        assert all(map(np.array_equal, draws, before))
