@@ -164,8 +164,6 @@ def _draws(rng: np.random.Generator, size: int, n: int):
         return g, None
     if n == 2:  # numpy's Gamma(1/2) sampler costs about three normals
         r = np.square(rng.standard_normal(size))
-    elif n == 3:  # chisquare(2) doubles a unit exponential: these numbers, drawn faster
-        r = 2.0 * rng.standard_exponential(size)
     else:
         r = rng.chisquare(n - 1, size)
     r.flags.writeable = False
@@ -224,17 +222,17 @@ def _unlevered_value_fn(spec: MarketSpec, s, t: float, T: float):
     ``value`` only reads ``g`` (one asset has no ``r``), which other modes
     share, and returns a new array.
     """
-    sigma, r, s0 = float(spec.sigma[0]), spec.rate, float(spec.s0[0])
+    sigma, rate, s0 = float(spec.sigma[0]), spec.rate, float(spec.s0[0])
     if t > 0:
         z_score(spec, s, t)  # validates the state prices
     log_s_t = math.log(float(np.atleast_1d(s)[0]) if t > 0 else s0)
     tau = T - t
     w = sigma * math.sqrt(T)
-    mu_rn = r - 0.5 * sigma * sigma
+    mu_rn = rate - 0.5 * sigma * sigma
     # z_T = z_mid + k g: the hindsight z-score at T for the draw g
     z_mid = (log_s_t - math.log(s0) + mu_rn * tau - mu_rn * T) / w
     k = sigma * math.sqrt(tau) / w
-    cash = math.exp(-r * tau) * math.exp(r * T)
+    cash = math.exp(-rate * tau) * math.exp(rate * T)
 
     def growth(z_T: np.ndarray) -> np.ndarray:
         """exp(c (z_T - c/2)), c = clip(z_T, 0, w), written over z_T."""
@@ -243,7 +241,7 @@ def _unlevered_value_fn(spec: MarketSpec, s, t: float, T: float):
         z_T *= c
         return np.exp(z_T, out=z_T)
 
-    def value(g: np.ndarray, r: None, antithetic: bool) -> np.ndarray:
+    def value(g: np.ndarray, _r: np.ndarray | None, antithetic: bool) -> np.ndarray:
         ky = k * g
         pay = growth(z_mid + ky)
         if antithetic:
