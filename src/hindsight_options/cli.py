@@ -13,12 +13,12 @@ import functools
 import json
 import math
 import sys
-from importlib.metadata import PackageNotFoundError, version as pkg_version
 from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
 
+from . import __version__
 from .errors import ValidationError
 from .hindsight import intrinsic_value
 from .lattice import (
@@ -56,14 +56,6 @@ EXIT_IO = 4
 
 # CSV rows written per piece, which bounds the cell strings alive at once.
 _PIECE_ROWS = 1024
-
-
-@functools.cache  # importlib.metadata scans sys.path on every lookup
-def _tool_version() -> str:
-    try:
-        return pkg_version("hindsight-options")
-    except PackageNotFoundError:
-        return "unknown"
 
 
 def _json(record: dict, indent: int | None = None) -> str:
@@ -163,7 +155,7 @@ def _manifest(args, outputs: list[str]) -> str:
         if value is not None:
             argv.extend(["--" + key.replace("_", "-"), str(value)])
     return _json({"command": args.command, "parameters": params, "seed": params.get("seed"),
-                  "outputs": outputs, "version": _tool_version(), "argv": argv},
+                  "outputs": outputs, "version": __version__, "argv": argv},
                  indent=2) + "\n"
 
 

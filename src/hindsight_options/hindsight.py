@@ -32,8 +32,6 @@ from .market import MarketSpec
 
 MODES = ("levered", "unlevered")
 _TINY = np.finfo(float).tiny
-# Entries of w up to 2^500 square and sum (n < 2^23) to a finite float64.
-_QUAD_SAFE = 2.0 ** 500
 
 
 @dataclass(frozen=True)
@@ -68,7 +66,15 @@ def _as_prices(spec: MarketSpec, s, t: float) -> np.ndarray:
     """Prices of a state (S, t) checked for shape, positivity and finiteness."""
     if not 0 < t < math.inf:
         raise ValidationError("t must be positive and finite")
-    s = np.atleast_1d(np.asarray(s, dtype=float))
+    return _prices(spec, s)
+
+
+def _prices(spec: MarketSpec, s) -> np.ndarray:
+    """Prices S checked for shape, positivity and finiteness, at any time."""
+    try:
+        s = np.atleast_1d(np.asarray(s, dtype=float))
+    except (TypeError, ValueError):
+        raise ValidationError("prices must be numbers") from None
     if s.shape != (spec.n,):
         raise ValidationError(f"expected {spec.n} prices, got shape {s.shape}")
     if not ((s > 0) & (s < math.inf)).all():
@@ -102,14 +108,11 @@ def _exp(log_value: float, log_api: str, zero_ok: bool = False) -> float:
     return _representable(value, log_api)
 
 
-def _log_ratio(s, s0):
+def _log_ratio(s: np.ndarray, s0):
     """log(s / s0) of positive finite prices; log s - log s0 where the quotient under- or overflows.
 
-    Arrays go through ``np.log``, scalars through ``math.log``: the two can round differently.
+    ``s`` is an array: a float quotient overflows to inf without setting a numpy flag.
     """
-    if not isinstance(s, np.ndarray):
-        q = s / s0
-        return math.log(q) if _TINY <= q < math.inf else math.log(s) - math.log(s0)
     try:
         with np.errstate(over="raise", under="raise"):
             return np.log(s / s0)
@@ -172,26 +175,27 @@ def _whiten(spec: MarketSpec, z: np.ndarray) -> np.ndarray:
 
 
 def _whitened(spec: MarketSpec, s: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
-    """The state (z, w = L^{-1} z) that log C and b(S, t) both read.
-
-    A state whose z' R^{-1} z = |w|^2 is not a finite float64 is refused, since
-    log C is out of range there; only a state with some |w_i| above 2^500 pays
-    for summing the squares to find out.
-    """
+    """The state (z, w = L^{-1} z) that log C and b(S, t) both read."""
     z = _z(spec, s, t)
-    w = _whiten(spec, z)
-    if not abs(w).max() <= _QUAD_SAFE:
-        with np.errstate(over="ignore"):  # an overflow is refused just below
-            if not np.isfinite(np.sum(w * w, axis=0)).all():
-                raise ValidationError("z' R^{-1} z is not a finite float64 at this state; "
-                                      "not even log_price_levered can represent it")
-    return z, w
+    return z, _whiten(spec, z)
+
+
+def _log_floor(n: int, t, T: float, rate: float):
+    """log of the levered floor (T/t)^{n/2} e^{rt}: the price at z = 0, the cost of universality."""
+    return 0.5 * n * np.log(T / t) + rate * t
 
 
 def _log_levered_of(spec: MarketSpec, z: np.ndarray, w: np.ndarray, t, T: float) -> np.ndarray:
-    """log C(S, t) = (n/2) log(T/t) + rt + z' R^{-1} z / 2, from :func:`_whitened`."""
-    quad = np.sum(w * w, axis=0).reshape(z.shape[:-1])
-    return 0.5 * spec.n * np.log(T / t) + spec.rate * t + 0.5 * quad
+    """log C(S, t) = log floor + z' R^{-1} z / 2, from :func:`_whitened`.
+
+    Refused where z' R^{-1} z = |w|^2, and so log C, is not a finite float64.
+    """
+    with np.errstate(over="ignore"):  # an overflow is refused just below
+        quad = np.sum(w * w, axis=0)
+    if not np.isfinite(quad).all():
+        raise ValidationError("z' R^{-1} z is not a finite float64 at this state; "
+                              "not even log_price_levered can represent it")
+    return _log_floor(spec.n, t, T, spec.rate) + 0.5 * quad.reshape(z.shape[:-1])
 
 
 def _fractions_of(spec: MarketSpec, z: np.ndarray, w: np.ndarray, t) -> np.ndarray:
@@ -220,8 +224,7 @@ def _log_levered(spec: MarketSpec, s: np.ndarray, t, T: float) -> np.ndarray:
 
 def _fractions(spec: MarketSpec, s: np.ndarray, t) -> np.ndarray:
     """b(S, t) of checked states; unlike log C it can be finite where z' R^{-1} z is not."""
-    z = _z(spec, s, t)
-    return _fractions_of(spec, z, _whiten(spec, z), t)
+    return _fractions_of(spec, *_whitened(spec, s, t), t)
 
 
 def _finite_z(z) -> np.ndarray:
@@ -272,7 +275,10 @@ def wealth_of_rule(spec: MarketSpec, s, t: float, rule: RebalancingRule) -> floa
     The log wealth is rt + u' (z - R u / 2) with the exposure u = sqrt(t) M b
     formed first, so that b' Sigma b overflowing before it meets a small t
     loses nothing, and a u that overflows gives a log wealth of -inf rather
-    than -inf + inf.  A wealth too small for float64 is returned as 0.0.
+    than -inf + inf.  Where u holds inf and -inf, so that R u is NaN, the
+    excess is m (v' z - m v' R v / 2) with v = (sigma / |sigma|_inf) (b / |b|_inf)
+    and m = sqrt(t) |sigma|_inf |b|_inf: |v_i| <= 1 and v' R v > 0 form no NaN.
+    A wealth too small for float64 is returned as 0.0.
     """
     z = z_score(spec, s, t)
     b = rule.b
@@ -281,6 +287,11 @@ def wealth_of_rule(spec: MarketSpec, s, t: float, rule: RebalancingRule) -> floa
     with np.errstate(over="ignore", invalid="ignore"):  # _exp refuses a NaN or +inf log wealth
         u = math.sqrt(t) * spec.sigma * b
         excess = float(u @ (z - 0.5 * (spec.corr @ u)))
+        if math.isnan(excess):  # b != 0 here, since u = 0 gives 0.0
+            sigma_max, b_max = float(spec.sigma.max()), float(abs(b).max())
+            v = (spec.sigma / sigma_max) * (b / b_max)
+            m = math.sqrt(t) * sigma_max * b_max
+            excess = m * (float(v @ z) - 0.5 * m * float(v @ spec.corr @ v))
     return _exp(spec.rate * t + excess, "the log wealth rt + u' (z - R u / 2), u = sqrt(t) M b",
                 zero_ok=True)
 

@@ -226,6 +226,14 @@ def _check_path_args(horizon: float, steps: int, n_paths: int, measure: str,
         raise ValidationError("seed must be nonnegative")
 
 
+def _streams(seed: int, n_total: int, per_stream: int) -> Iterator[tuple]:
+    """``(first, rng, size)`` per stream: item i of ``n_total`` draws from the stream
+    ``SeedSequence((seed, i // per_stream))``, whatever ``n_total`` and the reading order."""
+    for first in range(0, n_total, per_stream):
+        rng = np.random.default_rng(np.random.SeedSequence((int(seed), first // per_stream)))
+        yield first, rng, min(per_stream, n_total - first)
+
+
 def _price_blocks(spec: MarketSpec, dt: float | np.ndarray, steps: int, n_paths: int,
                   measure: str, seed: int) -> Iterator[tuple[int, np.ndarray]]:
     """Draw paths block by block for a validated spec and checked arguments.
@@ -238,11 +246,11 @@ def _price_blocks(spec: MarketSpec, dt: float | np.ndarray, steps: int, n_paths:
     Yields ``(first, prices)`` where ``prices`` holds paths ``first, first + 1,
     ...`` with shape (paths in block, steps + 1, n).  A block holds at most
     ``_BLOCK_PATH_STEPS`` path-steps (at least one path), which bounds the
-    memory of the draw and of what callers evaluate per block.  Path i is row
-    ``i % _STREAM_PATHS`` of the draws of the stream
-    ``SeedSequence((seed, i // _STREAM_PATHS))``, so its prices do not depend
-    on ``n_paths`` or on the block it lands in, and path 0 draws what a
-    one-path stream ``SeedSequence((seed, 0))`` does.
+    memory of the draw and of what callers evaluate per block, and no block
+    straddles two streams.  Path i is row ``i % _STREAM_PATHS`` of the draws
+    of the stream ``SeedSequence((seed, i // _STREAM_PATHS))``, so its prices
+    do not depend on ``n_paths`` or on the block it lands in, and path 0 draws
+    what a one-path stream ``SeedSequence((seed, 0))`` does.
     """
     growth = spec.mu if measure == "physical" else np.full(spec.n, spec.rate)
     # A log-price beyond float64 gives a price of 0, inf or nan, refused below.
@@ -252,33 +260,23 @@ def _price_blocks(spec: MarketSpec, dt: float | np.ndarray, steps: int, n_paths:
     log_s0 = np.log(spec.s0)
     block = max(1, _BLOCK_PATH_STEPS // steps)
 
-    for first in range(0, n_paths, block):
-        stop = min(first + block, n_paths)
-        eps = np.empty((stop - first, steps, spec.n))
-        # Split the block at chunk boundaries.  Path 0 opens the first chunk;
-        # a block that starts inside a chunk goes on with that chunk's
-        # generator from the block before.
-        cuts = [first, *range(first - first % _STREAM_PATHS + _STREAM_PATHS, stop,
-                              _STREAM_PATHS), stop]
-        for a, b in zip(cuts, cuts[1:]):
-            chunk, row = divmod(a, _STREAM_PATHS)
-            if row == 0:
-                rng = np.random.default_rng(np.random.SeedSequence((int(seed), chunk)))
-            rng.standard_normal(out=eps[a - first:b - first])
-        # A stacked matmul multiplies each path's draws on its own, exactly as
-        # a per-path product would, so blocking leaves every value unchanged.
-        eps = eps @ spec.lower.T
-        prices = np.empty((stop - first, steps + 1, spec.n))
-        prices[:, 0] = spec.s0
-        with np.errstate(over="ignore", invalid="ignore"):
-            eps *= vol
-            eps += drift
-            np.cumsum(eps, axis=1, out=eps)
-            eps += log_s0
-            np.exp(eps, out=prices[:, 1:])
-        if np.any(prices <= 0) or not np.all(np.isfinite(prices)):
-            raise ValidationError("simulated prices must be strictly positive and finite")
-        yield first, prices
+    for start, rng, size in _streams(seed, n_paths, _STREAM_PATHS):
+        for first in range(start, start + size, block):
+            eps = rng.standard_normal((min(block, start + size - first), steps, spec.n))
+            # A stacked matmul multiplies each path's draws on its own, exactly
+            # as a per-path product would, so blocking leaves every value unchanged.
+            eps = eps @ spec.lower.T
+            prices = np.empty((len(eps), steps + 1, spec.n))
+            prices[:, 0] = spec.s0
+            with np.errstate(over="ignore", invalid="ignore"):
+                eps *= vol
+                eps += drift
+                np.cumsum(eps, axis=1, out=eps)
+                eps += log_s0
+                np.exp(eps, out=prices[:, 1:])
+            if np.any(prices <= 0) or not np.all(np.isfinite(prices)):
+                raise ValidationError("simulated prices must be strictly positive and finite")
+            yield first, prices
 
 
 def simulate_paths(spec: MarketSpec, horizon: float, steps: int, n_paths: int,

@@ -52,8 +52,8 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .errors import ValidationError
-from .hindsight import _check_mode, z_score
-from .market import MarketSpec
+from .hindsight import _check_mode, _prices, z_score
+from .market import MarketSpec, _streams
 
 _CHUNK = 1 << 16
 
@@ -70,18 +70,6 @@ class McEstimate:
     s_eval: float  # the time simulated to
     n_obs: int  # observations; an antithetic pair is one
     max_share: float  # largest single observation over the sum of all
-
-
-def _chunk_streams(seed: int, n_total: int, chunk: int):
-    """Deterministic per-chunk draw counts and generators, independent of order."""
-    start = 0
-    index = 0
-    while start < n_total:
-        size = min(chunk, n_total - start)
-        rng = np.random.default_rng(np.random.SeedSequence((int(seed), index)))
-        yield rng, size
-        start += size
-        index += 1
 
 
 def mc_price(spec: MarketSpec, s, t: float, T: float, mode: str = "levered",
@@ -119,8 +107,8 @@ def mc_prices(spec: MarketSpec, s, t: float, T: float, modes: Sequence[str],
     estimates share their draws (common random numbers) and each equals, field
     for field, what :func:`mc_price` returns for its mode alone.
     """
-    if not 0 <= t < T:
-        raise ValidationError("need 0 <= t < T")
+    if not 0 <= t < T < math.inf:
+        raise ValidationError("need 0 <= t < T < inf")
     if seed < 0:
         raise ValidationError("seed must be nonnegative")
     if antithetic:
@@ -136,7 +124,7 @@ def mc_prices(spec: MarketSpec, s, t: float, T: float, modes: Sequence[str],
     total_sq = [0.0] * len(runs)
     top = [0.0] * len(runs)
     with np.errstate(over="ignore"):
-        for rng, size in _chunk_streams(seed, n_obs, _CHUNK):
+        for _, rng, size in _streams(seed, n_obs, _CHUNK):
             g, r = _draws(rng, size, spec.n)
             for i, (_, _, value) in enumerate(runs):
                 vals = value(g, r, antithetic)
@@ -223,16 +211,20 @@ def _unlevered_value_fn(spec: MarketSpec, s, t: float, T: float):
     share, and returns a new array.
     """
     sigma, rate, s0 = float(spec.sigma[0]), spec.rate, float(spec.s0[0])
+    s = _prices(spec, s)  # checked at every t, although at t = 0 the state is taken at s0
     if t > 0:
-        z_score(spec, s, t)  # validates the state prices
-    log_s_t = math.log(float(np.atleast_1d(s)[0]) if t > 0 else s0)
+        z_score(spec, s, t)  # refuses a state whose z is not finite
+    log_s_t = math.log(float(s[0]) if t > 0 else s0)
     tau = T - t
     w = sigma * math.sqrt(T)
     mu_rn = rate - 0.5 * sigma * sigma
     # z_T = z_mid + k g: the hindsight z-score at T for the draw g
     z_mid = (log_s_t - math.log(s0) + mu_rn * tau - mu_rn * T) / w
     k = sigma * math.sqrt(tau) / w
-    cash = math.exp(-rate * tau) * math.exp(rate * T)
+    try:
+        cash = math.exp(-rate * tau) * math.exp(rate * T)
+    except OverflowError:
+        raise ValidationError("the cash payoff e^{rT} is not representable in float64") from None
 
     def growth(z_T: np.ndarray) -> np.ndarray:
         """exp(c (z_T - c/2)), c = clip(z_T, 0, w), written over z_T."""

@@ -49,7 +49,7 @@ import numpy as np
 from scipy.special import log_ndtr
 
 from .errors import IrrationalPriceError, ValidationError
-from .hindsight import (_as_prices, _check_mode, _exp, _fractions_of, _log_levered,
+from .hindsight import (_as_prices, _check_mode, _exp, _fractions_of, _log_floor, _log_levered,
                         _log_levered_of, _log_ratio, _log_unlevered_intrinsic, _representable,
                         _unrepresentable, _whitened, _z, log_intrinsic_value)
 from .market import MarketSpec
@@ -108,15 +108,10 @@ def _check_horizon(t: float, T: float, *, strict_end: bool = False) -> None:
         raise ValidationError("need t <= T")
 
 
-def _log_min_price(n: int, t: float, T: float, rate: float) -> float:
-    """log of (T/t)^{n/2} e^{rt} for a checked horizon."""
-    return 0.5 * n * math.log(T / t) + rate * t
-
-
 def min_rational_price(n: int, t: float, T: float, rate: float) -> float:
     """Lowest rational levered price, (T/t)^{n/2} e^{rt}, attained at z = 0."""
     _check_horizon(t, T)
-    return _exp(_log_min_price(n, t, T, rate), "log_price_levered")
+    return _exp(_log_floor(n, t, T, rate), "log_price_levered")
 
 
 def log_price_levered(spec: MarketSpec, s, t: float, T: float) -> float:
@@ -290,12 +285,13 @@ def implied_vols(observed_price: float, s: float, s0: float, t: float, T: float,
                  rate: float) -> ImpliedVolRoots:
     """All volatilities that rationalize an observed levered price (one asset).
 
-    Writing x = sigma^2, K = 2(log C - rt) + log(t/T) and Lp = log(S/S0) - rt,
-    consistency of the observed price with the z-score definition requires
+    Writing x = sigma^2, K = 2(log C - log F) with the floor
+    F = (T/t)^{1/2} e^{rt}, and Lp = log(S/S0) - rt, consistency of the
+    observed price with the z-score definition requires
 
         (t^2/4) x^2 + t (Lp - K) x + Lp^2 = 0.
 
-    Prices below the minimum rational price (T/t)^{1/2} e^{rt} raise
+    Prices below the minimum rational price F raise
     :class:`IrrationalPriceError`.  Prices at or above that floor but outside
     the range attainable by any positive volatility (possible when
     Lp > 0 and K < 2 Lp) return no roots.  Every returned root is validated
@@ -312,15 +308,16 @@ def implied_vols(observed_price: float, s: float, s0: float, t: float, T: float,
     if s <= 0 or s0 <= 0:
         raise ValidationError("prices must be strictly positive")
     # A floor that underflows to 0 lies below every positive price.
-    floor = _exp(_log_min_price(1, t, T, rate), "log_price_levered", zero_ok=True)
+    log_floor = float(_log_floor(1, t, T, rate))
+    floor = _exp(log_floor, "log_price_levered", zero_ok=True)
     if observed_price < floor * (1.0 - 1e-12):
         raise IrrationalPriceError(
             f"observed price {observed_price!r} is below the minimum rational "
             f"price sqrt(T/t) * exp(r*t) = {floor!r}"
         )
-    log_ratio = _log_ratio(s, s0)
+    log_ratio = float(_log_ratio(np.asarray(s, dtype=float), s0))
     log_move = log_ratio - rate * t
-    k = max(2.0 * (math.log(observed_price) - rate * t) + math.log(t / T), 0.0)
+    k = max(2.0 * (math.log(observed_price) - log_floor), 0.0)
     qa = 0.25 * t * t
     qb = t * (log_move - k)
     qc = log_move * log_move
@@ -345,10 +342,8 @@ def implied_vols(observed_price: float, s: float, s0: float, t: float, T: float,
         if roots and abs(sigma - roots[-1]) <= 1e-6 * sigma:
             continue  # double root (float noise in K splits it at ~1e-8): report once
         try:
-            repriced = math.exp(
-                0.5 * math.log(T / t) + rate * t
-                + 0.5 * ((log_ratio - (rate - 0.5 * x) * t) / (sigma * math.sqrt(t))) ** 2
-            )
+            z = (log_ratio - (rate - 0.5 * x) * t) / (sigma * math.sqrt(t))
+            repriced = math.exp(log_floor + 0.5 * z ** 2)
         except OverflowError:
             continue  # its price exceeds float64, so it is not the observed one
         if abs(repriced - observed_price) <= 1e-9 * observed_price:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import datetime as dt
 import math
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -297,12 +297,18 @@ def load_price_table(path: str) -> PriceTable:
         steps = np.diff(times)
         offsets = times - times[0]
     if np.any(steps <= 0):
-        bad = int(np.argmax(steps <= 0)) + 3  # +2 data offset, +1 next row
+        bad = _line_of_row(lines, int(np.argmax(steps <= 0)) + 1)
         raise ValidationError(f"{path}:{bad}: rows must be in increasing time order")
     if not np.isfinite(offsets[-1]):  # increasing, so no step can overflow alone
-        bad = int(np.argmax(~np.isfinite(offsets))) + 2  # +2 data offset
+        bad = _line_of_row(lines, int(np.argmax(~np.isfinite(offsets))))
         raise ValidationError(f"{path}:{bad}: column 1: time span overflows float64")
     return PriceTable(times=offsets, prices=prices, columns=tuple(header[1:]))
+
+
+def _line_of_row(lines: list[str], row: int) -> int:
+    """The file line (from 1, the header's) of data row ``row`` (from 0); blank lines hold no row."""
+    return next(islice((no for no, line in enumerate(lines[1:], start=2) if line.strip()),
+                       row, None))
 
 
 def _parse_rows_at_once(lines: list[str], n_cols: int) -> tuple[np.ndarray, np.ndarray] | None:

@@ -17,7 +17,7 @@ from hindsight_options import (
     save_market_spec,
     simulate_paths,
 )
-from hindsight_options import cli
+from hindsight_options import __version__, cli
 from hindsight_options.cli import _csv_table, _demon_csv, _ledger_csv, build_parser, main
 from hindsight_options.mc import McEstimate
 from hindsight_options.replication import HedgeLedger
@@ -601,6 +601,7 @@ def test_every_subcommand_records_and_replays_its_run(name, tmp_path, capsys):
     assert code == 0
     manifest = json.loads((tmp_path / "run1" / "manifest.json").read_text())
     assert manifest["command"] == command
+    assert manifest["version"] == __version__ == "0.1.0"
     assert set(manifest["parameters"]) == FLAGS[command]
     assert manifest["seed"] == manifest["parameters"].get("seed")
     if "--seed" in argv:

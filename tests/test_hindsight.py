@@ -169,12 +169,10 @@ def test_wealth_of_rule_scales_by_t_before_the_quadratic_overflows():
     # u = 1e300 is finite and u' (z - R u / 2) ~ -5e599 overflows to -inf: 0.0
     wealth = wealth_of_rule(MarketSpec.single(0.0, 1e100, 0.0), 1.0, 1.0, RebalancingRule([1e200]))
     assert wealth == 0.0
-    # Known defect, not the contract (a FOUND line in CHANGES.md): u = (inf, -inf) at
-    # rho = 0 makes R u hold 0 * inf = NaN, so this state is refused although its exact
-    # log wealth is -inf and its wealth 0.0. Mending it flips this assert to == 0.0.
+    # u = (inf, -inf) at rho = 0 makes R u hold 0 * inf = NaN; the exact log wealth
+    # is -inf, taken from the scaled v = (1, -1) and m = inf, so the wealth is 0.0
     pair = MarketSpec.pair(mu=(0.0, 0.0), sigma=(1e154, 1e154), rho=0.0, rate=0.0)
-    with pytest.raises(ValidationError, match="not representable in float64"):
-        wealth_of_rule(pair, [1.0, 1.0], 1.0, RebalancingRule([1e155, -1e155]))
+    assert wealth_of_rule(pair, [1.0, 1.0], 1.0, RebalancingRule([1e155, -1e155])) == 0.0
 
 
 def test_all_cash_earns_the_riskfree_rate():

@@ -90,7 +90,7 @@ def test_sim3_style_pair_is_valid():
     ("sigma", [math.nan]), ("sigma", [math.inf]), ("mu", [math.nan]), ("mu", [-math.inf]),
     ("s0", [math.nan]), ("s0", [math.inf]), ("rate", math.nan), ("rate", math.inf),
     ("mu", [0.0, 0.1]), ("mu", ["x"]), ("n", 2.5),
-    ("sigma", [1e300]),
+    ("sigma", [1e300]), ("n", 0), ("n", None),
 ])
 def test_nonpositive_parameters_rejected(field, value):
     kwargs = dict(n=1, mu=[0.0], sigma=[0.2], corr=[[1.0]], rate=0.0, s0=[1.0])
@@ -392,6 +392,8 @@ def test_spec_file_round_trip(tmp_path):
                            rate=0.02, s0=(1.0, 1.0))
     target = tmp_path / "market.cfg"
     save_market_spec(spec, str(target))
+    # comment lines and trailing comments are skipped
+    target.write_text("# a pair from sim3\n" + target.read_text().replace("\n", "  # note\n", 1))
     loaded = load_market_spec(str(target))
     assert loaded.n == 2
     np.testing.assert_array_equal(loaded.mu, spec.mu)

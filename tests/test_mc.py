@@ -16,9 +16,9 @@ from hindsight_options import (
 )
 from hindsight_options.errors import ValidationError
 from hindsight_options.hindsight import z_score
+from hindsight_options.market import _streams
 from hindsight_options.mc import (
     _CHUNK,
-    _chunk_streams,
     _draws,
     _levered_value_fn,
     _unlevered_value_fn,
@@ -117,9 +117,21 @@ def test_levered_time0_is_rejected():
         mc_price(SPEC, 1.0, 0.0, 2.0, "levered", n_paths=1000, seed=0)
 
 
+@pytest.mark.filterwarnings("error")
 def test_domain_checks():
     with pytest.raises(ValidationError):
         mc_price(SPEC, 1.0, 2.0, 2.0, "levered", n_paths=1000, seed=0)  # t = T
+    # the state prices are checked at t = 0 too, where the state is taken at s0
+    for s, message in (("junk", "^prices must be numbers$"),
+                       (-5.0, "^prices must be strictly positive and finite$")):
+        with pytest.raises(ValidationError, match=message):
+            mc_price(SPEC, s, 0.0, 1.0, "unlevered", n_paths=1000, seed=0)
+    # a finite T whose cash payoff e^{rT} overflows, and an infinite T
+    with pytest.raises(ValidationError, match="cash payoff e\\^\\{rT\\} is not representable"):
+        mc_price(MarketSpec.single(0.05, 0.2, 0.02), 1.0, 0.5, 1e308, "unlevered",
+                 n_paths=1000, seed=0)
+    with pytest.raises(ValidationError, match="^need 0 <= t < T < inf$"):
+        mc_price(SPEC, 1.0, 0.5, math.inf, "unlevered", n_paths=1000, seed=0)
     with pytest.raises(ValidationError):
         mc_price(SPEC, 1.0, 1.0, 2.0, "straddle", n_paths=1000, seed=0)
     with pytest.raises(ValidationError):
@@ -264,7 +276,7 @@ def reference_mc(value, n, n_paths, seed, antithetic=True, k_hat=None):
     """
     n_obs = n_paths // 2 if antithetic else n_paths
     total = total_sq = 0.0
-    for rng, size in _chunk_streams(seed, n_obs, _CHUNK):
+    for _, rng, size in _streams(seed, n_obs, _CHUNK):
         if n == 1:
             y = rng.standard_normal((size, 1))
         else:
@@ -369,7 +381,7 @@ def test_estimates_read_the_unchanged_streams():
 def test_max_share_is_the_largest_observation_over_the_sum():
     s = state_at(SPEC, 0.5, 1.0)
     est = mc_price(SPEC, s, 1.0, 2.0, "levered", n_paths=2000, seed=5)
-    y = next(_chunk_streams(5, 1000, _CHUNK))[0].standard_normal((1000, 1))
+    y = next(_streams(5, 1000, _CHUNK))[1].standard_normal((1000, 1))
     vals = reference_values(reference_levered_value_fn(SPEC, s, 1.0, 2.0, est.s_eval),
                             y, True)
     assert est.max_share == pytest.approx(vals.max() / vals.sum(), rel=1e-12)
@@ -434,7 +446,7 @@ def one_mode_loop(spec, s, t, T, mode, n_paths, seed, antithetic):
         value = out_of_place_unlevered_value_fn(spec, s, t, T)
     n_obs = n_paths // 2 if antithetic else n_paths
     total = total_sq = top = 0.0
-    for rng, size in _chunk_streams(seed, n_obs, _CHUNK):
+    for _, rng, size in _streams(seed, n_obs, _CHUNK):
         vals = value(rng.standard_normal((size, spec.n)), antithetic)
         total += float(np.sum(vals))
         total_sq += float(np.sum(vals * vals))

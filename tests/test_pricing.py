@@ -136,6 +136,14 @@ def test_log_price_survives_huge_states():
             linear(spec, s, 1.0, 4.0)
     with pytest.raises(ValidationError, match="use log_intrinsic_value"):
         intrinsic_value(spec, s, 1.0)
+    # the price is finite, but the factor (T/t)^{n/2} = 1e310 that the quote also reports is not
+    wide = MarketSpec(n=4, mu=[0.0] * 4, sigma=[0.2] * 4, corr=np.eye(4), rate=-100.0,
+                      s0=[1.0] * 4)
+    s = [math.exp(-100.02)] * 4
+    assert log_price_levered(wide, s, 1.0, 1e155) == pytest.approx(613.80, abs=0.01)
+    with pytest.raises(ValidationError, match="^result is not representable in float64; "
+                                              "use log_price_levered$"):
+        price_levered(wide, s, 1.0, 1e155)
 
 
 def test_a_price_ratio_that_underflows_still_prices_in_logs():

@@ -450,7 +450,8 @@ def test_growth_endpoints_follow_the_exact_lognormal_law(name, monkeypatch):
 @pytest.mark.parametrize("name", ["sim1", "sim3"])
 def test_growth_simulation_whitens_each_block_once(name, monkeypatch):
     # The run whitens one (paths, 2, n) slab of warmup and expiry states per
-    # block, and that one whitening gives log C's bits.
+    # block, and that one whitening gives log C's bits.  Blocks of at most 600
+    # paths never straddle a 1,024-path stream: 1,100 paths are 600 + 424 + 76.
     monkeypatch.setattr(market, "_BLOCK_PATH_STEPS", 2 * 600)
     config = scenario_config(name, T=30.0, n_paths=1100, seed=31)
     spec = config.spec
@@ -465,7 +466,8 @@ def test_growth_simulation_whitens_each_block_once(name, monkeypatch):
     result = run_growth_simulation(config)
     monkeypatch.setattr(hindsight, "_whiten", whiten)
     assert [shape for shape in whitened if len(shape) == 3] == [(600, 2, spec.n),
-                                                                (500, 2, spec.n)]
+                                                                (424, 2, spec.n),
+                                                                (76, 2, spec.n)]
     ends = np.array([5.0, 30.0])
     basket_shares = (1.0 / spec.n) / spec.s0
     blocks = market._price_blocks(spec, np.diff(ends, prepend=0.0)[:, None], 2,
@@ -660,6 +662,15 @@ def test_load_price_table_reports_positions(tmp_path):
                            match=f"wide.csv:{row}: column 1: time span overflows"):
             load_price_table(str(wide))
 
+    # blank lines hold no row: the error names the file line of the bad row
+    for text, message in (("time,px\n0,1\n\n\n0,3\n", "rows must be in increasing time order"),
+                          ("time,px\n\n-1e308,1\n\n1e308,3\n",
+                           "column 1: time span overflows")):
+        blank = tmp_path / "blank.csv"
+        blank.write_text(text)
+        with pytest.raises(ValidationError, match=f"blank.csv:5: {message}"):
+            load_price_table(str(blank))
+
 
 def reference_load_price_table(path):
     """The cell-by-cell CSV parser that load_price_table must agree with."""
@@ -671,7 +682,7 @@ def reference_load_price_table(path):
     if len(header) < 2:
         raise ValidationError(f"{path}:1: need a time column and at least one price column")
     n_cols = len(header)
-    raw_times, rows, base_date = [], [], None
+    raw_times, rows, row_nos, base_date = [], [], [], None
     for row_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -704,11 +715,12 @@ def reference_load_price_table(path):
             prices_row.append(value)
         raw_times.append(stamp)
         rows.append(prices_row)
+        row_nos.append(row_no)
     if len(rows) < 2:
         raise ValidationError(f"{path}: need at least two data rows")
     times = np.asarray(raw_times)
     if np.any(np.diff(times) <= 0):
-        bad = int(np.argmax(np.diff(times) <= 0)) + 3
+        bad = row_nos[int(np.argmax(np.diff(times) <= 0)) + 1]
         raise ValidationError(f"{path}:{bad}: rows must be in increasing time order")
     return PriceTable(times=times - times[0], prices=np.asarray(rows),
                       columns=tuple(header[1:]))
