@@ -24,7 +24,6 @@ from .lattice import (
     hedge_lattice_path,
     induction_price_table,
     lattice_best_rule,
-    lattice_delta,
     lattice_log_price,
     lattice_payoff,
     lattice_price,

@@ -28,6 +28,7 @@ from scipy.special import gammaln, xlogy
 
 from .errors import ValidationError
 from .hindsight import _exp, _representable
+from .market import _integer
 
 
 @dataclass(frozen=True)
@@ -88,6 +89,8 @@ class LatticeState:
     n: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "k", _integer(self.k, "k"))
+        object.__setattr__(self, "n", _integer(self.n, "n"))
         if not 0 <= self.k <= self.n:
             raise ValidationError("need 0 <= k <= n")
 
@@ -102,6 +105,8 @@ def _logsumexp(terms: np.ndarray) -> float:
 
 def _check_terminal(spec: LatticeSpec, j) -> np.ndarray:
     j = np.atleast_1d(np.asarray(j))
+    if j.dtype.kind not in "iu" and not np.all(np.isfinite(j) & (np.floor(j) == j)):
+        raise ValidationError("uptick count must be a whole number")
     if np.any(j < 0) or np.any(j > spec.n_steps):
         raise ValidationError(f"uptick count must lie in [0, {spec.n_steps}]")
     return j.astype(float)
@@ -228,21 +233,6 @@ def induction_price_table(spec: LatticeSpec, mode: str = "levered") -> list[np.n
     return [np.exp(row) for row in rows]
 
 
-def lattice_delta(spec: LatticeSpec, state: LatticeState, s: float,
-                  mode: str = "levered") -> float:
-    """Replicating share count at (k, n) with current stock price s.
-
-    delta = [C(k+1, n+1) - C(k, n+1)] / (s (u - d)).
-    """
-    if state.n >= spec.n_steps:
-        raise ValidationError("no rebalance after the final step")
-    if s <= 0:
-        raise ValidationError("stock price must be positive")
-    c_up = lattice_price(spec, LatticeState(state.k + 1, state.n + 1), mode)
-    c_dn = lattice_price(spec, LatticeState(state.k, state.n + 1), mode)
-    return (c_up - c_dn) / (s * (spec.u - spec.d))
-
-
 def time0_unlevered_price(spec: LatticeSpec) -> float:
     """Time-0 unlevered price as a three-term sum, one term per clamp regime.
 
@@ -275,28 +265,30 @@ def time0_unlevered_price(spec: LatticeSpec) -> float:
     return total
 
 
-def hedge_lattice_path(spec: LatticeSpec, moves: np.ndarray, mode: str = "levered") -> np.ndarray:
-    """Self-financing delta-hedge wealth along one path of up (1) / down (0) moves.
+def hedge_lattice_path(spec: LatticeSpec, moves, mode: str = "levered") -> np.ndarray:
+    """Self-financing delta-hedge wealth along paths of up (1) / down (0) moves.
 
-    Starts with wealth C(0, 0); exact replication makes the wealth equal the
-    node price C(k, n) at every step, ending at the payoff.  Deltas come from
-    :func:`induction_price_table`.  The stock starts at 1: the wealth does not
-    depend on its scale.
+    ``moves[..., N]`` gives ``wealth[..., N + 1]``: one :func:`induction_price_table`
+    serves every path, and each step holds delta = [C(k+1, n+1) - C(k, n+1)] / (s (u - d))
+    shares.  Starts with wealth C(0, 0); exact replication makes the wealth equal
+    the node price C(k, n) at every step, ending at the payoff.  The stock starts
+    at 1: the wealth does not depend on its scale.
     """
-    moves = np.asarray(moves, dtype=int)
-    if moves.shape != (spec.n_steps,) or np.any((moves != 0) & (moves != 1)):
+    moves = np.asarray(moves)
+    if moves.shape[-1:] != (spec.n_steps,) or not np.all(np.isin(moves, (0, 1))):
         raise ValidationError(f"moves must be {spec.n_steps} entries of 0 or 1")
+    moves = moves.astype(int)
     table = induction_price_table(spec, mode)
-    wealth = np.empty(spec.n_steps + 1)
-    wealth[0] = table[0][0]
-    s = 1.0
-    k = 0
-    for n, up in enumerate(moves):
+    wealth = np.empty(moves.shape[:-1] + (spec.n_steps + 1,))
+    wealth[..., 0] = table[0][0]
+    s = np.ones(moves.shape[:-1])
+    k = np.zeros(moves.shape[:-1], dtype=int)
+    for n in range(spec.n_steps):
         delta = (table[n + 1][k + 1] - table[n + 1][k]) / (s * (spec.u - spec.d))
-        cash = wealth[n] - delta * s
-        s = s * (spec.u if up else spec.d)
-        k += int(up)
-        wealth[n + 1] = delta * s + cash * spec.gross_rate
+        cash = wealth[..., n] - delta * s
+        s = s * np.where(moves[..., n], spec.u, spec.d)
+        k = k + moves[..., n]
+        wealth[..., n + 1] = delta * s + cash * spec.gross_rate
     return wealth
 
 

@@ -32,6 +32,17 @@ _BLOCK_PATH_STEPS = 1 << 15
 _STREAM_PATHS = 1024
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int when it is integral, else :class:`ValidationError`."""
+    try:
+        whole = int(value)
+        if whole == value:
+            return whole
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValidationError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class MarketSpec:
     """Constant-coefficient market: drifts, volatilities, correlation, rate.
@@ -80,14 +91,7 @@ class MarketSpec:
             object.__setattr__(self, "rate", float(self.rate))
         except (TypeError, ValueError):
             raise ValidationError("rate must be a number") from None
-        try:
-            n = int(self.n)
-            integral = n == self.n
-        except (TypeError, ValueError, OverflowError):
-            integral = False
-        if not integral:
-            raise ValidationError(f"n (asset count) must be an integer, got {self.n!r}")
-        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "n", _integer(self.n, "n (asset count)"))
         validate_market(self)
 
     @cached_property

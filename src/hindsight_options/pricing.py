@@ -152,7 +152,9 @@ def _log_unlevered_terms(spec: MarketSpec, s: np.ndarray, t, T: float):
     # Phi(x2) - Phi(x1) = Phi(hi) - Phi(lo) with lo < 0: never two cdfs near 1.
     upper = x1 >= 0.0
     log_hi = log_ndtr(np.where(upper, -x1, x2))
-    d = log_ndtr(np.where(upper, -x2, x1)) - log_hi
+    # Where Phi(hi) underflows so does Phi(lo) <= Phi(hi): d is -inf, not -inf - -inf.
+    d = np.subtract(log_ndtr(np.where(upper, -x2, x1)), log_hi,
+                    out=np.full_like(log_hi, -np.inf), where=log_hi > -np.inf)
     # log(1 - e^d) needs only absolute accuracy here, which log(-expm1(d)) has
     # for every d < 0.  Where d rounds to 0 the difference is below rounding
     # and the term is taken as 0.

@@ -141,8 +141,9 @@ def hedge_path(spec: MarketSpec, path: PricePath, t_start: float, T: float,
     terminal wealth approximates V_T*/C(S_{t_start}, t_start) as the grid
     refines.  Unlevered mode (one asset) bets S (dP/dS) / P, the analytic
     delta of the unlevered price P in log space, so it stays finite on states
-    whose price overflows.  A fraction f for which 1 - f rounds to 1 is held
-    as zero, and so is the expired point t = T.  A levered fraction that
+    whose price overflows.  In unlevered mode only, a fraction f for which
+    1 - f rounds to 1 is held as zero, since its share count can be subnormal.
+    The expired point t = T is never traded.  A levered fraction that
     overflows float64 before T raises :class:`ValidationError`, and so does
     a wealth that does (a bond growth e^{r dt} beyond float64, say).  The hedge
     trades on the path's own grid; t_start and T must be grid points.

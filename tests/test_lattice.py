@@ -18,7 +18,6 @@ from hindsight_options import (
     hedge_lattice_path,
     induction_price_table,
     lattice_best_rule,
-    lattice_delta,
     lattice_log_price,
     lattice_payoff,
     lattice_price,
@@ -280,12 +279,15 @@ def test_continuum_limit_toward_the_time0_formula():
 
 
 def test_delta_on_a_one_step_lattice_is_the_payoff_slope():
+    # one step: only delta = (payoff(1) - payoff(0)) / (s (u - d)) ends on both payoffs
     spec = LatticeSpec(u=1.2, d=0.9, r_per=0.01, n_steps=1)
-    s = 3.0
-    pay_up = lattice_payoff(spec, 1)
-    pay_dn = lattice_payoff(spec, 0)
-    expected = (pay_up - pay_dn) / (s * (spec.u - spec.d))
-    assert lattice_delta(spec, LatticeState(0, 0), s) == pytest.approx(expected, rel=1e-12)
+    for mode in ("levered", "unlevered"):
+        wealth = hedge_lattice_path(spec, [[0], [1]], mode)
+        assert wealth.shape == (2, 2)
+        assert wealth[:, 0] == pytest.approx([lattice_price(spec, LatticeState(0, 0), mode)] * 2,
+                                             rel=1e-12)
+        assert wealth[:, 1] == pytest.approx([lattice_payoff(spec, 0, mode),
+                                              lattice_payoff(spec, 1, mode)], rel=1e-12)
 
 
 @pytest.mark.parametrize("mode", ["levered", "unlevered"])
@@ -293,13 +295,35 @@ def test_delta_hedge_replicates_sampled_paths(mode):
     spec = GENERIC
     table = induction_price_table(spec, mode)
     rng = np.random.default_rng(31)
-    for _ in range(40):
-        moves = (rng.random(spec.n_steps) < 0.5).astype(int)
-        wealth = hedge_lattice_path(spec, moves, mode)
-        # wealth tracks the node price exactly along the whole path
-        k = np.concatenate([[0], np.cumsum(moves)])
-        for n in range(spec.n_steps + 1):
-            assert wealth[n] == pytest.approx(table[n][k[n]], rel=1e-11)
+    moves = (rng.random((40, spec.n_steps)) < 0.5).astype(int)
+    wealth = hedge_lattice_path(spec, moves, mode)
+    assert wealth.shape == (40, spec.n_steps + 1)
+    # wealth tracks the node price exactly along the whole path
+    k = np.cumsum(np.c_[np.zeros(40, dtype=int), moves], axis=1)
+    for n in range(spec.n_steps + 1):
+        np.testing.assert_allclose(wealth[:, n], table[n][k[:, n]], rtol=1e-11, atol=0.0)
+
+
+@pytest.mark.parametrize("mode", ["levered", "unlevered"])
+def test_batch_hedge_is_the_one_path_hedge_per_row(mode, monkeypatch):
+    tables = []
+
+    def counted(spec, mode="levered"):
+        tables.append(mode)
+        return induction_price_table(spec, mode)
+
+    monkeypatch.setattr(lattice, "induction_price_table", counted)
+    rng = np.random.default_rng(5)
+    moves = (rng.random((3, 7, GENERIC.n_steps)) < 0.4).astype(int)
+    batch = hedge_lattice_path(GENERIC, moves, mode)
+    assert batch.shape == (3, 7, GENERIC.n_steps + 1) and tables == [mode]
+    for i in np.ndindex(3, 7):
+        assert np.array_equal(batch[i], hedge_lattice_path(GENERIC, moves[i], mode))
+    assert len(tables) == 1 + 21
+    assert hedge_lattice_path(GENERIC, moves[:0], mode).shape == (0, 7, GENERIC.n_steps + 1)
+    for wrong in (moves[..., :-1], np.zeros((4, GENERIC.n_steps + 1)), moves.swapaxes(1, 2)):
+        with pytest.raises(ValidationError, match="^moves must be 12 entries of 0 or 1$"):
+            hedge_lattice_path(GENERIC, wrong, mode)
 
 
 def test_replication_fraction_approaches_continuous_rule():
@@ -317,7 +341,8 @@ def test_replication_fraction_approaches_continuous_rule():
                   / (math.log(spec.u) - math.log(spec.d)))
         s_node = spec.u**k * spec.d ** (steps - k)
         c_node = lattice_price(spec, LatticeState(k, steps))
-        delta = lattice_delta(spec, LatticeState(k, steps), s_node)
+        delta = ((lattice_price(spec, LatticeState(k + 1, steps + 1))
+                  - lattice_price(spec, LatticeState(k, steps + 1))) / (s_node * (spec.u - spec.d)))
         b_node = delta * s_node / c_node
         target_node = best_rule(market, s_node, steps * T / n).b[0]
         errs.append(abs(b_node - target_node))
@@ -389,11 +414,6 @@ def test_state_validation():
         lattice_price(GENERIC, LatticeState(0, 13))
     with pytest.raises(ValidationError):
         lattice_payoff(GENERIC, 13)
-    with pytest.raises(ValidationError):
-        lattice_delta(GENERIC, LatticeState(2, 12), 1.0)
-    for s in (0.0, -1.0):
-        with pytest.raises(ValidationError, match="^stock price must be positive$"):
-            lattice_delta(GENERIC, LatticeState(2, 5), s)
     with pytest.raises(ValidationError, match="^unknown mode 'covered'$"):
         lattice_payoff(GENERIC, 3, "covered")
     for moves in (np.ones(11), np.full(12, 2), np.r_[np.zeros(11), -1]):
@@ -410,3 +430,44 @@ def test_state_validation():
         lattice_payoff(deep, 2000)
     with pytest.raises(ValidationError, match="use lattice_log_price"):
         demon_simulation(3000, 0.9, seed=1)
+
+
+def test_non_finite_uptick_counts_are_refused():
+    for j in (math.nan, math.inf, -math.inf):
+        for call in (lambda: lattice_best_rule(GENERIC, j),
+                     lambda: lattice.lattice_log_payoff(GENERIC, j),
+                     lambda: lattice_payoff(GENERIC, j),
+                     lambda: lattice.lattice_log_payoff(GENERIC, [0, j, 2], "unlevered")):
+            with pytest.raises(ValidationError, match="^uptick count must be a whole number$"):
+                call()
+
+
+def test_fractional_uptick_counts_are_refused():
+    spec = LatticeSpec(u=1.2, d=0.9, r_per=0.01, n_steps=3)
+    for j in (1.5, np.float32(0.25), [1.0, 2.5]):
+        for call in (lattice_best_rule, lattice_payoff, lattice.lattice_log_payoff):
+            with pytest.raises(ValidationError, match="^uptick count must be a whole number$"):
+                call(spec, j)
+    # whole floats are uptick counts: the same bits as the ints
+    assert lattice_payoff(spec, 2.0) == lattice_payoff(spec, 2)
+    assert lattice_best_rule(spec, np.float64(1.0)) == lattice_best_rule(spec, 1)
+    assert (lattice.lattice_log_payoff(spec, [0.0, 3.0]).tolist()
+            == lattice.lattice_log_payoff(spec, [0, 3]).tolist())
+
+
+def test_lattice_state_takes_only_integral_positions():
+    for k, n in ((1.5, 2), (1, 2.5), (math.nan, 2), (0, math.inf), ("1", 2), (None, 2)):
+        with pytest.raises(ValidationError, match="^[kn] must be an integer, got "):
+            LatticeState(k, n)
+    state = LatticeState(np.int64(1), 2.0)
+    assert (state.k, state.n) == (1, 2) and type(state.k) is type(state.n) is int
+    assert lattice_price(GENERIC, state) == lattice_price(GENERIC, LatticeState(1, 2))
+
+
+def test_hedge_moves_are_checked_before_they_are_cast():
+    spec = LatticeSpec(u=1.2, d=0.9, r_per=0.01, n_steps=3)
+    for moves in ([0.5, 1.9, 0], ["1", "0", "1"], [1, math.nan, 0], [[0, 1, 0], [1, 1, 2]]):
+        with pytest.raises(ValidationError, match="^moves must be 3 entries of 0 or 1$"):
+            hedge_lattice_path(spec, moves)
+    assert np.array_equal(hedge_lattice_path(spec, [1.0, 0.0, 1.0]),
+                          hedge_lattice_path(spec, [1, 0, 1]))

@@ -460,6 +460,16 @@ def test_unlevered_expiry_and_domain():
             linear(spec, 1.0, 1.8, 2.0)
 
 
+def test_unlevered_quote_where_both_cdf_limits_underflow():
+    # log Phi(hi) = log Phi(lo) = -inf: the interior term is 0 without a -inf - -inf NaN
+    spec = MarketSpec.single(1.4512927680034244e-303, 2.0, 4.0345364617185785e-40,
+                             4.978835192118902e-245)
+    state = (9.504095921221597e-256, 1.0597646832731927e-306, 1.2717176199278313e-306)
+    assert price_unlevered(spec, *state).price == 1.0
+    assert log_price_unlevered(spec, *state) == 0.0
+    assert unlevered_terms(spec, *state) == (1.0, 0.0, 0.0)
+
+
 def test_unlevered_log_price_and_hedge_fraction_match_mpmath():
     rng = np.random.default_rng(11)
     gaps, fraction_gaps = [], []
