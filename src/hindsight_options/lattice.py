@@ -44,7 +44,7 @@ class LatticeSpec:
         object.__setattr__(self, "u", float(self.u))
         object.__setattr__(self, "d", float(self.d))
         object.__setattr__(self, "r_per", float(self.r_per))
-        object.__setattr__(self, "n_steps", int(self.n_steps))
+        object.__setattr__(self, "n_steps", _integer(self.n_steps, "n_steps"))
         if self.n_steps < 1:
             raise ValidationError("n_steps must be >= 1")
         if not 0.0 < self.d < self.gross_rate < self.u < math.inf:
@@ -62,6 +62,7 @@ class LatticeSpec:
     @classmethod
     def crr(cls, sigma: float, rate: float, horizon: float, n_steps: int) -> "LatticeSpec":
         """Standard calibration u = e^{sigma sqrt(h)}, d = 1/u, R = e^{r h}."""
+        n_steps = _integer(n_steps, "n_steps")
         if not (0.0 < horizon < math.inf and n_steps >= 1):
             raise ValidationError("need 0 < horizon < inf and n_steps >= 1")
         h = horizon / n_steps
@@ -105,7 +106,8 @@ def _logsumexp(terms: np.ndarray) -> float:
 
 def _check_terminal(spec: LatticeSpec, j) -> np.ndarray:
     j = np.atleast_1d(np.asarray(j))
-    if j.dtype.kind not in "iu" and not np.all(np.isfinite(j) & (np.floor(j) == j)):
+    if j.dtype.kind not in "biuf" or (  # a string or None is not a count
+            j.dtype.kind not in "iu" and not np.all(np.isfinite(j) & (np.floor(j) == j))):
         raise ValidationError("uptick count must be a whole number")
     if np.any(j < 0) or np.any(j > spec.n_steps):
         raise ValidationError(f"uptick count must lie in [0, {spec.n_steps}]")

@@ -40,6 +40,13 @@ of draws is made once and every mode's evaluator reads it, read-only, so a
 one-asset state's levered and unlevered estimates share their draws (common
 random numbers).  Each estimate equals, bit for bit, the one :func:`mc_price`
 returns for its mode alone.
+
+One call holds one workspace of 6 chunk rows (~3 MB at ``_CHUNK`` = 65,536
+observations): two draw rows, g and r, and four evaluator rows that every mode
+shares.  The draws and every intermediate are written into those rows, so the
+chunk loop allocates no chunk-sized array; each mode's payoffs are reduced to
+their sum, maximum and sum of squares before the next mode overwrites the
+evaluator rows.  ``_CHUNK`` keys the random streams, so it stays fixed.
 """
 
 from __future__ import annotations
@@ -123,11 +130,14 @@ def mc_prices(spec: MarketSpec, s, t: float, T: float, modes: Sequence[str],
     total = [0.0] * len(runs)
     total_sq = [0.0] * len(runs)
     top = [0.0] * len(runs)
+    # two draw rows, then four evaluator rows that every mode overwrites in turn
+    space = np.empty((6, min(_CHUNK, n_obs)))
     with np.errstate(over="ignore"):
         for _, rng, size in _streams(seed, n_obs, _CHUNK):
-            g, r = _draws(rng, size, spec.n)
+            rows = space[:, :size]
+            g, r = _draws(rng, rows[:2], spec.n)
             for i, (_, _, value) in enumerate(runs):
-                vals = value(g, r, antithetic)
+                vals = value(g, r, antithetic, rows[2:])
                 total[i] += float(np.sum(vals))
                 top[i] = max(top[i], float(np.max(vals)))
                 total_sq[i] += float(np.sum(np.multiply(vals, vals, out=vals)))
@@ -144,16 +154,20 @@ def mc_prices(spec: MarketSpec, s, t: float, T: float, modes: Sequence[str],
     return tuple(estimates)
 
 
-def _draws(rng: np.random.Generator, size: int, n: int):
-    """Read-only ``(g, r)``: unit normals, then chi^2_{n-1} variates (None for n = 1)."""
-    g = rng.standard_normal(size)
+def _draws(rng: np.random.Generator, buf: np.ndarray, n: int):
+    """Read-only ``(g, r)`` written over the rows of ``buf``: unit normals, then
+    chi^2_{n-1} variates (None for n = 1)."""
+    g = rng.standard_normal(out=buf[0])
     g.flags.writeable = False  # shared by every mode's payoff
     if n == 1:
         return g, None
+    r = buf[1]
     if n == 2:  # numpy's Gamma(1/2) sampler costs about three normals
-        r = np.square(rng.standard_normal(size))
-    else:
-        r = rng.chisquare(n - 1, size)
+        rng.standard_normal(out=r)
+        np.square(r, out=r)
+    else:  # chisquare(n - 1), which numpy draws as 2 Gamma((n - 1) / 2)
+        rng.standard_gamma(0.5 * (n - 1), out=r)
+        r *= 2.0
     r.flags.writeable = False
     return g, r
 
@@ -171,10 +185,12 @@ def _estimator(spec: MarketSpec, s, t: float, T: float, mode: str):
 
 
 def _levered_value_fn(spec: MarketSpec, s, t: float, T: float, s_eval: float):
-    """Discounted-payoff evaluator ``value(g, r, antithetic)`` for the draws of :func:`_draws`.
+    """Discounted-payoff evaluator ``value(g, r, antithetic, work)`` for the draws of
+    :func:`_draws`.
 
-    ``value`` only reads ``g`` and ``r``, which other modes share, and returns
-    a new array.
+    ``value`` only reads ``g`` and ``r``, which other modes share, writes every
+    intermediate to a row of ``work`` (at least three rows as long as ``g``) and
+    returns the row that holds the payoff.
     """
     x_t = solve_triangular(spec.lower, z_score(spec, s, t), lower=True)
     w_t = math.sqrt(t / s_eval)
@@ -185,17 +201,19 @@ def _levered_value_fn(spec: MarketSpec, s, t: float, T: float, s_eval: float):
     k = (w_t * w_y) * x_t
     kappa = math.copysign(math.hypot(*k), k[0])  # k_0 itself for one asset
 
-    def value(g: np.ndarray, r: np.ndarray | None, antithetic: bool) -> np.ndarray:
-        a = g * g
+    def value(g: np.ndarray, r: np.ndarray | None, antithetic: bool,
+              work: np.ndarray) -> np.ndarray:
+        a = np.multiply(g, g, out=work[0])
         if r is not None:
             a += r
         a *= half_wy2
         a += a_0
-        c = g * kappa
+        c = np.multiply(g, kappa, out=work[1])
         if not antithetic:
             a += c
             return np.exp(a, out=a)
-        pay = np.exp(a + c)
+        pay = np.add(a, c, out=work[2])
+        np.exp(pay, out=pay)
         a -= c
         pay += np.exp(a, out=a)
         pay *= 0.5
@@ -205,10 +223,12 @@ def _levered_value_fn(spec: MarketSpec, s, t: float, T: float, s_eval: float):
 
 
 def _unlevered_value_fn(spec: MarketSpec, s, t: float, T: float):
-    """Discounted-payoff evaluator ``value(g, r, antithetic)`` for the draws of :func:`_draws`.
+    """Discounted-payoff evaluator ``value(g, r, antithetic, work)`` for the draws of
+    :func:`_draws`.
 
     ``value`` only reads ``g`` (one asset has no ``r``), which other modes
-    share, and returns a new array.
+    share, writes every intermediate to a row of ``work`` (four rows as long as
+    ``g``) and returns the row that holds the payoff.
     """
     sigma, rate, s0 = float(spec.sigma[0]), spec.rate, float(spec.s0[0])
     s = _prices(spec, s)  # checked at every t, although at t = 0 the state is taken at s0
@@ -226,18 +246,19 @@ def _unlevered_value_fn(spec: MarketSpec, s, t: float, T: float):
     except OverflowError:
         raise ValidationError("the cash payoff e^{rT} is not representable in float64") from None
 
-    def growth(z_T: np.ndarray) -> np.ndarray:
+    def growth(z_T: np.ndarray, c: np.ndarray, half_c: np.ndarray) -> np.ndarray:
         """exp(c (z_T - c/2)), c = clip(z_T, 0, w), written over z_T."""
-        c = np.clip(z_T, 0.0, w)
-        z_T -= 0.5 * c
+        np.clip(z_T, 0.0, w, out=c)
+        z_T -= np.multiply(0.5, c, out=half_c)
         z_T *= c
         return np.exp(z_T, out=z_T)
 
-    def value(g: np.ndarray, _r: np.ndarray | None, antithetic: bool) -> np.ndarray:
-        ky = k * g
-        pay = growth(z_mid + ky)
+    def value(g: np.ndarray, _r: np.ndarray | None, antithetic: bool,
+              work: np.ndarray) -> np.ndarray:
+        ky = np.multiply(k, g, out=work[0])
+        pay = growth(np.add(z_mid, ky, out=work[1]), work[2], work[3])
         if antithetic:
-            pay += growth(np.subtract(z_mid, ky, out=ky))
+            pay += growth(np.subtract(z_mid, ky, out=ky), work[2], work[3])
             pay *= 0.5 * cash
         else:
             pay *= cash

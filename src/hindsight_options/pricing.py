@@ -178,9 +178,11 @@ def _unlevered_fractions(spec: MarketSpec, s: np.ndarray, t, T: float) -> np.nda
     sigma = float(spec.sigma[0])
     (_, log_interior, log_hold), log_p, (z, log_c, x1, x2) = _log_unlevered_terms(spec, s, t, T)
     k = np.sqrt((T - t) / t) / (sigma * _SQRT_2PI * math.sqrt(T))
+    with np.errstate(over="ignore"):  # x^2 = inf (|x| > 1.3e154) is a density term of 0
+        density = np.exp(log_c - 0.5 * x1 * x1 - log_p) - np.exp(log_c - 0.5 * x2 * x2 - log_p)
     return (np.exp(log_hold - log_p)
             + z[..., 0] / (sigma * np.sqrt(t)) * np.exp(log_interior - log_p)
-            + k * (np.exp(log_c - 0.5 * x1 * x1 - log_p) - np.exp(log_c - 0.5 * x2 * x2 - log_p)))
+            + k * density)
 
 
 def unlevered_terms(spec: MarketSpec, s, t: float, T: float) -> tuple[float, float, float]:

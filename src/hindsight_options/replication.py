@@ -126,10 +126,16 @@ def scenario_config(name: str, *, T: float = 200.0, warmup: float = 5.0,
 
 
 def _grid_index(times: np.ndarray, value: float) -> int:
+    """Index of the grid time nearest ``value``, if it lies within the tolerance.
+
+    On a strictly increasing grid the nearest time is one of the two that
+    bracket ``value``.
+    """
     idx = int(np.searchsorted(times, value))
-    for candidate in (idx - 1, idx, idx + 1):
-        if 0 <= candidate < len(times) and abs(times[candidate] - value) <= _GRID_TOL * max(1.0, abs(value)):
-            return candidate
+    nearest = min((i for i in (idx - 1, idx) if 0 <= i < len(times)),
+                  key=lambda i: abs(times[i] - value))
+    if abs(times[nearest] - value) <= _GRID_TOL * max(1.0, abs(value)):
+        return nearest
     raise ValidationError(f"time {value} is not a grid point of the path")
 
 
@@ -146,7 +152,8 @@ def hedge_path(spec: MarketSpec, path: PricePath, t_start: float, T: float,
     The expired point t = T is never traded.  A levered fraction that
     overflows float64 before T raises :class:`ValidationError`, and so does
     a wealth that does (a bond growth e^{r dt} beyond float64, say).  The hedge
-    trades on the path's own grid; t_start and T must be grid points.
+    trades on the path's own grid; t_start and T must be grid points, each
+    matched to the nearest grid time within 1e-9 max(1, |t|).
     """
     if t_start <= 0:
         raise ValidationError("t_start must be positive")

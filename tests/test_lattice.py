@@ -455,6 +455,23 @@ def test_fractional_uptick_counts_are_refused():
             == lattice.lattice_log_payoff(spec, [0, 3]).tolist())
 
 
+def test_non_numeric_uptick_counts_are_refused():
+    for j in ("1", None):
+        for call in (lattice_best_rule, lattice_payoff, lattice.lattice_log_payoff):
+            with pytest.raises(ValidationError, match="^uptick count must be a whole number$"):
+                call(GENERIC, j)
+
+
+def test_fractional_step_counts_are_refused():
+    for n_steps in (2.5, math.nan, "3", None):
+        with pytest.raises(ValidationError, match="^n_steps must be an integer"):
+            LatticeSpec(2.0, 0.5, 0.0, n_steps)
+        with pytest.raises(ValidationError, match="^n_steps must be an integer"):
+            LatticeSpec.crr(sigma=0.2, rate=0.01, horizon=1.0, n_steps=n_steps)
+    spec = LatticeSpec(2.0, 0.5, 0.0, np.float64(3.0))  # a whole float is a step count
+    assert spec.n_steps == 3 and type(spec.n_steps) is int
+
+
 def test_lattice_state_takes_only_integral_positions():
     for k, n in ((1.5, 2), (1, 2.5), (math.nan, 2), (0, math.inf), ("1", 2), (None, 2)):
         with pytest.raises(ValidationError, match="^[kn] must be an integer, got "):

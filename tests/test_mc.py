@@ -252,6 +252,11 @@ def direction(spec, s, t):
     return x_t / math.copysign(math.hypot(*x_t), x_t[0])
 
 
+def work_rows(size):
+    """Four evaluator rows, as mc_prices' workspace lends each mode."""
+    return np.empty((4, size))
+
+
 def draws_of(y, k_hat):
     """The evaluators' (g, r) of rows y: g = y . k_hat, r = |y|^2 - g^2 (None for one asset)."""
     g = y @ k_hat
@@ -317,7 +322,7 @@ def test_whitened_levered_values_match_the_reference(n, estimator, antithetic):
         s_eval = T if estimator == "plain" else min(1.25 * t, T)
         y = rng.standard_normal((500, n))
         new = _levered_value_fn(spec, s, t, T, s_eval)(*draws_of(y, direction(spec, s, t)),
-                                                        antithetic)
+                                                        antithetic, work_rows(len(y)))
         old = reference_values(reference_levered_value_fn(spec, s, t, T, s_eval), y,
                                antithetic)
         np.testing.assert_allclose(new, old, rtol=1e-12, atol=0.0)
@@ -331,7 +336,8 @@ def test_unlevered_values_match_the_reference_in_all_three_regions(antithetic):
     for i in range(30):
         spec, s, t, T = random_state(rng, 1)
         t = 0.0 if i % 10 == 0 else t  # time 0 starts from s0
-        new = _unlevered_value_fn(spec, s, t, T)(y[:, 0], None, antithetic)
+        new = _unlevered_value_fn(spec, s, t, T)(y[:, 0], None, antithetic,
+                                                 work_rows(len(y)))
         old = reference_values(reference_unlevered_value_fn(spec, s, t, T), y, antithetic)
         np.testing.assert_allclose(new, old, rtol=1e-12, atol=0.0)
         sigma, r = float(spec.sigma[0]), spec.rate
@@ -494,7 +500,7 @@ def test_levered_values_are_the_einsum_form_bit_for_bit(n):
             for antithetic in (True, False):
                 with np.errstate(over="ignore", invalid="ignore"):
                     new = _levered_value_fn(spec, s, t, T, s_eval)(
-                        *draws_of(y, direction(spec, s, t)), antithetic)
+                        *draws_of(y, direction(spec, s, t)), antithetic, work_rows(len(y)))
                     old = einsum_levered_value_fn(spec, s, t, T, s_eval)(y, antithetic)
                 if n == 1:
                     assert new.tobytes() == old.tobytes()
@@ -510,7 +516,8 @@ def test_unlevered_values_keep_their_out_of_place_bits():
         for y in (rng.standard_normal((1000, 1)) * rng.uniform(0.1, 10.0), EXTREME_Y):
             for antithetic in (True, False):
                 with np.errstate(over="ignore", invalid="ignore"):
-                    new = _unlevered_value_fn(spec, s, t, T)(y[:, 0], None, antithetic)
+                    new = _unlevered_value_fn(spec, s, t, T)(y[:, 0], None, antithetic,
+                                                             work_rows(len(y)))
                     old = out_of_place_unlevered_value_fn(spec, s, t, T)(y, antithetic)
                 assert new.tobytes() == old.tobytes()
 
@@ -523,13 +530,30 @@ def test_evaluators_only_read_the_draws_they_share():
                       for s_eval in (T, min(1.25 * t, T))]
         if n == 1:
             evaluators += [_unlevered_value_fn(spec, s, t, T), _unlevered_value_fn(spec, s, 0.0, T)]
-        g, r = _draws(rng, 300, n)
+        g, r = _draws(rng, np.empty((2, 300)), n)
         draws = [g] if r is None else [g, r]
         assert len(draws) == min(n, 2) and not any(draw.flags.writeable for draw in draws)
         before = [draw.copy() for draw in draws]
+        work = work_rows(300)
         for value in evaluators:
             for antithetic in (True, False):
-                vals = value(g, r, antithetic)
+                vals = value(g, r, antithetic, work)
                 assert vals.shape == (300,) and vals.flags.writeable
                 assert not any(np.shares_memory(vals, draw) for draw in draws)
+                assert np.shares_memory(vals, work)
         assert all(map(np.array_equal, draws, before))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_draws_fill_their_rows_with_the_normal_and_chi_square_streams(n):
+    buf = np.empty((2, 1000))
+    g, r = _draws(np.random.default_rng(61), buf, n)
+    rng = np.random.default_rng(61)
+    assert g.tobytes() == rng.standard_normal(1000).tobytes()
+    assert np.shares_memory(g, buf[0])
+    if n == 1:
+        assert r is None
+        return
+    expected = np.square(rng.standard_normal(1000)) if n == 2 else rng.chisquare(n - 1, 1000)
+    assert r.tobytes() == expected.tobytes()
+    assert np.shares_memory(r, buf[1])

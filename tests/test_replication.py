@@ -267,6 +267,21 @@ def test_one_factorization_per_spec(monkeypatch):
     assert len(calls) == 1
 
 
+def test_hedge_path_starts_at_the_nearest_grid_time():
+    # a grid finer than the 1e-9 tolerance: every time matches its neighbours too
+    fine = PricePath(times=[0.0, 4e-10, 8e-10, 1.2e-9], prices=[1.0, 1.0001, 0.9999, 1.0002])
+    ledger = hedge_path(MarketSpec.single(0.05, 0.2, 0.01), fine, 8e-10, 1.2e-9)
+    assert ledger.times.tolist() == [8e-10, 1.2e-9]
+    # a start at t = 1.06e-306 is not t = 0, and the unlevered hedge prices it
+    spec = MarketSpec.single(1.4512927680034244e-303, 2.0, 4.0345364617185785e-40,
+                             4.978835192118902e-245)
+    s, t, T = 9.504095921221597e-256, 1.0597646832731927e-306, 1.2717176199278313e-306
+    tiny = PricePath(times=[0.0, t, T], prices=[float(spec.s0[0]), s, s])
+    ledger = hedge_path(spec, tiny, t, T, mode="unlevered")
+    assert ledger.times.tolist() == [t, T]
+    assert ledger.wealth.tolist() == [1.0, 1.0]
+
+
 def test_hedge_path_domain_errors():
     path = simulate_paths(SPEC, 2.0, 100, 1, seed=1)[0]
     with pytest.raises(ValidationError):
