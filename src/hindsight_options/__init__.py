@@ -28,7 +28,6 @@ from .lattice import (
     lattice_payoff,
     lattice_price,
     shannon_spec,
-    time0_unlevered_price,
 )
 from .market import (
     MarketSpec,

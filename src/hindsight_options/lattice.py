@@ -235,38 +235,6 @@ def induction_price_table(spec: LatticeSpec, mode: str = "levered") -> list[np.n
     return [np.exp(row) for row in rows]
 
 
-def time0_unlevered_price(spec: LatticeSpec) -> float:
-    """Time-0 unlevered price as a three-term sum, one term per clamp regime.
-
-        C0 = Prob{j <= Nq}
-           + sum_{mid} binom(N, j) (j/N)^j (1 - j/N)^{N-j}
-           + R^{-N} sum_{hi} binom(N, j) (qu)^j ((1-q) d)^{N-j}
-
-    where ``hi`` starts at Nq + N(u-d)q(1-q)/R, the point where the hindsight
-    rule reaches b = 1, and boundary terms are assigned by the clamp value
-    (either neighboring formula agrees exactly at a boundary).
-    """
-    n, q, gross = spec.n_steps, spec.q, spec.gross_rate
-    j = np.arange(n + 1, dtype=float)
-    b = _best_rule(spec, j)
-    log_binom = gammaln(n + 1) - gammaln(j + 1) - gammaln(n - j + 1)
-    lo = b <= 0.0
-    hi = (b >= 1.0) & ~lo
-    mid = ~lo & ~hi
-    total = 0.0
-    if lo.any():
-        total += float(np.exp(_logsumexp(
-            log_binom[lo] + j[lo] * math.log(q) + (n - j[lo]) * math.log(1.0 - q))))
-    if mid.any():
-        total += float(np.exp(_logsumexp(
-            log_binom[mid] + xlogy(j[mid], j[mid] / n) + xlogy(n - j[mid], 1.0 - j[mid] / n))))
-    if hi.any():
-        total += float(np.exp(_logsumexp(
-            log_binom[hi] + j[hi] * math.log(q * spec.u)
-            + (n - j[hi]) * math.log((1.0 - q) * spec.d) - n * math.log(gross))))
-    return total
-
-
 def hedge_lattice_path(spec: LatticeSpec, moves, mode: str = "levered") -> np.ndarray:
     """Self-financing delta-hedge wealth along paths of up (1) / down (0) moves.
 

@@ -51,7 +51,7 @@ from scipy.special import log_ndtr
 from .errors import IrrationalPriceError, ValidationError
 from .hindsight import (_as_prices, _check_mode, _exp, _fractions_of, _log_floor, _log_levered,
                         _log_levered_of, _log_ratio, _log_unlevered_intrinsic, _representable,
-                        _unrepresentable, _whitened, _z, log_intrinsic_value)
+                        _unrepresentable, _whitened, _z)
 from .market import MarketSpec
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -383,13 +383,3 @@ def time0_unlevered_excess_growth(sigma: float, T: float) -> float:
         raise ValidationError("the regret rate is not representable in float64")
     return rate
 
-
-__all__ = [
-    "Quote", "GreeksReport", "ImpliedVolRoots",
-    "min_rational_price",
-    "log_price_levered", "price_levered",
-    "log_price_unlevered", "price_unlevered", "unlevered_terms", "price_time0_unlevered",
-    "greeks", "multi_delta", "implied_vols",
-    "excess_growth_bound", "time0_unlevered_excess_growth",
-    "log_intrinsic_value",
-]

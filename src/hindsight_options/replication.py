@@ -150,10 +150,10 @@ def hedge_path(spec: MarketSpec, path: PricePath, t_start: float, T: float,
     whose price overflows.  In unlevered mode only, a fraction f for which
     1 - f rounds to 1 is held as zero, since its share count can be subnormal.
     The expired point t = T is never traded.  A levered fraction that
-    overflows float64 before T raises :class:`ValidationError`, and so does
-    a wealth that does (a bond growth e^{r dt} beyond float64, say).  The hedge
-    trades on the path's own grid; t_start and T must be grid points, each
-    matched to the nearest grid time within 1e-9 max(1, |t|).
+    overflows float64 before T raises :class:`ValidationError`, and so does a
+    wealth (a bond growth e^{r dt} beyond float64, say) or a share count that
+    does.  The hedge trades on the path's own grid; t_start and T must be
+    grid points, each matched to the nearest grid time within 1e-9 max(1, |t|).
     """
     if t_start <= 0:
         raise ValidationError("t_start must be positive")
@@ -185,7 +185,10 @@ def hedge_path(spec: MarketSpec, path: PricePath, t_start: float, T: float,
         wealth[1:] = np.cumprod(1.0 + risky + bond)
     if not np.all(np.isfinite(wealth)):
         raise ValidationError("hedge wealth is not representable in float64")
-    shares = fractions * wealth[:, None] / prices
+    with np.errstate(over="ignore"):  # an overflowed share count is refused below
+        shares = fractions * wealth[:, None] / prices
+    if not np.all(np.isfinite(shares)):
+        raise ValidationError("hedge share count is not representable in float64")
     cash = wealth * (1.0 - np.sum(fractions, axis=1))
     shares[-1] = 0.0
     cash[-1] = wealth[-1]

@@ -32,7 +32,6 @@ from hindsight_options import (
     run_growth_simulation,
     scenario_config,
     simulate_paths,
-    time0_unlevered_price,
     validate_market,
 )
 
@@ -217,7 +216,7 @@ def test_criterion_06_lattice_continuum_limit():
     errs = []
     for n in (100, 1000, 10_000):
         spec = LatticeSpec.crr(0.3, 0.0, 1.0, n)
-        errs.append(abs(time0_unlevered_price(spec) - target))
+        errs.append(abs(lattice_price(spec, LatticeState(0, 0), "unlevered") - target))
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] < 0.01 * target
     report(6, "lattice-vs-closed errors "

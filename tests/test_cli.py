@@ -414,7 +414,12 @@ def test_overflowing_paths_and_hedges_exit_3_with_one_line(tmp_path, capsys):
                   "--T", "1", "--steps", "4", "--seed", "1"],
                  # a grid of 1e12 steps fails at its first allocation
                  ["hedge", "--mu", "0", "--sigma", "0.2", "--r", "0", "--t0", "1", "--T", "2",
-                  "--steps", "1000000000000", "--seed", "1"]):
+                  "--steps", "1000000000000", "--seed", "1"],
+                 # 10^15 float64 values exceed the address space: these fail at once too
+                 ["curve", "--what", "regret", "--count", "1000000000000000"],
+                 ["curve", "--what", "payoff", "--count", "1000000000000000"],
+                 ["lattice", "--what", "demon", "--N", "1000000000000000"],
+                 ["simulate", "--scenario", "sim1", "--paths", "1000000000000000"]):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (3, "")
         assert err.startswith("error: ") and len(err.splitlines()) == 1

@@ -23,7 +23,6 @@ from hindsight_options import (
     lattice_price,
     price_time0_unlevered,
     shannon_spec,
-    time0_unlevered_price,
 )
 from hindsight_options import lattice
 from hindsight_options.errors import ValidationError
@@ -263,9 +262,32 @@ def test_american_exercise_never_pays():
 
 
 def test_time0_unlevered_closed_form_matches_node_price():
-    for spec in (LatticeSpec(u=1.2, d=0.9, r_per=0.02, n_steps=25), shannon_spec(25)):
-        assert time0_unlevered_price(spec) == pytest.approx(
-            lattice_price(spec, LatticeState(0, 0), "unlevered"), rel=1e-12)
+    # the root node against R^{-N} sum_j binom(N, j) q^j (1-q)^{N-j} V_N(b(j, N) clamped to [0, 1])
+    for params in (dict(u=1.2, d=0.9, r_per=0.02), lattice.SHANNON):
+        for n in (12, 25, 60):
+            spec = LatticeSpec(n_steps=n, **params)
+            q, gross = spec.q, spec.gross_rate
+            total = 0.0
+            for j in range(n + 1):
+                b = gross * (j - n * q) / (n * (spec.u - spec.d) * q * (1 - q))
+                total += (math.comb(n, j) * q**j * (1 - q) ** (n - j)
+                          * lattice_wealth(spec, min(max(b, 0.0), 1.0), j))
+            assert lattice_price(spec, LatticeState(0, 0), "unlevered") == pytest.approx(
+                total / gross**n, rel=1e-12)
+
+
+def test_levered_root_is_the_binomial_shtarkov_sum():
+    # the discrete cost of universality, sum_j binom(N, j) (j/N)^j (1 - j/N)^{N-j},
+    # whatever q and R are
+    shtarkov = {n: sum(math.comb(n, j) * (j / n) ** j * (1 - j / n) ** (n - j)
+                       for j in range(n + 1)) for n in (10, 50, 200)}
+    assert list(shtarkov.values()) == pytest.approx(
+        [4.66021568, 9.54312703934395, 18.398443855379146], rel=1e-12)
+    for u, d, r_per in ((2.0, 0.5, 0.0), (1.2, 0.9, 0.02), (1.05, 0.97, 0.001),
+                        (3.0, 0.1, 0.5)):
+        for n, total in shtarkov.items():
+            spec = LatticeSpec(u=u, d=d, r_per=r_per, n_steps=n)
+            assert lattice_price(spec, LatticeState(0, 0)) == pytest.approx(total, rel=1e-12)
 
 
 def test_continuum_limit_toward_the_time0_formula():
@@ -273,7 +295,7 @@ def test_continuum_limit_toward_the_time0_formula():
     errs = []
     for n in (100, 1000):
         spec = LatticeSpec.crr(0.3, 0.0, 1.0, n)
-        errs.append(abs(time0_unlevered_price(spec) - target))
+        errs.append(abs(lattice_price(spec, LatticeState(0, 0), "unlevered") - target))
     assert errs[1] < errs[0]
     assert errs[1] < 0.01 * target
 

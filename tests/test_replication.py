@@ -314,6 +314,13 @@ def test_hedge_path_domain_errors():
         warnings.simplefilter("error")
         with pytest.raises(ValidationError, match="hedge wealth"):
             hedge_path(huge_rate, path, 0.5, 1.0)
+    # fraction * wealth / s overflows at s = 9.5e-256, though fraction and wealth are finite
+    spec = MarketSpec.single(1.4512927680034244e-303, 2.0, 4.0345364617185785e-40,
+                             4.978835192118902e-245)
+    s, t, T = 9.504095921221597e-256, 1.0597646832731927e-306, 1.2717176199278313e-306
+    tiny = PricePath(times=[0.0, t, T], prices=[float(spec.s0[0]), s, s])
+    with pytest.raises(ValidationError, match="^hedge share count is not representable"):
+        hedge_path(spec, tiny, t, T)
 
 
 def test_growth_simulation_matches_scenario_kellys():
