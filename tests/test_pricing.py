@@ -1,6 +1,7 @@
 """Closed-form prices, Greeks, implied volatilities, and the regret bound."""
 
 import collections
+import hashlib
 import math
 import warnings
 
@@ -283,6 +284,63 @@ def test_scalar_quotes_equal_the_batched_kernels(n):
         np.testing.assert_array_equal(_z(edge, s_edge, t_edge), [[0.0], [1.0]])
         for T_edge in (5.0, 4.0):
             assert_unlevered_intrinsic_kernel(edge, s_edge, t_edge, T_edge)
+
+
+def pinned_states():
+    """200 seeded states (spec, s, t, T) of Python floats, each priced by every scalar quote.
+
+    A third are deep (|L^{-1} z| up to 27, log C up to ~370) and a fifth are
+    within 1e-3 to 1e-12 of expiry, relative to T.
+    """
+    rng = np.random.default_rng(2029)
+    states = []
+    for n, count in ((1, 80), (2, 60), (3, 60)):
+        for i in range(count):
+            spec = random_spec(rng, n)
+            T = float(rng.uniform(0.5, 4.0))
+            near = 1.0 - 10.0 ** -float(rng.integers(3, 13))
+            t = T * (near if i % 5 == 4 else rng.uniform(0.02, 0.98))
+            g = rng.standard_normal(n)
+            if i % 3 == 2:
+                g *= rng.uniform(6.0, 27.0) / np.linalg.norm(g)
+            log_s = np.log(spec.s0) + spec._log_drift * t + spec.sigma * math.sqrt(t) * (spec.lower @ g)
+            s = np.exp(log_s).tolist()
+            states.append((spec, s[0] if n == 1 else s, t, T))
+    return states
+
+
+def pinned_results(spec, s, t, T):
+    """Every scalar quote of one state, as text that shows each float bit and each type."""
+    def text(value):
+        if isinstance(value, np.ndarray):
+            return repr((value.dtype.str, value.tolist()))
+        if isinstance(value, RebalancingRule):
+            return repr((value.mode, text(value.b)))
+        return repr(value)
+
+    quotes = [price_levered(spec, s, t, T), log_price_levered(spec, s, t, T),
+              multi_delta(spec, s, t, T), best_rule(spec, s, t), intrinsic_value(spec, s, t),
+              price_levered(spec, s, T, T)]
+    if spec.n == 1:
+        s0 = float(spec.s0[0])
+        quotes += [greeks(spec, s, t, T), price_unlevered(spec, s, t, T),
+                   log_price_unlevered(spec, s, t, T), unlevered_terms(spec, s, t, T),
+                   price_unlevered(spec, s, T, T), best_rule(spec, s, t, "unlevered"),
+                   intrinsic_value(spec, s, t, "unlevered"),
+                   implied_vols(quotes[0].price, s, s0, t, T, spec.rate)]
+    return [text(quote) for quote in quotes]
+
+
+# SHA-256 of every pinned result: a scalar quote of Python floats keeps every bit.
+PINNED_QUOTES_SHA256 = "c820e9f8107072cbf4244beccbcfb3f619686421cb8c6309185ea7917e32ec21"
+
+
+def test_scalar_quotes_keep_their_bits():
+    digest = hashlib.sha256()
+    for state in pinned_states():
+        for line in pinned_results(*state):
+            digest.update(line.encode() + b"\n")
+    assert digest.hexdigest() == PINNED_QUOTES_SHA256
 
 
 # ---------------------------------------------------------------------------
