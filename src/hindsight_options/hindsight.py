@@ -28,10 +28,14 @@ from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dtrtrs
 
 from .errors import ValidationError
-from .market import MarketSpec
+from .market import MarketSpec, _real
 
 MODES = ("levered", "unlevered")
 _TINY = np.finfo(float).tiny
+# Entries up to which a finiteness check reads floats: below one ufunc call and its reduction.
+_FEW = 8
+_QUAD_OVERFLOW = ("z' R^{-1} z is not a finite float64 at this state; "
+                  "not even log_price_levered can represent it")
 
 
 @dataclass(frozen=True)
@@ -62,24 +66,53 @@ def _check_mode(spec: MarketSpec, mode: str) -> None:
         raise ValidationError("unlevered mode is defined for one asset")
 
 
-def _as_prices(spec: MarketSpec, s, t: float) -> np.ndarray:
-    """Prices of a state (S, t) checked for shape, positivity and finiteness."""
+def _as_prices(spec: MarketSpec, s, t) -> tuple[np.ndarray, float]:
+    """A state (S, t): prices checked for shape, positivity and finiteness, t a positive finite float."""
+    t = _real(t, "t")
     if not 0 < t < math.inf:
         raise ValidationError("t must be positive and finite")
-    return _prices(spec, s)
+    return _prices(spec, s), t
 
 
 def _prices(spec: MarketSpec, s) -> np.ndarray:
     """Prices S checked for shape, positivity and finiteness, at any time."""
     try:
-        s = np.atleast_1d(np.asarray(s, dtype=float))
+        s = np.array(s, dtype=float, ndmin=1)
     except (TypeError, ValueError):
         raise ValidationError("prices must be numbers") from None
     if s.shape != (spec.n,):
         raise ValidationError(f"expected {spec.n} prices, got shape {s.shape}")
-    if not ((s > 0) & (s < math.inf)).all():
+    if not all(0.0 < x < math.inf for x in s.tolist()):
         raise ValidationError("prices must be strictly positive and finite")
     return s
+
+
+def _all_finite(value) -> bool:
+    """Whether a float, a list of floats or every entry of an array is finite.
+
+    An array of a few entries is read as floats, which costs less than one ufunc call.
+    """
+    if isinstance(value, float):
+        return math.isfinite(value)
+    if isinstance(value, np.ndarray):
+        if value.size > _FEW:
+            return bool(np.isfinite(value).all())
+        value = value.ravel().tolist()
+    return all(map(math.isfinite, value))
+
+
+def _where(condition, x, y):
+    """np.where; one state's condition, a numpy bool, picks x or y without a ufunc call."""
+    if isinstance(condition, (bool, np.bool_)):
+        return x if condition else y
+    return np.where(condition, x, y)
+
+
+def _masked(ufunc, mask, *args):
+    """``ufunc(*args)`` where ``mask`` holds and -inf elsewhere, not evaluated there."""
+    if isinstance(mask, (bool, np.bool_)):
+        return ufunc(*args) if mask else -math.inf
+    return ufunc(*args, out=np.full(np.shape(mask), -np.inf), where=mask)
 
 
 def _unrepresentable(log_api: str) -> ValidationError:
@@ -89,7 +122,7 @@ def _unrepresentable(log_api: str) -> ValidationError:
 
 def _representable(value, log_api: str):
     """``value`` if every entry is finite, else the documented domain error."""
-    if not np.isfinite(value).all():
+    if not _all_finite(value):
         raise _unrepresentable(log_api)
     return value
 
@@ -111,8 +144,12 @@ def _exp(log_value: float, log_api: str, zero_ok: bool = False) -> float:
 def _log_ratio(s: np.ndarray, s0):
     """log(s / s0) of positive finite prices; log s - log s0 where the quotient under- or overflows.
 
-    ``s`` is an array: a float quotient overflows to inf without setting a numpy flag.
+    One price (``s.ndim == 0``) has its float quotient checked, which sets no
+    numpy flag; an array has the flags of its quotients checked.
     """
+    if s.ndim == 0:
+        q = float(s) / float(s0)
+        return np.log(q) if _TINY <= q < math.inf else np.log(s) - np.log(s0)
     try:
         with np.errstate(over="raise", under="raise"):
             return np.log(s / s0)
@@ -125,21 +162,26 @@ def _log_ratio(s: np.ndarray, s0):
 
 # Kernels: each closed form is written once, over checked prices s[..., n]
 # and times t[...] > 0 that broadcast; every other caller goes through them.
+# One state is s[n] and a float t.  Its per-state values are taken as numpy
+# scalars (``[()]`` of a 0-d array), whose arithmetic rounds as a ufunc does
+# but costs a fraction of a ufunc call.
 def _z(spec: MarketSpec, s: np.ndarray, t) -> np.ndarray:
     """z_i = [log(S_i/S_i0) - (r - sigma_i^2/2) t] / (sigma_i sqrt(t)).
 
     The one place z is formed, and refused where it is not a finite float64:
     where the drift product or the division overflows, or sigma sqrt(t)
-    underflows to 0.  Every other kernel reads a finite z.
+    underflows to 0.  Every other kernel reads a finite z.  A float t is one
+    time for every price.
     """
-    t = np.asarray(t, dtype=float)[..., None]
+    if not isinstance(t, float):
+        t = np.asarray(t, dtype=float)[..., None]
     try:  # without a flag, log(S/S0) is np.log(S/S0): no quotient under- or overflowed
         with np.errstate(all="raise"):  # checking flags is cheaper than checking entries
             z = (np.log(s / spec.s0) - spec._log_drift * t) / (spec.sigma * np.sqrt(t))
     except FloatingPointError:
         with np.errstate(all="ignore"):  # a non-finite z is refused below
             z = (_log_ratio(s, spec.s0) - spec._log_drift * t) / (spec.sigma * np.sqrt(t))
-    if not np.isfinite(z).all():
+    if not _all_finite(z):
         raise ValidationError("z-score is not a finite float64 at this state: it overflows, "
                               "or sigma sqrt(t) underflows to 0")
     return z
@@ -185,23 +227,25 @@ def _log_floor(n: int, t, T: float, rate: float):
     return 0.5 * n * np.log(T / t) + rate * t
 
 
-def _log_levered_of(spec: MarketSpec, z: np.ndarray, w: np.ndarray, t, T: float) -> np.ndarray:
+def _log_levered_of(spec: MarketSpec, z: np.ndarray, w: np.ndarray, t, T: float,
+                    needed=True) -> np.ndarray:
     """log C(S, t) = log floor + z' R^{-1} z / 2, from :func:`_whitened`.
 
-    Refused where z' R^{-1} z = |w|^2, and so log C, is not a finite float64.
+    Refused where z' R^{-1} z = |w|^2, and so log C, is not a finite float64,
+    unless ``needed`` is false there: such a log C is +inf.
     """
     with np.errstate(over="ignore"):  # an overflow is refused just below
-        quad = np.sum(w * w, axis=0)
-    if not np.isfinite(quad).all():
-        raise ValidationError("z' R^{-1} z is not a finite float64 at this state; "
-                              "not even log_price_levered can represent it")
-    return _log_floor(spec.n, t, T, spec.rate) + 0.5 * quad.reshape(z.shape[:-1])
+        quad = np.add.reduce(w * w, axis=0).reshape(z.shape[:-1])[()]
+    if not (_all_finite(quad) or _all_finite(quad[needed])):
+        raise ValidationError(_QUAD_OVERFLOW)
+    return _log_floor(spec.n, t, T, spec.rate) + 0.5 * quad
 
 
 def _fractions_of(spec: MarketSpec, z: np.ndarray, w: np.ndarray, t) -> np.ndarray:
     """Levered best rule b(S, t) = M^{-1} R^{-1} z / sqrt(t), from :func:`_whitened`."""
     y = _trtrs(spec.lower.T, w, lower=False)
-    return (y / spec.sigma[:, None]).T.reshape(z.shape) / np.sqrt(t)[..., None]
+    root_t = np.sqrt(t) if isinstance(t, float) else np.sqrt(t)[..., None]
+    return (y / spec.sigma[:, None]).T.reshape(z.shape) / root_t
 
 
 def _log_unlevered_intrinsic(spec: MarketSpec, s: np.ndarray, z: np.ndarray, t) -> np.ndarray:
@@ -209,12 +253,12 @@ def _log_unlevered_intrinsic(spec: MarketSpec, s: np.ndarray, z: np.ndarray, t) 
 
     Cash rt for z <= 0, hold log(S/S0) for z >= sigma sqrt(t), rt + z^2/2 between.
     """
-    z = z[..., 0]
+    z = z[..., 0][()]
     rt = spec.rate * t
     cap = spec.sigma[0] * np.sqrt(t)
     inner = np.minimum(abs(z), cap)  # z where it is used; |z| capped so no z^2 overflows
-    return np.where(z <= 0.0, rt,
-                    np.where(z >= cap, _log_ratio(s[..., 0], spec.s0[0]), rt + 0.5 * inner * inner))
+    return _where(z <= 0.0, rt,
+                  _where(z >= cap, _log_ratio(s[..., 0], spec.s0[0]), rt + 0.5 * inner * inner))
 
 
 def _log_levered(spec: MarketSpec, s: np.ndarray, t, T: float) -> np.ndarray:
@@ -230,7 +274,7 @@ def _fractions(spec: MarketSpec, s: np.ndarray, t) -> np.ndarray:
 def _finite_z(z) -> np.ndarray:
     """A caller's z as a float array, refused unless every entry is finite."""
     z = np.asarray(z, dtype=float)
-    if not np.isfinite(z).all():
+    if not _all_finite(z):
         raise ValidationError("z must be finite")
     return z
 
@@ -251,7 +295,8 @@ def z_score(spec: MarketSpec, s, t: float) -> np.ndarray:
 
     z_i = [log(S_i/S_i0) - (rate - sigma_i^2/2) t] / (sigma_i sqrt(t))
     """
-    return _z(spec, _as_prices(spec, s, t), t)
+    s, t = _as_prices(spec, s, t)
+    return _z(spec, s, t)
 
 
 def best_rule(spec: MarketSpec, s, t: float, mode: str = "levered") -> RebalancingRule:
@@ -262,8 +307,9 @@ def best_rule(spec: MarketSpec, s, t: float, mode: str = "levered") -> Rebalanci
     to [0, 1].
     """
     _check_mode(spec, mode)
+    s, t = _as_prices(spec, s, t)
     with np.errstate(over="ignore"):  # a levered rule that overflows is refused just below
-        b = _fractions(spec, _as_prices(spec, s, t), t)
+        b = _fractions(spec, s, t)
     if mode == "levered":
         return RebalancingRule(b=_representable(b, "log_price_levered"), mode="levered")
     return RebalancingRule(b=[min(max(b[0], 0.0), 1.0)], mode="unlevered")
@@ -280,7 +326,8 @@ def wealth_of_rule(spec: MarketSpec, s, t: float, rule: RebalancingRule) -> floa
     and m = sqrt(t) |sigma|_inf |b|_inf: |v_i| <= 1 and v' R v > 0 form no NaN.
     A wealth too small for float64 is returned as 0.0.
     """
-    z = z_score(spec, s, t)
+    s, t = _as_prices(spec, s, t)
+    z = _z(spec, s, t)
     b = rule.b
     if b.shape != (spec.n,):
         raise ValidationError(f"rule has {b.shape[0]} fractions for {spec.n} assets")
@@ -311,7 +358,7 @@ def intrinsic_value(spec: MarketSpec, s, t: float, mode: str = "levered") -> flo
 def log_intrinsic_value(spec: MarketSpec, s, t: float, mode: str = "levered") -> float:
     """log V_t*; preferred for long horizons where V_t* overflows."""
     _check_mode(spec, mode)
-    s = _as_prices(spec, s, t)
+    s, t = _as_prices(spec, s, t)
     if mode == "levered":
         return float(_log_levered(spec, s, t, t))  # log C at expiry T = t
     return float(_log_unlevered_intrinsic(spec, s, _z(spec, s, t), t))

@@ -9,6 +9,7 @@ every grid time is free of discretization bias.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
@@ -41,6 +42,19 @@ def _integer(value, name: str) -> int:
     except (TypeError, ValueError, OverflowError):
         pass
     raise ValidationError(f"{name} must be an integer, got {value!r}")
+
+
+def _real(value, name: str) -> float:
+    """``value`` as a float when it is one real number, else :class:`ValidationError`.
+
+    A numpy scalar becomes its float64 value, so that no arithmetic downstream
+    runs in its narrower type.
+    """
+    if type(value) is float:
+        return value
+    if isinstance(value, numbers.Real):
+        return float(value)
+    raise ValidationError(f"{name} must be a real number, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -49,10 +49,10 @@ import numpy as np
 from scipy.special import log_ndtr
 
 from .errors import IrrationalPriceError, ValidationError
-from .hindsight import (_as_prices, _check_mode, _exp, _fractions_of, _log_floor, _log_levered,
-                        _log_levered_of, _log_ratio, _log_unlevered_intrinsic, _representable,
-                        _unrepresentable, _whitened, _z)
-from .market import MarketSpec
+from .hindsight import (_QUAD_OVERFLOW, _all_finite, _check_mode, _exp, _fractions_of, _log_floor,
+                        _log_levered, _log_levered_of, _log_ratio, _log_unlevered_intrinsic,
+                        _masked, _prices, _representable, _unrepresentable, _where, _whitened, _z)
+from .market import MarketSpec, _integer, _real
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -96,7 +96,9 @@ class ImpliedVolRoots:
     roots: tuple[float, ...]
 
 
-def _check_horizon(t: float, T: float, *, strict_end: bool = False) -> None:
+def _check_horizon(t, T, *, strict_end: bool = False) -> tuple[float, float]:
+    """t and T as floats, checked: 0 < t <= T (t < T with ``strict_end``), T / t finite."""
+    t, T = _real(t, "t"), _real(T, "T")
     if not (0 < t < math.inf and T < math.inf):
         raise ValidationError("need finite T and t > 0 (the price diverges as t -> 0+)")
     if not math.isfinite(T / t):
@@ -106,23 +108,28 @@ def _check_horizon(t: float, T: float, *, strict_end: bool = False) -> None:
             raise ValidationError("need t < T")
     elif t > T:
         raise ValidationError("need t <= T")
+    return t, T
 
 
 def min_rational_price(n: int, t: float, T: float, rate: float) -> float:
     """Lowest rational levered price, (T/t)^{n/2} e^{rt}, attained at z = 0."""
-    _check_horizon(t, T)
-    return _exp(_log_floor(n, t, T, rate), "log_price_levered")
+    n = _integer(n, "n (asset count)")
+    if n < 1:
+        raise ValidationError("asset count must be >= 1")
+    t, T = _check_horizon(t, T)
+    return _exp(_log_floor(n, t, T, _real(rate, "rate")), "log_price_levered")
 
 
 def log_price_levered(spec: MarketSpec, s, t: float, T: float) -> float:
     """log of the levered price; safe for states where the price overflows."""
-    _check_horizon(t, T)
-    return float(_log_levered(spec, _as_prices(spec, s, t), t, T))
+    t, T = _check_horizon(t, T)
+    return float(_log_levered(spec, _prices(spec, s), t, T))
 
 
 def price_levered(spec: MarketSpec, s, t: float, T: float) -> Quote:
     """Levered price (T/t)^{n/2} V_t*; equals intrinsic value at t = T."""
     price = _exp(log_price_levered(spec, s, t, T), "log_price_levered")
+    t, T = float(t), float(T)  # real numbers, as log_price_levered checked
     try:
         factor = (T / t) ** (0.5 * spec.n)
     except OverflowError:
@@ -131,7 +138,7 @@ def price_levered(spec: MarketSpec, s, t: float, T: float) -> Quote:
     if intrinsic == 0.0:  # V_t* underflowed although the price did not
         raise _unrepresentable("log_price_levered")
     return Quote(price=price, intrinsic=intrinsic,
-                 universality_factor=factor, mode="levered", t=float(t), T=float(T))
+                 universality_factor=factor, mode="levered", t=t, T=T)
 
 
 def _log_unlevered_terms(spec: MarketSpec, s: np.ndarray, t, T: float):
@@ -139,28 +146,30 @@ def _log_unlevered_terms(spec: MarketSpec, s: np.ndarray, t, T: float):
 
     Returns the three logs, log P = their log-sum-exp, and the pieces
     (z[..., 1], log C, x1, x2) that :func:`_unlevered_fractions` and
-    :func:`price_unlevered` read.
+    :func:`price_unlevered` read.  One state (s of shape (1,), a float t) is
+    computed on numpy scalars.  Where Phi(x2) - Phi(x1) underflows, the
+    interior term is 0 whatever C is, and a log C that overflows there is +inf.
     """
     sigma = float(spec.sigma[0])
     tau = T - t
     state = _whitened(spec, s, t)
-    z = state[0][..., 0]
-    log_c = _log_levered_of(spec, *state, t, T)
+    z = state[0][..., 0][()]
     a = -z * np.sqrt(t / tau)
     x1 = -z * np.sqrt(T / tau)
     x2 = x1 + sigma * np.sqrt(t * T / tau)
     # Phi(x2) - Phi(x1) = Phi(hi) - Phi(lo) with lo < 0: never two cdfs near 1.
     upper = x1 >= 0.0
-    log_hi = log_ndtr(np.where(upper, -x1, x2))
+    log_hi = log_ndtr(_where(upper, -x1, x2))
     # Where Phi(hi) underflows so does Phi(lo) <= Phi(hi): d is -inf, not -inf - -inf.
-    d = np.subtract(log_ndtr(np.where(upper, -x2, x1)), log_hi,
-                    out=np.full_like(log_hi, -np.inf), where=log_hi > -np.inf)
+    live = log_hi > -np.inf
+    d = _masked(np.subtract, live, log_ndtr(_where(upper, -x2, x1)), log_hi)
     # log(1 - e^d) needs only absolute accuracy here, which log(-expm1(d)) has
     # for every d < 0.  Where d rounds to 0 the difference is below rounding
     # and the term is taken as 0.
-    log_gap = np.log(-np.expm1(d), out=np.full_like(d, -np.inf), where=d < 0.0)
+    log_gap = _masked(np.log, d < 0.0, -np.expm1(d))
+    log_c = _log_levered_of(spec, *state, t, T, needed=live)
     log_terms = (spec.rate * t + log_ndtr(a),
-                 log_c + log_hi + log_gap,
+                 _masked(np.add, live, log_c, log_hi) + log_gap,
                  _log_ratio(s[..., 0], spec.s0[0]) + log_ndtr(-a - sigma * t / np.sqrt(tau)))
     log_p = np.logaddexp(np.logaddexp(log_terms[0], log_terms[1]), log_terms[2])
     return log_terms, log_p, (state[0], log_c, x1, x2)
@@ -177,6 +186,8 @@ def _unlevered_fractions(spec: MarketSpec, s: np.ndarray, t, T: float) -> np.nda
     """
     sigma = float(spec.sigma[0])
     (_, log_interior, log_hold), log_p, (z, log_c, x1, x2) = _log_unlevered_terms(spec, s, t, T)
+    if not _all_finite(log_c):  # the price does not read C there, but the density terms do
+        raise ValidationError(_QUAD_OVERFLOW)
     k = np.sqrt((T - t) / t) / (sigma * _SQRT_2PI * math.sqrt(T))
     with np.errstate(over="ignore"):  # x^2 = inf (|x| > 1.3e154) is a density term of 0
         density = np.exp(log_c - 0.5 * x1 * x1 - log_p) - np.exp(log_c - 0.5 * x2 * x2 - log_p)
@@ -193,22 +204,22 @@ def unlevered_terms(spec: MarketSpec, s, t: float, T: float) -> tuple[float, flo
     own.  A term too small for float64 is returned as 0.0.
     """
     _check_mode(spec, "unlevered")
-    _check_horizon(t, T, strict_end=True)
-    log_terms, _, _ = _log_unlevered_terms(spec, _as_prices(spec, s, t), t, T)
+    t, T = _check_horizon(t, T, strict_end=True)
+    log_terms, _, _ = _log_unlevered_terms(spec, _prices(spec, s), t, T)
     return tuple(_exp(float(log_term), "log_price_unlevered", zero_ok=True)
                  for log_term in log_terms)
 
 
 def _log_unlevered_price(spec: MarketSpec, s, t: float, T: float):
-    """Checked prices, their z and log P of one unlevered state; log P = log V_t* at t = T."""
+    """Checked prices, their z, t, T and log P of one unlevered state; log P = log V_t* at t = T."""
     _check_mode(spec, "unlevered")
-    _check_horizon(t, T)
-    s = _as_prices(spec, s, t)
+    t, T = _check_horizon(t, T)
+    s = _prices(spec, s)
     if t == T:
         z = _z(spec, s, t)
-        return s, z, float(_log_unlevered_intrinsic(spec, s, z, t))
+        return s, z, t, T, float(_log_unlevered_intrinsic(spec, s, z, t))
     _, log_p, (z, *_) = _log_unlevered_terms(spec, s, t, T)
-    return s, z, float(log_p)
+    return s, z, t, T, float(log_p)
 
 
 def log_price_unlevered(spec: MarketSpec, s, t: float, T: float) -> float:
@@ -217,7 +228,7 @@ def log_price_unlevered(spec: MarketSpec, s, t: float, T: float) -> float:
     At t = T the option has expired and this is the log of the unlevered
     intrinsic value; t > T is rejected.
     """
-    return _log_unlevered_price(spec, s, t, T)[2]
+    return _log_unlevered_price(spec, s, t, T)[-1]
 
 
 def price_unlevered(spec: MarketSpec, s, t: float, T: float) -> Quote:
@@ -226,13 +237,13 @@ def price_unlevered(spec: MarketSpec, s, t: float, T: float) -> Quote:
     At t = T the option has expired and the quote is the unlevered intrinsic
     value; t > T is rejected.
     """
-    s, z, log_p = _log_unlevered_price(spec, s, t, T)
+    s, z, t, T, log_p = _log_unlevered_price(spec, s, t, T)
     log_v = log_p if t == T else float(_log_unlevered_intrinsic(spec, s, z, t))
     price = _exp(log_p, "log_price_unlevered")
     intrinsic = _exp(log_v, "log_price_unlevered")
     factor = _representable(price / intrinsic, "log_price_unlevered")
     return Quote(price=price, intrinsic=intrinsic, universality_factor=factor,
-                 mode="unlevered", t=float(t), T=float(T))
+                 mode="unlevered", t=t, T=T)
 
 
 def _time0_premium(sigma: float, T: float) -> float:
@@ -253,8 +264,8 @@ def greeks(spec: MarketSpec, s, t: float, T: float) -> GreeksReport:
     """Analytic sensitivities of the levered price (one asset, 0 < t < T)."""
     if spec.n != 1:
         raise ValidationError("greeks are defined for one asset")
-    _check_horizon(t, T, strict_end=True)
-    s = _as_prices(spec, s, t)
+    t, T = _check_horizon(t, T, strict_end=True)
+    s = _prices(spec, s)
     s_val = float(s[0])
     sigma = float(spec.sigma[0])
     r = spec.rate
@@ -276,8 +287,8 @@ def greeks(spec: MarketSpec, s, t: float, T: float) -> GreeksReport:
 
 def multi_delta(spec: MarketSpec, s, t: float, T: float) -> np.ndarray:
     """Replicating share holdings per asset: delta_i = C b_i(S, t) / S_i."""
-    _check_horizon(t, T)
-    s = _as_prices(spec, s, t)
+    t, T = _check_horizon(t, T)
+    s = _prices(spec, s)
     state = _whitened(spec, s, t)
     c = _exp(float(_log_levered_of(spec, *state, t, T)), "log_price_levered")
     with np.errstate(over="ignore"):  # an overflow is refused just below
@@ -300,11 +311,13 @@ def implied_vols(observed_price: float, s: float, s0: float, t: float, T: float,
     the range attainable by any positive volatility (possible when
     Lp > 0 and K < 2 Lp) return no roots.  Every returned root is validated
     by round-trip repricing; a candidate whose repriced price overflows
-    float64 is not a root.  A non-finite price, s, s0 or rate, or a
-    non-positive price, s or s0, raises :class:`ValidationError`, even where
-    the floor underflows to 0.
+    float64 is not a root.  A price, s, s0 or rate that is not one real
+    number or not finite, or a non-positive price, s or s0, raises
+    :class:`ValidationError`, even where the floor underflows to 0.
     """
-    _check_horizon(t, T)
+    t, T = _check_horizon(t, T)
+    observed_price, s, s0, rate = (_real(observed_price, "observed price"), _real(s, "s"),
+                                   _real(s0, "s0"), _real(rate, "rate"))
     if not all(map(math.isfinite, (observed_price, s, s0, rate))):
         raise ValidationError("observed price, s, s0 and rate must be finite")
     if observed_price <= 0:
@@ -362,8 +375,8 @@ def excess_growth_bound(spec: MarketSpec, s, t: float, T: float) -> float:
     and decreases to 0 as T grows with the state fixed.  A bound that overflows
     float64, as where T - t is subnormal, raises :class:`ValidationError`.
     """
-    _check_horizon(t, T, strict_end=True)
-    return _representable(float(_log_levered(spec, _as_prices(spec, s, t), t, T)) / (T - t),
+    t, T = _check_horizon(t, T, strict_end=True)
+    return _representable(float(_log_levered(spec, _prices(spec, s), t, T)) / (T - t),
                           "log_price_levered")
 
 

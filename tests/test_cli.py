@@ -56,6 +56,12 @@ def test_unlevered_price_and_greeks(capsys):
     assert code == 0
     assert json.loads(out)["price"] == pytest.approx(1e30, rel=1e-12)
 
+    # z ~ 7e299 overflows z' R^{-1} z, but the interior term is 0 and the quote is S/S0
+    code, out, err = run_cli(capsys, "price", "--mode", "unlevered", "--sigma", "1e-300",
+                             "--s", "2", "--s0", "1", "--t", "1", "--T", "2")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["price"] == 2.0
+
     code, out, _ = run_cli(capsys, "greeks", "--sigma", "0.2", "--r", "0.03",
                            "--s0", "100", "--s", "105", "--t", "0.5", "--T", "1")
     assert code == 0
@@ -189,8 +195,7 @@ def test_unrepresentable_or_nonfinite_quotes_exit_3(capsys):
                  *(["price", "--mode", mode, "--sigma", sigma, "--s", "1.1", "--t", "0.5",
                     "--T", "1"] for mode in ("levered", "unlevered") for sigma in ("1e300", "1e154")),
                  # z ~ 7e299: z' R^{-1} z overflows, so not even log C is representable
-                 *(["price", "--mode", mode, "--sigma", "1e-300", "--s", "2", "--s0", "1",
-                    "--t", "1", "--T", "2"] for mode in ("levered", "unlevered")),
+                 ["price", "--sigma", "1e-300", "--s", "2", "--s0", "1", "--t", "1", "--T", "2"],
                  # sigma sqrt(t) underflows to 0: z is refused
                  *(["price", "--mode", mode, "--sigma", "1e-300", "--s", "2", "--s0", "1",
                     "--t", "1e-300", "--T", "2"] for mode in ("levered", "unlevered")),

@@ -82,6 +82,25 @@ def test_minimum_rational_price_value():
     q = price_levered(SPEC, s, 0.5, 1.0)
     assert q.price == pytest.approx(math.sqrt(2.0) * math.exp(0.015), rel=1e-12)
     assert q.price == pytest.approx(min_rational_price(1, 0.5, 1.0, 0.03), rel=1e-12)
+    # the asset count is an integer >= 1, not a float or NaN
+    for n, message in ((0, "must be >= 1"), (-2, "must be >= 1"), (1.5, "must be an integer"),
+                       (math.nan, "must be an integer")):
+        with pytest.raises(ValidationError, match=message):
+            min_rational_price(n, 0.5, 1.0, 0.03)
+
+
+def test_a_numpy_scalar_time_quotes_as_its_float64_value():
+    spec = MarketSpec.single(mu=0.0, sigma=0.2, rate=0.02, s0=100.0)
+    for t in (np.float32(1.0), np.float64(1.0), np.int64(1), 1):
+        assert price_levered(spec, 110.0, t, 2).price == price_levered(spec, 110.0, 1.0, 2.0).price
+        assert min_rational_price(1, t, 2, 0.02) == min_rational_price(1, 1.0, 2.0, 0.02)
+        assert price_unlevered(spec, 110.0, t, 2) == price_unlevered(spec, 110.0, 1.0, 2.0)
+        assert intrinsic_value(spec, 110.0, t) == intrinsic_value(spec, 110.0, 1.0)
+        record = greeks(spec, 110.0, t, 2).as_record()
+        assert record == greeks(spec, 110.0, 1.0, 2.0).as_record()
+        assert all(type(value) is float for value in record.values())
+        quote = price_levered(spec, 110.0, t, np.float32(2.0))
+        assert (type(quote.t), type(quote.T)) == (float, float)
 
 
 def test_universality_factor_is_exact():
@@ -113,6 +132,9 @@ def test_price_diverges_at_time_zero():
         price_levered(SPEC, 100.0, 1.5, 1.0)  # t > T
     for t, T in ((1.0, math.nan), (math.nan, 2.0), (1.0, math.inf), (math.inf, math.inf)):
         with pytest.raises(ValidationError, match="finite"):
+            price_levered(SPEC, 100.0, t, T)
+    for t, T in ((1.0, "2"), (None, 2.0), (np.array([1.0]), 2.0)):
+        with pytest.raises(ValidationError, match="must be a real number"):
             price_levered(SPEC, 100.0, t, T)
     with pytest.raises(ValidationError, match="finite"):
         price_levered(SPEC, math.inf, 1.0, 2.0)
@@ -429,10 +451,17 @@ def test_multi_delta_overflow_raises_without_a_warning():
 def test_a_tiny_volatility_quote_raises_without_a_warning():
     # z ~ 7e299 at sigma = 1e-300: z' R^{-1} z overflows, so log C is not representable
     spec = MarketSpec.single(mu=0.0, sigma=1e-300, rate=0.0, s0=1.0)
-    for call in (log_price_levered, price_levered, multi_delta, greeks, excess_growth_bound,
-                 log_price_unlevered, price_unlevered):
+    for call in (log_price_levered, price_levered, multi_delta, greeks, excess_growth_bound):
         with pytest.raises(ValidationError, match="not even log_price_levered"):
             call(spec, 2.0, 1.0, 2.0)
+    # the unlevered interior term C [Phi(x2) - Phi(x1)] is 0 there, since its cdf gap
+    # underflows (exponent -z^2 t / (2 tau)), so the unlevered price is the hold term S/S0
+    for s in (1.2, 2.0):
+        assert unlevered_terms(spec, s, 1.0, 2.0) == (0.0, 0.0, s)
+        assert log_price_unlevered(spec, s, 1.0, 2.0) == log_intrinsic_value(spec, s, 1.0,
+                                                                             "unlevered")
+        quote = price_unlevered(spec, s, 1.0, 2.0)
+        assert (quote.price, quote.intrinsic, quote.universality_factor) == (s, s, 1.0)
 
 
 def test_multi_delta_reduces_and_matches_fd():
@@ -661,6 +690,12 @@ def test_a_nonpositive_observed_price_is_refused():
         for r in (0.03, -1600.0):
             with pytest.raises(ValidationError, match="observed price must be strictly positive"):
                 implied_vols(price, 1.0, 1.0, 0.5, 1.0, r)
+    # an argument that is not one real number
+    for args in ((np.array([1.5]), 105.0, 100.0, 0.5, 1.0, 0.03),
+                 ("1.5", 105.0, 100.0, 0.5, 1.0, 0.03),
+                 (1.5, 105.0, 100.0, 0.5, 1.0, None)):
+        with pytest.raises(ValidationError, match="must be a real number"):
+            implied_vols(*args)
 
 
 def test_below_minimum_raises_with_the_bound():

@@ -300,6 +300,10 @@ def test_hedge_path_domain_errors():
                                                                        [1.5], [1.5]]))
     with pytest.raises(ValidationError, match="log_price_levered"):
         hedge_path(MarketSpec.single(mu=0.0, sigma=1e-160, rate=0.0), flat, 0.5, 2.0)
+    # z ~ 3e299: the unlevered price is S/S0 there, but the hedge fraction reads C, which overflows
+    with pytest.raises(ValidationError, match="not even log_price_levered"):
+        hedge_path(MarketSpec.single(mu=0.0, sigma=1e-300, rate=0.0), flat, 0.5, 2.0,
+                   mode="unlevered")
     # a price rising from 1 to e^40: the levered factor overflows, yet the
     # unlevered hedge holds the stock from t = 1 and tracks it
     times = np.linspace(0.0, 2.0, 201)
