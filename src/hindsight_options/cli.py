@@ -14,7 +14,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -159,15 +159,21 @@ def _manifest(args, outputs: list[str]) -> str:
                  indent=2) + "\n"
 
 
-def _emit(args, artifacts: dict[str, dict | str]) -> int:
+def _emit(args, artifacts: dict[str, dict | str | Callable[[], str]]) -> int:
     """Print the first artifact; with --out, also write every artifact and a manifest.
 
-    ``artifacts`` maps a file name to a JSON record (a dict) or finished CSV
-    text.  Every record is serialised before anything is printed or written.
+    ``artifacts`` maps a file name to a JSON record (a dict), finished CSV
+    text, or, past the first, a zero-argument callable that formats CSV text:
+    it is called only under --out, since only a file reads it.  Every record
+    is serialised, and under --out every file formatted, before anything is
+    printed or written.
     """
     texts = {name: _json(body) + "\n" if isinstance(body, dict) else body
              for name, body in artifacts.items()}
-    files = {**texts, "manifest.json": _manifest(args, sorted(texts))} if args.out else {}
+    files = {}
+    if args.out:
+        files = {name: text() if callable(text) else text for name, text in texts.items()}
+        files["manifest.json"] = _manifest(args, sorted(texts))
     sys.stdout.write(next(iter(texts.values())))
     if files:
         out_dir = Path(args.out)
@@ -229,8 +235,8 @@ def _cmd_simulate(args) -> int:
                               steps_per_year=args.steps_per_year,
                               n_paths=args.paths, seed=args.seed)
     result = run_growth_simulation(config)
-    paths = _csv_table(["path", "terminal_wealth", "cagr"],
-                       [range(config.n_paths), result.terminal_wealth, result.cagr])
+    paths = functools.partial(_csv_table, ["path", "terminal_wealth", "cagr"],
+                              [range(config.n_paths), result.terminal_wealth, result.cagr])
     summary = {
         "scenario": args.scenario,
         "mean_cagr": result.mean_cagr,
@@ -257,7 +263,8 @@ def _cmd_hedge(args) -> int:
         "intrinsic_at_expiry": intrinsic_value(spec, path.prices[-1], args.T,
                                                args.mode),
     }
-    return _emit(args, {"summary.json": summary, "ledger.csv": _ledger_csv(ledger)})
+    return _emit(args, {"summary.json": summary,
+                        "ledger.csv": functools.partial(_ledger_csv, ledger)})
 
 
 def _cmd_backtest(args) -> int:
@@ -269,7 +276,7 @@ def _cmd_backtest(args) -> int:
                "ruin_index": result.ruin_index,
                "terminal_wealth": float(result.wealth[-1]),
                "periods": len(result.wealth) - 1}
-    wealth = _csv_table(["time", "wealth"], [result.times, result.wealth])
+    wealth = functools.partial(_csv_table, ["time", "wealth"], [result.times, result.wealth])
     return _emit(args, {"summary.json": summary, "wealth.csv": wealth})
 
 

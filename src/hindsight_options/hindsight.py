@@ -16,26 +16,46 @@ none of these functions read ``spec.mu`` except :func:`kelly_rule`.  The
 state reaches every closed form through z alone, and z is formed in one
 kernel, which raises :class:`ValidationError` where z is not a finite
 float64; :func:`z_score` returns that array.
+
+scipy is imported on first use, through :func:`_scipy`: the closed forms of
+the levered price and rule need only exp, log and sqrt, and a one-asset
+factor solves without LAPACK, so a process that never calls a scipy kernel
+never pays for importing scipy.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dtrtrs
 
 from .errors import ValidationError
 from .market import MarketSpec, _real
 
 MODES = ("levered", "unlevered")
 _TINY = np.finfo(float).tiny
+# Scalars numpy would read as a price although they are not numbers.
+_NOT_NUMBERS = (str, bytes, bool, np.bool_)
 # Entries up to which a finiteness check reads floats: below one ufunc call and its reduction.
 _FEW = 8
 _QUAD_OVERFLOW = ("z' R^{-1} z is not a finite float64 at this state; "
                   "not even log_price_levered can represent it")
+
+
+@functools.cache
+def _scipy(submodule: str):
+    """The module ``scipy.<submodule>``, imported on its first use in the process.
+
+    The one place the package loads scipy: ``special`` (``log_ndtr`` for the
+    unlevered price, ``gammaln`` and ``xlogy`` for the lattice) and ``linalg``
+    and ``linalg.lapack`` (``solve_triangular`` and ``dtrtrs`` for n >= 2
+    solves and the Monte Carlo oracle).  A kernel reads its function off the
+    module at each call, which a warm cache answers in well under a microsecond.
+    """
+    return importlib.import_module("scipy." + submodule)
 
 
 @dataclass(frozen=True)
@@ -74,8 +94,26 @@ def _as_prices(spec: MarketSpec, s, t) -> tuple[np.ndarray, float]:
     return _prices(spec, s), t
 
 
+def _numbers(value) -> bool:
+    """Whether ``value`` holds no str, bytes or bool, alone, as an entry or in an array.
+
+    numpy would parse the first two and read a bool as 0 or 1; :func:`_real` refuses them too.
+    """
+    if isinstance(value, np.ndarray):
+        kind = value.dtype.kind
+        return kind in "fiu" or (kind == "O" and _numbers(value.tolist()))
+    if isinstance(value, (list, tuple)):
+        return all(map(_numbers, value))
+    return not isinstance(value, _NOT_NUMBERS)
+
+
 def _prices(spec: MarketSpec, s) -> np.ndarray:
-    """Prices S checked for shape, positivity and finiteness, at any time."""
+    """Prices S checked for type, shape, positivity and finiteness, at any time.
+
+    A float array is read as it is; any other input must hold numbers only (see :func:`_numbers`).
+    """
+    if not (isinstance(s, np.ndarray) and s.dtype.kind == "f") and not _numbers(s):
+        raise ValidationError("prices must be numbers")
     try:
         s = np.array(s, dtype=float, ndmin=1)
     except (TypeError, ValueError):
@@ -199,12 +237,13 @@ def _trtrs(a: np.ndarray, b: np.ndarray, lower: bool) -> np.ndarray:
         return b / a[0, 0]
     rhs = np.repeat(b, 2, axis=1) if b.shape[1] == 1 else b
     # trtrs reads a Fortran-ordered factor; a C-ordered one is read as its transpose
+    dtrtrs = _scipy("linalg.lapack").dtrtrs
     if a.flags.f_contiguous:
         x, info = dtrtrs(a, rhs, lower=lower)
     else:
         x, info = dtrtrs(a.T, rhs, lower=not lower, trans=1)
     if info:
-        return solve_triangular(a, rhs, lower=lower)
+        return _scipy("linalg").solve_triangular(a, rhs, lower=lower)
     return x[:, :b.shape[1]]
 
 

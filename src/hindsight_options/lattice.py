@@ -16,6 +16,8 @@ Prices are expected discounted payoffs under q, in log space.  A closed sum
 over terminal outcomes (log-gamma binomials, log-sum-exp) prices one node in
 O(N); one backward sweep of C(k, n) = [q C(k+1, n+1) + (1-q) C(k, n+1)] / R
 prices every node in O(N^2) for the demon, the induction table and the hedge.
+The log-gamma and x log y terms are scipy's ``gammaln`` and ``xlogy``, which
+``hindsight._scipy`` imports on the first lattice call of a process.
 """
 
 from __future__ import annotations
@@ -24,10 +26,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, xlogy
 
 from .errors import ValidationError
-from .hindsight import _exp, _representable
+from .hindsight import _exp, _representable, _scipy
 from .market import _integer
 
 
@@ -129,6 +130,7 @@ def _best_rule(spec: LatticeSpec, jf: np.ndarray) -> np.ndarray:
 def _xlogy_over_q(spec: LatticeSpec, jf: np.ndarray) -> np.ndarray:
     """j log(j / q), 0 at j = 0; j (log j - log q) where j / q overflows (q subnormal)."""
     q = spec.q
+    xlogy = _scipy("special").xlogy
     if spec.n_steps / q < math.inf:
         return xlogy(jf, jf / q)
     with np.errstate(over="ignore"):  # the overflowed entries are replaced
@@ -145,7 +147,7 @@ def _log_payoff(spec: LatticeSpec, jf: np.ndarray, mode: str) -> np.ndarray:
     """:func:`lattice_log_payoff` over float j already known to lie in [0, N]."""
     n, q, gross = spec.n_steps, spec.q, spec.gross_rate
     levered = (n * math.log(gross / n) + _xlogy_over_q(spec, jf)
-               + xlogy(n - jf, (n - jf) / (1.0 - q)))
+               + _scipy("special").xlogy(n - jf, (n - jf) / (1.0 - q)))
     if mode == "levered":
         return levered
     if mode != "unlevered":
@@ -195,6 +197,7 @@ def lattice_log_price(spec: LatticeSpec, state: LatticeState, mode: str = "lever
     remaining = n_total - state.n
     q = spec.q
     j = np.arange(remaining + 1, dtype=float)
+    gammaln = _scipy("special").gammaln
     log_binom = (gammaln(remaining + 1) - gammaln(j + 1) - gammaln(remaining - j + 1))
     log_terms = (log_binom + j * math.log(q) + (remaining - j) * math.log(1.0 - q)
                  + _log_payoff(spec, state.k + j, mode)

@@ -47,12 +47,13 @@ def _integer(value, name: str) -> int:
 def _real(value, name: str) -> float:
     """``value`` as a float when it is one real number, else :class:`ValidationError`.
 
+    A bool is not a number here, as it is not a price (``hindsight._numbers``).
     A numpy scalar becomes its float64 value, so that no arithmetic downstream
     runs in its narrower type.
     """
     if type(value) is float:
         return value
-    if isinstance(value, numbers.Real):
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
         return float(value)
     raise ValidationError(f"{name} must be a real number, got {value!r}")
 

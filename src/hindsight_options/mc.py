@@ -47,6 +47,9 @@ shares.  The draws and every intermediate are written into those rows, so the
 chunk loop allocates no chunk-sized array; each mode's payoffs are reduced to
 their sum, maximum and sum of squares before the next mode overwrites the
 evaluator rows.  ``_CHUNK`` keys the random streams, so it stays fixed.
+
+The oracle solves x_t = L^{-1} z_t with scipy's ``solve_triangular``, loaded
+on first use by ``hindsight._scipy``, apart from the kernels' own solve.
 """
 
 from __future__ import annotations
@@ -56,13 +59,16 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import ValidationError
-from .hindsight import _check_mode, _prices, z_score
+from .hindsight import _check_mode, _prices, _scipy, z_score
 from .market import MarketSpec, _streams
 
 _CHUNK = 1 << 16
+# The most paths one call draws, ~150,000 chunks: 10^10 one-asset paths in both
+# modes take about nine minutes of one core.  A mistyped count such as 10^15
+# would run for years without output, so it is refused before its first draw.
+_MAX_PATHS = 10**10
 
 
 @dataclass(frozen=True)
@@ -89,6 +95,9 @@ def mc_price(spec: MarketSpec, s, t: float, T: float, mode: str = "levered",
 
     Parameters
     ----------
+    n_paths : int
+        At most ``_MAX_PATHS`` = 10**10; a larger count raises
+        :class:`ValidationError` before any draw.
     mode : {"levered", "unlevered"}
         Unlevered requires a one-asset spec.  t = 0 is supported (state taken
         at the initial prices) except for the levered option, whose time-0
@@ -118,6 +127,8 @@ def mc_prices(spec: MarketSpec, s, t: float, T: float, modes: Sequence[str],
         raise ValidationError("need 0 <= t < T < inf")
     if seed < 0:
         raise ValidationError("seed must be nonnegative")
+    if n_paths > _MAX_PATHS:
+        raise ValidationError(f"at most {_MAX_PATHS:,} paths per call, got {n_paths:,}")
     if antithetic:
         n_paths = (n_paths // 2) * 2
     if n_paths < (4 if antithetic else 2):
@@ -192,7 +203,7 @@ def _levered_value_fn(spec: MarketSpec, s, t: float, T: float, s_eval: float):
     intermediate to a row of ``work`` (at least three rows as long as ``g``) and
     returns the row that holds the payoff.
     """
-    x_t = solve_triangular(spec.lower, z_score(spec, s, t), lower=True)
+    x_t = _scipy("linalg").solve_triangular(spec.lower, z_score(spec, s, t), lower=True)
     w_t = math.sqrt(t / s_eval)
     w_y = math.sqrt(1.0 - t / s_eval)
     a_0 = (spec.rate * t + 0.5 * spec.n * math.log(T / s_eval)

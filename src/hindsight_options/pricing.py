@@ -18,7 +18,9 @@ x2 = x1 + sigma sqrt(tT/tau),
 
 Each term is computed as a log (log Phi by scipy's ``log_ndtr``, the
 difference of cdfs on the upper tails when x1 >= 0, so it does not cancel)
-and the three are combined by log-sum-exp.  Deep out-of-the-money quotes
+and the three are combined by log-sum-exp; ``log_ndtr`` is read through
+``hindsight._scipy``, which imports scipy on the first unlevered quote of a
+process, so the levered quotes never load it.  Deep out-of-the-money quotes
 keep full relative accuracy, and :func:`log_price_unlevered` stays finite
 where the price overflows.  The unlevered hedge fraction S (dP/dS) / P is
 analytic and built from the same pieces.
@@ -46,12 +48,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_ndtr
 
 from .errors import IrrationalPriceError, ValidationError
 from .hindsight import (_QUAD_OVERFLOW, _all_finite, _check_mode, _exp, _fractions_of, _log_floor,
                         _log_levered, _log_levered_of, _log_ratio, _log_unlevered_intrinsic,
-                        _masked, _prices, _representable, _unrepresentable, _where, _whitened, _z)
+                        _masked, _prices, _representable, _scipy, _unrepresentable, _where,
+                        _whitened, _z)
 from .market import MarketSpec, _integer, _real
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -150,6 +152,7 @@ def _log_unlevered_terms(spec: MarketSpec, s: np.ndarray, t, T: float):
     computed on numpy scalars.  Where Phi(x2) - Phi(x1) underflows, the
     interior term is 0 whatever C is, and a log C that overflows there is +inf.
     """
+    log_ndtr = _scipy("special").log_ndtr
     sigma = float(spec.sigma[0])
     tau = T - t
     state = _whitened(spec, s, t)

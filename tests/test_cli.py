@@ -550,7 +550,10 @@ def test_spec_and_price_flag_refusals_exit_3_with_one_line(capsys):
             (["price", "--sigma", "0.2", "--s", "", "--t", "0.5", "--T", "1"],
              "expected 1 prices in --s, got 0"),
             (["simulate", "--scenario", "custom", "--paths", "2"],
-             "custom scenario requires --config")):
+             "custom scenario requires --config"),
+            # a chunk loop that would run for days is refused before its first draw
+            (["verify", "--paths", "1000000000000000"],
+             "at most 10,000,000,000 paths per call, got 1,000,000,000,000,000")):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out, err) == (3, "", f"error: {message}\n")
 

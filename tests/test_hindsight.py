@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import scipy.linalg
+import scipy.linalg.lapack
 from scipy import stats
 from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dtrtrs
@@ -311,8 +313,9 @@ def test_unit_factor_skips_lapack_bit_for_bit(monkeypatch):
     def no_lapack(*args, **kwargs):
         raise AssertionError("the factor [[1.0]] went through LAPACK")
 
-    monkeypatch.setattr(hindsight, "dtrtrs", no_lapack)
-    monkeypatch.setattr(hindsight, "solve_triangular", no_lapack)
+    # _trtrs reads both off the scipy modules at each call
+    monkeypatch.setattr(scipy.linalg.lapack, "dtrtrs", no_lapack)
+    monkeypatch.setattr(scipy.linalg, "solve_triangular", no_lapack)
     fast = [whitened_and_fractions(*state) for state in states]
     monkeypatch.undo()
     monkeypatch.setattr(hindsight, "_trtrs", lapack_solve)
@@ -343,7 +346,7 @@ def test_a_near_unit_factor_still_goes_through_lapack(monkeypatch):
         calls.append(1)
         return dtrtrs(*args, **kwargs)
 
-    monkeypatch.setattr(hindsight, "dtrtrs", counted)
+    monkeypatch.setattr(scipy.linalg.lapack, "dtrtrs", counted)
     s, t, z = np.array([[2.5], [1.2], [3.0]]), np.array([0.5, 1.0, 2.0]), np.array([0.7])
     got = (*whitened_and_fractions(spec, s, t), corr_solve(spec, z))
     assert len(calls) == 4

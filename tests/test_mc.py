@@ -19,6 +19,7 @@ from hindsight_options.hindsight import z_score
 from hindsight_options.market import _streams
 from hindsight_options.mc import (
     _CHUNK,
+    _MAX_PATHS,
     _draws,
     _levered_value_fn,
     _unlevered_value_fn,
@@ -132,6 +133,11 @@ def test_domain_checks():
                  n_paths=1000, seed=0)
     with pytest.raises(ValidationError, match="^need 0 <= t < T < inf$"):
         mc_price(SPEC, 1.0, 0.5, math.inf, "unlevered", n_paths=1000, seed=0)
+    # one path over the limit is refused, whatever the mode or the pairing
+    for mode, antithetic in (("levered", True), ("unlevered", False)):
+        with pytest.raises(ValidationError, match="^at most 10,000,000,000 paths per call"):
+            mc_price(SPEC, 1.0, 0.5, 1.0, mode, n_paths=_MAX_PATHS + 1, seed=0,
+                     antithetic=antithetic)
     with pytest.raises(ValidationError):
         mc_price(SPEC, 1.0, 1.0, 2.0, "straddle", n_paths=1000, seed=0)
     with pytest.raises(ValidationError):

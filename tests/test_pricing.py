@@ -125,6 +125,32 @@ def test_never_exercised_early(z, frac):
     assert q.price > q.intrinsic
 
 
+NOT_NUMBERS = ("110", b"110", True, np.True_, [True], [True, 110.0], ["110"], (b"110",),
+               np.array(["110"]), np.array([b"110"]), np.array([True]),
+               np.array(["110"], dtype=object), [np.array("110")])
+
+
+@pytest.mark.parametrize("s", NOT_NUMBERS, ids=repr)
+def test_prices_that_are_not_numbers_are_refused(s):
+    # numpy reads "110" as 110.0 and True as 1.0; every quote refuses them, alone or as entries
+    for quote in (price_levered, price_unlevered, greeks, multi_delta, log_price_levered,
+                  log_price_unlevered, excess_growth_bound):
+        with pytest.raises(ValidationError, match="^prices must be numbers$"):
+            quote(SPEC, s, 1.0, 2.0)
+    for state in (z_score, intrinsic_value, best_rule):
+        with pytest.raises(ValidationError, match="^prices must be numbers$"):
+            state(SPEC, s, 1.0)
+    with pytest.raises(ValidationError, match="must be a real number"):
+        implied_vols(1.5, True, 100.0, 0.5, 1.0, 0.03)
+
+
+def test_numbers_of_every_numeric_type_keep_their_quote():
+    want = price_levered(SPEC, 110.0, 1.0, 2.0).price
+    for s in (110, np.float32(110.0), np.int64(110), [110], (110.0,), np.array([110]),
+              np.array([110.0], dtype=object), [np.float64(110.0)]):
+        assert price_levered(SPEC, s, 1.0, 2.0).price == want
+
+
 def test_price_diverges_at_time_zero():
     with pytest.raises(ValidationError):
         price_levered(SPEC, 100.0, 0.0, 1.0)
@@ -138,6 +164,9 @@ def test_price_diverges_at_time_zero():
             price_levered(SPEC, 100.0, t, T)
     with pytest.raises(ValidationError, match="finite"):
         price_levered(SPEC, math.inf, 1.0, 2.0)
+    for t, T in ((True, 2.0), (1.0, True), (np.True_, 2.0)):
+        with pytest.raises(ValidationError, match="must be a real number"):
+            price_levered(SPEC, 100.0, t, T)
     # T / t overflows although t and T are finite
     flat = MarketSpec.single(0.0, 0.1, 0.0)
     for call in (lambda: log_price_levered(flat, 1.0, 1e-300, 1e10),
