@@ -37,6 +37,7 @@ from .market import MarketSpec, _real
 
 MODES = ("levered", "unlevered")
 _TINY = np.finfo(float).tiny
+_FLOAT64 = np.dtype(float)
 # Scalars numpy would read as a price although they are not numbers.
 _NOT_NUMBERS = (str, bytes, bool, np.bool_)
 # Entries up to which a finiteness check reads floats: below one ufunc call and its reduction.
@@ -110,9 +111,10 @@ def _numbers(value) -> bool:
 def _prices(spec: MarketSpec, s) -> np.ndarray:
     """Prices S checked for type, shape, positivity and finiteness, at any time.
 
-    A float array is read as it is; any other input must hold numbers only (see :func:`_numbers`).
+    A float64 array, the common input, is read as it is; any other input must
+    hold numbers only (see :func:`_numbers`).
     """
-    if not (isinstance(s, np.ndarray) and s.dtype.kind == "f") and not _numbers(s):
+    if not (isinstance(s, np.ndarray) and s.dtype is _FLOAT64) and not _numbers(s):
         raise ValidationError("prices must be numbers")
     try:
         s = np.array(s, dtype=float, ndmin=1)

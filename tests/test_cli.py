@@ -551,7 +551,7 @@ def test_spec_and_price_flag_refusals_exit_3_with_one_line(capsys):
              "expected 1 prices in --s, got 0"),
             (["simulate", "--scenario", "custom", "--paths", "2"],
              "custom scenario requires --config"),
-            # a chunk loop that would run for days is refused before its first draw
+            # a chunk loop that would run for years is refused before its first draw
             (["verify", "--paths", "1000000000000000"],
              "at most 10,000,000,000 paths per call, got 1,000,000,000,000,000")):
         code, out, err = run_cli(capsys, *argv)

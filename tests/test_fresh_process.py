@@ -12,6 +12,9 @@ import sys
 from pathlib import Path
 
 import pytest
+# The warm side: this process has scipy loaded before any kernel runs.
+import scipy.linalg.lapack  # noqa: F401
+import scipy.special  # noqa: F401
 
 import hindsight_options
 from hindsight_options import MarketSpec, save_market_spec
@@ -81,5 +84,5 @@ def test_first_scipy_call_prints_the_warm_bytes(argv, three_assets, capsys):
     out, loaded = run_fresh(argv)
     assert loaded["import"] == [] and "scipy" in loaded["run"]
     assert main(argv) == loaded["codes"][0] == 0
-    warm = capsys.readouterr().out  # the test modules imported scipy long before
+    warm = capsys.readouterr().out
     assert out == warm and out
