@@ -32,7 +32,6 @@ from .lattice import (
 from .market import (
     MarketSpec,
     PricePath,
-    covariance,
     load_market_spec,
     save_market_spec,
     simulate_paths,
@@ -43,7 +42,6 @@ from .pricing import (
     GreeksReport,
     ImpliedVolRoots,
     Quote,
-    excess_growth_bound,
     greeks,
     implied_vols,
     log_price_levered,

@@ -29,7 +29,7 @@ from .lattice import (
     lattice_payoff,
     lattice_price,
 )
-from .market import MarketSpec, load_market_spec, simulate_paths
+from .market import MarketSpec, _seed, load_market_spec, simulate_paths
 from .mc import mc_prices
 from .pricing import (
     greeks,
@@ -288,7 +288,10 @@ def _random_correlation(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def _cmd_verify(args) -> int:
-    rng = np.random.default_rng(np.random.SeedSequence((args.seed, 0xC0FFEE)))
+    seed = _seed(args.seed)
+    if args.states < 1:
+        raise ValidationError("--states must be >= 1")
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0xC0FFEE)))
     rows = []
     all_ok = True
     for state_idx in range(args.states):
@@ -306,7 +309,7 @@ def _cmd_verify(args) -> int:
         closed_forms = [(price_levered if mode == "levered" else price_unlevered)(
             spec, s, t, horizon).price for mode in modes]
         estimates = mc_prices(spec, s, t, horizon, modes, n_paths=args.paths,
-                              seed=args.seed + 101 * state_idx)
+                              seed=seed + 101 * state_idx)
         for mode, closed, est in zip(modes, closed_forms, estimates):
             gap = abs(closed - est.mean)
             ok = gap < 4.0 * est.std_error

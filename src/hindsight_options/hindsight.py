@@ -33,13 +33,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .market import MarketSpec, _real
+from .market import MarketSpec, _real, _reals
 
 MODES = ("levered", "unlevered")
 _TINY = np.finfo(float).tiny
-_FLOAT64 = np.dtype(float)
-# Scalars numpy would read as a price although they are not numbers.
-_NOT_NUMBERS = (str, bytes, bool, np.bool_)
 # Entries up to which a finiteness check reads floats: below one ufunc call and its reduction.
 _FEW = 8
 _QUAD_OVERFLOW = ("z' R^{-1} z is not a finite float64 at this state; "
@@ -67,7 +64,7 @@ class RebalancingRule:
     mode: str = "levered"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "b", np.atleast_1d(np.asarray(self.b, dtype=float)))
+        object.__setattr__(self, "b", _reals(self.b, "fractions"))
         if self.mode not in MODES:
             raise ValidationError(f"unknown mode {self.mode!r}")
         if not np.isfinite(self.b).all():
@@ -95,31 +92,9 @@ def _as_prices(spec: MarketSpec, s, t) -> tuple[np.ndarray, float]:
     return _prices(spec, s), t
 
 
-def _numbers(value) -> bool:
-    """Whether ``value`` holds no str, bytes or bool, alone, as an entry or in an array.
-
-    numpy would parse the first two and read a bool as 0 or 1; :func:`_real` refuses them too.
-    """
-    if isinstance(value, np.ndarray):
-        kind = value.dtype.kind
-        return kind in "fiu" or (kind == "O" and _numbers(value.tolist()))
-    if isinstance(value, (list, tuple)):
-        return all(map(_numbers, value))
-    return not isinstance(value, _NOT_NUMBERS)
-
-
 def _prices(spec: MarketSpec, s) -> np.ndarray:
-    """Prices S checked for type, shape, positivity and finiteness, at any time.
-
-    A float64 array, the common input, is read as it is; any other input must
-    hold numbers only (see :func:`_numbers`).
-    """
-    if not (isinstance(s, np.ndarray) and s.dtype is _FLOAT64) and not _numbers(s):
-        raise ValidationError("prices must be numbers")
-    try:
-        s = np.array(s, dtype=float, ndmin=1)
-    except (TypeError, ValueError):
-        raise ValidationError("prices must be numbers") from None
+    """Prices S read by :func:`market._reals`, checked for shape, positivity and finiteness."""
+    s = _reals(s, "prices")
     if s.shape != (spec.n,):
         raise ValidationError(f"expected {spec.n} prices, got shape {s.shape}")
     if not all(0.0 < x < math.inf for x in s.tolist()):
@@ -314,7 +289,7 @@ def _fractions(spec: MarketSpec, s: np.ndarray, t) -> np.ndarray:
 
 def _finite_z(z) -> np.ndarray:
     """A caller's z as a float array, refused unless every entry is finite."""
-    z = np.asarray(z, dtype=float)
+    z = _reals(z, "z")
     if not _all_finite(z):
         raise ValidationError("z must be finite")
     return z

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .hindsight import _exp, _representable, _scipy
-from .market import _integer
+from .market import _integer, _real, _reals, _seed
 
 
 @dataclass(frozen=True)
@@ -42,9 +42,8 @@ class LatticeSpec:
     n_steps: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "u", float(self.u))
-        object.__setattr__(self, "d", float(self.d))
-        object.__setattr__(self, "r_per", float(self.r_per))
+        for name in ("u", "d", "r_per"):
+            object.__setattr__(self, name, _real(getattr(self, name), name))
         object.__setattr__(self, "n_steps", _integer(self.n_steps, "n_steps"))
         if self.n_steps < 1:
             raise ValidationError("n_steps must be >= 1")
@@ -63,6 +62,7 @@ class LatticeSpec:
     @classmethod
     def crr(cls, sigma: float, rate: float, horizon: float, n_steps: int) -> "LatticeSpec":
         """Standard calibration u = e^{sigma sqrt(h)}, d = 1/u, R = e^{r h}."""
+        sigma, rate, horizon = _real(sigma, "sigma"), _real(rate, "rate"), _real(horizon, "horizon")
         n_steps = _integer(n_steps, "n_steps")
         if not (0.0 < horizon < math.inf and n_steps >= 1):
             raise ValidationError("need 0 < horizon < inf and n_steps >= 1")
@@ -106,13 +106,13 @@ def _logsumexp(terms: np.ndarray) -> float:
 
 
 def _check_terminal(spec: LatticeSpec, j) -> np.ndarray:
-    j = np.atleast_1d(np.asarray(j))
-    if j.dtype.kind not in "biuf" or (  # a string or None is not a count
-            j.dtype.kind not in "iu" and not np.all(np.isfinite(j) & (np.floor(j) == j))):
+    """Uptick counts j read as floats, each whole and in [0, N]."""
+    j = _reals(j, "uptick count")
+    if not np.all(np.isfinite(j) & (np.floor(j) == j)):
         raise ValidationError("uptick count must be a whole number")
     if np.any(j < 0) or np.any(j > spec.n_steps):
         raise ValidationError(f"uptick count must lie in [0, {spec.n_steps}]")
-    return j.astype(float)
+    return j
 
 
 def _best_rule(spec: LatticeSpec, jf: np.ndarray) -> np.ndarray:
@@ -282,13 +282,14 @@ def demon_simulation(n_steps: int, p: float, seed: int) -> DemonLedger:
     stock sits at 2^{2k - n} after k upticks in n steps, and the replicating
     account holds C(k, n) / C(0, 0) per initial dollar.
     """
+    p = _real(p, "p")
     if not 0.0 <= p <= 1.0:
         raise ValidationError("p must lie in [0, 1]")
+    rng = np.random.default_rng(np.random.SeedSequence(_seed(seed)))
     spec = shannon_spec(n_steps)
-    rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
-    ups = (rng.random(n_steps) < p).astype(int)
+    ups = (rng.random(spec.n_steps) < p).astype(int)
     k = np.concatenate([[0], np.cumsum(ups)])
-    n = np.arange(n_steps + 1)
+    n = np.arange(spec.n_steps + 1)
     log_c = np.array([row[k[step]] for step, row in _log_node_rows(spec)])[::-1]
     log_wealth = log_c - log_c[0]
     _exp(float(log_wealth.max()), "lattice_log_price")

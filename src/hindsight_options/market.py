@@ -33,21 +33,17 @@ _BLOCK_PATH_STEPS = 1 << 15
 _STREAM_PATHS = 1024
 
 
-def _integer(value, name: str) -> int:
-    """``value`` as an int when it is integral, else :class:`ValidationError`."""
-    try:
-        whole = int(value)
-        if whole == value:
-            return whole
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise ValidationError(f"{name} must be an integer, got {value!r}")
+# The package's one number policy: every public entry point reads each caller
+# value once, at its boundary, through one of the four readers below.  numpy
+# would read a str or bytes as the number it spells and a bool as 0 or 1, so
+# none of these is a number, alone or as an entry.
+_NOT_NUMBERS = (str, bytes, bool, np.bool_)
+_FLOAT64 = np.dtype(float)
 
 
 def _real(value, name: str) -> float:
     """``value`` as a float when it is one real number, else :class:`ValidationError`.
 
-    A bool is not a number here, as it is not a price (``hindsight._numbers``).
     A numpy scalar becomes its float64 value, so that no arithmetic downstream
     runs in its narrower type.
     """
@@ -56,6 +52,50 @@ def _real(value, name: str) -> float:
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         return float(value)
     raise ValidationError(f"{name} must be a real number, got {value!r}")
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an int when it is one real number, and whole, else :class:`ValidationError`."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            whole = int(value)
+            if whole == value:
+                return whole
+        except (ValueError, OverflowError):  # nan, inf
+            pass
+    raise ValidationError(f"{name} must be an integer, got {value!r}")
+
+
+def _seed(value) -> int:
+    """A random seed: a nonnegative integer."""
+    seed = _integer(value, "seed")
+    if seed < 0:
+        raise ValidationError("seed must be nonnegative")
+    return seed
+
+
+def _numbers(value) -> bool:
+    """Whether ``value`` holds none of ``_NOT_NUMBERS``, alone, as an entry or in an array."""
+    if isinstance(value, np.ndarray):
+        kind = value.dtype.kind
+        return kind in "fiu" or (kind == "O" and _numbers(value.tolist()))
+    if isinstance(value, (list, tuple)):
+        return all(map(_numbers, value))
+    return not isinstance(value, _NOT_NUMBERS)
+
+
+def _reals(value, name: str, ndmin: int = 1) -> np.ndarray:
+    """``value`` as a new float64 array of at least ``ndmin`` dimensions.
+
+    A float64 array, the common input, is copied as it is; any other input
+    must hold numbers only (see :func:`_numbers`) and form a rectangular array.
+    """
+    if not (isinstance(value, np.ndarray) and value.dtype is _FLOAT64) and not _numbers(value):
+        raise ValidationError(f"{name} must be numbers")
+    try:
+        return np.array(value, dtype=float, ndmin=ndmin)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} must be a rectangular array of numbers") from None
 
 
 @dataclass(frozen=True)
@@ -96,16 +136,10 @@ class MarketSpec:
 
     def __post_init__(self) -> None:
         for name, ndmin in (("mu", 1), ("sigma", 1), ("corr", 2), ("s0", 1)):
-            try:
-                value = np.array(getattr(self, name), dtype=float, ndmin=ndmin)
-            except (TypeError, ValueError):
-                raise ValidationError(f"{name} must be a rectangular array of numbers") from None
+            value = _reals(getattr(self, name), name, ndmin)
             value.flags.writeable = False
             object.__setattr__(self, name, value)
-        try:
-            object.__setattr__(self, "rate", float(self.rate))
-        except (TypeError, ValueError):
-            raise ValidationError("rate must be a number") from None
+        object.__setattr__(self, "rate", _real(self.rate, "rate"))
         object.__setattr__(self, "n", _integer(self.n, "n (asset count)"))
         validate_market(self)
 
@@ -148,8 +182,7 @@ class PricePath:
     prices: np.ndarray
 
     def __post_init__(self) -> None:
-        times = np.asarray(self.times, dtype=float)
-        prices = np.asarray(self.prices, dtype=float)
+        times, prices = _reals(self.times, "times"), _reals(self.prices, "prices")
         if prices.ndim == 1:
             prices = prices[:, None]
         object.__setattr__(self, "times", times)
@@ -175,7 +208,7 @@ def cholesky_with_tolerance(a: np.ndarray) -> np.ndarray:
     Fails when any pivot drops below ``1e-12 * max(diag(a))``, which flags
     rank-deficient or indefinite matrices the same way on every platform.
     """
-    a = np.asarray(a, dtype=float)
+    a = _reals(a, "matrix", ndmin=2)
     n = a.shape[0]
     tol = _PD_PIVOT_TOL * float(np.max(np.diag(a)))
     lower = np.zeros_like(a)
@@ -224,15 +257,10 @@ def validate_market(spec: MarketSpec) -> MarketSpec:
     return spec
 
 
-def covariance(spec: MarketSpec) -> np.ndarray:
-    """Covariance of instantaneous returns per unit time: diag(sigma) @ corr @ diag(sigma)."""
-    m = np.diag(spec.sigma)
-    return m @ spec.corr @ m
-
-
-def _check_path_args(horizon: float, steps: int, n_paths: int, measure: str,
-                     seed: int) -> None:
-    """Reject path-grid arguments that cannot give finite, seeded paths."""
+def _check_path_args(horizon, steps, n_paths, measure: str, seed) -> tuple[float, int, int, int]:
+    """The path-grid arguments as numbers, refused where they cannot give finite, seeded paths."""
+    horizon, steps = _real(horizon, "horizon"), _integer(steps, "steps")
+    n_paths, seed = _integer(n_paths, "n_paths"), _seed(seed)
     if not (math.isfinite(horizon) and horizon > 0):
         raise ValidationError("horizon must be positive and finite")
     if steps < 1:
@@ -241,15 +269,14 @@ def _check_path_args(horizon: float, steps: int, n_paths: int, measure: str,
         raise ValidationError("n_paths must be >= 1")
     if measure not in ("physical", "risk_neutral"):
         raise ValidationError(f"unknown measure {measure!r}")
-    if seed < 0:
-        raise ValidationError("seed must be nonnegative")
+    return horizon, steps, n_paths, seed
 
 
 def _streams(seed: int, n_total: int, per_stream: int) -> Iterator[tuple]:
     """``(first, rng, size)`` per stream: item i of ``n_total`` draws from the stream
     ``SeedSequence((seed, i // per_stream))``, whatever ``n_total`` and the reading order."""
     for first in range(0, n_total, per_stream):
-        rng = np.random.default_rng(np.random.SeedSequence((int(seed), first // per_stream)))
+        rng = np.random.default_rng(np.random.SeedSequence((seed, first // per_stream)))
         yield first, rng, min(per_stream, n_total - first)
 
 
@@ -317,7 +344,7 @@ def simulate_paths(spec: MarketSpec, horizon: float, steps: int, n_paths: int,
         ``n_paths`` paths, each with ``steps + 1`` grid points; paths that cannot
         be allocated raise :class:`ValidationError`.
     """
-    _check_path_args(horizon, steps, n_paths, measure, seed)
+    horizon, steps, n_paths, seed = _check_path_args(horizon, steps, n_paths, measure, seed)
     try:
         times = np.linspace(0.0, horizon, steps + 1)
         # _price_blocks checks every price, so the paths need only this grid check.

@@ -62,7 +62,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .hindsight import _check_mode, _prices, _scipy, z_score
-from .market import MarketSpec, _streams
+from .market import MarketSpec, _integer, _real, _seed, _streams
 
 _CHUNK = 1 << 16
 # The most paths one call draws, ~150,000 chunks: 10^10 one-asset paths in both
@@ -123,10 +123,10 @@ def mc_prices(spec: MarketSpec, s, t: float, T: float, modes: Sequence[str],
     estimates share their draws (common random numbers) and each equals, field
     for field, what :func:`mc_price` returns for its mode alone.
     """
+    t, T = _real(t, "t"), _real(T, "T")
+    n_paths, seed = _integer(n_paths, "n_paths"), _seed(seed)
     if not 0 <= t < T < math.inf:
         raise ValidationError("need 0 <= t < T < inf")
-    if seed < 0:
-        raise ValidationError("seed must be nonnegative")
     if n_paths > _MAX_PATHS:
         raise ValidationError(f"at most {_MAX_PATHS:,} paths per call, got {n_paths:,}")
     if antithetic:
@@ -159,7 +159,7 @@ def mc_prices(spec: MarketSpec, s, t: float, T: float, modes: Sequence[str],
         mean = tot / n_obs
         var = max(sq - n_obs * mean * mean, 0.0) / (n_obs - 1)
         estimates.append(McEstimate(mean=mean, std_error=math.sqrt(var / n_obs),
-                                    n_paths=n_paths, seed=int(seed), estimator=estimator,
+                                    n_paths=n_paths, seed=seed, estimator=estimator,
                                     s_eval=s_eval, n_obs=n_obs,
                                     max_share=mx / tot if tot > 0 else 0.0))
     return tuple(estimates)

@@ -130,8 +130,8 @@ def log_price_levered(spec: MarketSpec, s, t: float, T: float) -> float:
 
 def price_levered(spec: MarketSpec, s, t: float, T: float) -> Quote:
     """Levered price (T/t)^{n/2} V_t*; equals intrinsic value at t = T."""
-    price = _exp(log_price_levered(spec, s, t, T), "log_price_levered")
-    t, T = float(t), float(T)  # real numbers, as log_price_levered checked
+    t, T = _check_horizon(t, T)
+    price = _exp(float(_log_levered(spec, _prices(spec, s), t, T)), "log_price_levered")
     try:
         factor = (T / t) ** (0.5 * spec.n)
     except OverflowError:
@@ -249,18 +249,20 @@ def price_unlevered(spec: MarketSpec, s, t: float, T: float) -> Quote:
                  mode="unlevered", t=t, T=T)
 
 
-def _time0_premium(sigma: float, T: float) -> float:
-    """sigma sqrt(T / (2 pi)): the time-0 unlevered price less its cash floor of 1."""
+def _time0_premium(sigma, T) -> tuple[float, float, float]:
+    """``(sigma, T, premium)``: sigma and T read as floats, and the premium
+    sigma sqrt(T / (2 pi)), the time-0 unlevered price less its cash floor of 1."""
+    sigma, T = _real(sigma, "sigma"), _real(T, "T")
     if not 0 < sigma < math.inf:
         raise ValidationError("sigma must be positive and finite")
     if not 0 <= T < math.inf:
         raise ValidationError("T must be nonnegative and finite")
-    return sigma * math.sqrt(T) / _SQRT_2PI
+    return sigma, T, sigma * math.sqrt(T) / _SQRT_2PI
 
 
 def price_time0_unlevered(sigma: float, T: float) -> float:
     """Time-0 unlevered price, 1 + sigma sqrt(T / (2 pi)); rate-free."""
-    return _representable(1.0 + _time0_premium(sigma, T), "time0_unlevered_excess_growth")
+    return _representable(1.0 + _time0_premium(sigma, T)[2], "time0_unlevered_excess_growth")
 
 
 def greeks(spec: MarketSpec, s, t: float, T: float) -> GreeksReport:
@@ -335,7 +337,7 @@ def implied_vols(observed_price: float, s: float, s0: float, t: float, T: float,
             f"observed price {observed_price!r} is below the minimum rational "
             f"price sqrt(T/t) * exp(r*t) = {floor!r}"
         )
-    log_ratio = float(_log_ratio(np.asarray(s, dtype=float), s0))
+    log_ratio = float(_log_ratio(np.float64(s), s0))
     log_move = log_ratio - rate * t
     k = max(2.0 * (math.log(observed_price) - log_floor), 0.0)
     qa = 0.25 * t * t
@@ -371,30 +373,18 @@ def implied_vols(observed_price: float, s: float, s0: float, t: float, T: float,
     return ImpliedVolRoots(roots=tuple(roots))
 
 
-def excess_growth_bound(spec: MarketSpec, s, t: float, T: float) -> float:
-    """Deterministic bound on the hindsight-optimum growth in excess of the hedge.
-
-    Equals log C(S, t) / (T - t) = {rt + z' R^{-1} z / 2 + n log(T/t) / 2} / (T - t)
-    and decreases to 0 as T grows with the state fixed.  A bound that overflows
-    float64, as where T - t is subnormal, raises :class:`ValidationError`.
-    """
-    t, T = _check_horizon(t, T, strict_end=True)
-    return _representable(float(_log_levered(spec, _prices(spec, s), t, T)) / (T - t),
-                          "log_price_levered")
-
-
 def time0_unlevered_excess_growth(sigma: float, T: float) -> float:
     """Regret rate of a time-0 unlevered buyer: log(1 + sigma sqrt(T/(2 pi))) / T.
 
     Where the premium overflows float64, the rate is taken from its log.  A
     rate that overflows float64, as at a subnormal T, raises :class:`ValidationError`.
     """
-    if T <= 0:
+    if _real(T, "T") <= 0:  # refused before sigma, so a bad T names T whatever sigma is
         raise ValidationError("T must be positive")
-    premium = _time0_premium(sigma, T)
+    sigma, T, premium = _time0_premium(sigma, T)
     log_price = (math.log1p(premium) if premium < math.inf
                  else math.log(sigma) + 0.5 * math.log(T) - math.log(_SQRT_2PI))
-    rate = log_price / float(T)  # a float division overflows to inf without a warning
+    rate = log_price / T  # a float division overflows to inf without a warning
     if not math.isfinite(rate):
         raise ValidationError("the regret rate is not representable in float64")
     return rate

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .hindsight import _check_mode, _fractions, _log_levered, _representable, kelly_rule
-from .market import MarketSpec, PricePath, _price_blocks
+from .market import MarketSpec, PricePath, _integer, _price_blocks, _real, _reals, _seed
 from .pricing import _unlevered_fractions
 
 _GRID_TOL = 1e-9
@@ -59,19 +59,21 @@ class SimulationConfig:
     seed: int
 
     def __post_init__(self) -> None:
+        for name in ("T", "warmup"):
+            object.__setattr__(self, name, _real(getattr(self, name), name))
+        for name in ("steps_per_year", "n_paths"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
+        object.__setattr__(self, "seed", _seed(self.seed))
         if not 0 < self.warmup < self.T < math.inf:
             raise ValidationError("need 0 < warmup < T, with T finite")
         if self.steps_per_year < 1 or self.n_paths < 1:
             raise ValidationError("steps_per_year and n_paths must be >= 1")
-        if self.seed < 0:
-            raise ValidationError("seed must be nonnegative")
 
 
 @dataclass(frozen=True)
 class SimulationResult:
     """The growth summary of one scenario run: one terminal wealth and CAGR per path."""
 
-    config: SimulationConfig
     terminal_wealth: np.ndarray
     cagr: np.ndarray  # continuously compounded, log(W_T)/T per path
     kelly_fractions: np.ndarray
@@ -155,6 +157,7 @@ def hedge_path(spec: MarketSpec, path: PricePath, t_start: float, T: float,
     does.  The hedge trades on the path's own grid; t_start and T must be
     grid points, each matched to the nearest grid time within 1e-9 max(1, |t|).
     """
+    t_start, T = _real(t_start, "t_start"), _real(T, "T")
     if t_start <= 0:
         raise ValidationError("t_start must be positive")
     if t_start >= T:
@@ -226,7 +229,7 @@ def run_growth_simulation(config: SimulationConfig) -> SimulationResult:
         terminal[first:first + len(prices)] = ((slab[:, 0] @ basket_shares)
                                                * np.exp(log_c[:, 1] - log_c[:, 0]))
     cagr = np.log(terminal) / config.T
-    return SimulationResult(config=config, terminal_wealth=terminal, cagr=cagr,
+    return SimulationResult(terminal_wealth=terminal, cagr=cagr,
                             kelly_fractions=kelly.b, kelly_growth_rate=growth_rate)
 
 
@@ -243,7 +246,8 @@ def discrete_backtest(table: PriceTable, b, rebalance_interval: int = 1,
     truncated at the last positive value and flagged as ruined, with a NaN
     CAGR.  Otherwise CAGR is annually compounded over the elapsed calendar span.
     """
-    b = np.atleast_1d(np.asarray(b, dtype=float))
+    b, rate = _reals(b, "fractions"), _real(rate, "rate")
+    rebalance_interval = _integer(rebalance_interval, "rebalance_interval")
     if not np.all(np.isfinite(b)):
         raise ValidationError("fractions must be finite")
     if not math.isfinite(rate):

@@ -553,7 +553,13 @@ def test_spec_and_price_flag_refusals_exit_3_with_one_line(capsys):
              "custom scenario requires --config"),
             # a chunk loop that would run for years is refused before its first draw
             (["verify", "--paths", "1000000000000000"],
-             "at most 10,000,000,000 paths per call, got 1,000,000,000,000,000")):
+             "at most 10,000,000,000 paths per call, got 1,000,000,000,000,000"),
+            # a verify run of no states checks nothing: it is refused, not passed
+            (["verify", "--states", "0"], "--states must be >= 1"),
+            (["verify", "--states", "-1"], "--states must be >= 1"),
+            (["verify", "--seed", "-1"], "seed must be nonnegative"),
+            (["lattice", "--what", "demon", "--N", "10", "--seed", "-1"],
+             "seed must be nonnegative")):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out, err) == (3, "", f"error: {message}\n")
 

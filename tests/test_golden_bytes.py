@@ -260,15 +260,13 @@ ROWS = {
         'error: Out of range float values are not JSON compliant: nan'),
     # seeds and state counts
     'lattice --what demon --N 10 --seed -1': (3,
-        'error: expected non-negative integer'),
+        'error: seed must be nonnegative'),
     'verify --seed -1': (3,
-        'error: expected non-negative integer'),
-    'verify --states 0': (0, {
-        "stdout": "51d0c0f3f64d94d358586f20b3b634d0cce485fa2721668782faade5797c22b2",
-        "verify.csv": "51d0c0f3f64d94d358586f20b3b634d0cce485fa2721668782faade5797c22b2"}),
-    'verify --states -1': (0, {
-        "stdout": "51d0c0f3f64d94d358586f20b3b634d0cce485fa2721668782faade5797c22b2",
-        "verify.csv": "51d0c0f3f64d94d358586f20b3b634d0cce485fa2721668782faade5797c22b2"}),
+        'error: seed must be nonnegative'),
+    'verify --states 0': (3,
+        'error: --states must be >= 1'),
+    'verify --states -1': (3,
+        'error: --states must be >= 1'),
 }
 
 

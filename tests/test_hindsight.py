@@ -17,7 +17,6 @@ from hindsight_options import (
     PricePath,
     RebalancingRule,
     best_rule,
-    covariance,
     hedge_path,
     intrinsic_value,
     kelly_rule,
@@ -107,7 +106,7 @@ def test_multi_asset_argmax_beats_grid():
     t = 1.7
     best = wealth_of_rule(spec, s, t, best_rule(spec, s, t))
     z = z_score(spec, s, t)
-    cov = covariance(spec)
+    cov = spec.sigma[:, None] * spec.corr * spec.sigma
     grid = np.arange(-10.0, 10.0 + 0.005, 0.01)
     top = -np.inf
     for b1 in grid:  # row-chunked to keep the 2001^2 grid in memory

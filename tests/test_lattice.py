@@ -478,9 +478,11 @@ def test_fractional_uptick_counts_are_refused():
 
 
 def test_non_numeric_uptick_counts_are_refused():
-    for j in ("1", None):
+    # a string is not a number; None reads as NaN, which is not a whole number
+    for j, message in (("1", "^uptick count must be numbers$"),
+                       (None, "^uptick count must be a whole number$")):
         for call in (lattice_best_rule, lattice_payoff, lattice.lattice_log_payoff):
-            with pytest.raises(ValidationError, match="^uptick count must be a whole number$"):
+            with pytest.raises(ValidationError, match=message):
                 call(GENERIC, j)
 
 

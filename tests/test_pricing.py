@@ -18,7 +18,6 @@ from hindsight_options import (
     PricePath,
     RebalancingRule,
     best_rule,
-    excess_growth_bound,
     greeks,
     hedge_path,
     implied_vols,
@@ -134,7 +133,7 @@ NOT_NUMBERS = ("110", b"110", True, np.True_, [True], [True, 110.0], ["110"], (b
 def test_prices_that_are_not_numbers_are_refused(s):
     # numpy reads "110" as 110.0 and True as 1.0; every quote refuses them, alone or as entries
     for quote in (price_levered, price_unlevered, greeks, multi_delta, log_price_levered,
-                  log_price_unlevered, excess_growth_bound):
+                  log_price_unlevered):
         with pytest.raises(ValidationError, match="^prices must be numbers$"):
             quote(SPEC, s, 1.0, 2.0)
     for state in (z_score, intrinsic_value, best_rule):
@@ -170,8 +169,7 @@ def test_price_diverges_at_time_zero():
     # T / t overflows although t and T are finite
     flat = MarketSpec.single(0.0, 0.1, 0.0)
     for call in (lambda: log_price_levered(flat, 1.0, 1e-300, 1e10),
-                 lambda: min_rational_price(3, 1e-300, 1e10, 0.0),
-                 lambda: excess_growth_bound(flat, 1.0, 1e-300, 1e10)):
+                 lambda: min_rational_price(3, 1e-300, 1e10, 0.0)):
         with pytest.raises(ValidationError, match="finite"):
             call()
 
@@ -276,7 +274,6 @@ def test_each_quote_checks_and_scores_its_state_once(monkeypatch):
         "greeks": lambda: greeks(SPEC, s, t, T),
         "multi_delta": lambda: multi_delta(SPEC, s, t, T),
         "implied_vols": lambda: implied_vols(1.5, s, 100.0, t, T, 0.03),
-        "excess_growth_bound": lambda: excess_growth_bound(SPEC, s, t, T),
     }
     for name, quote in quotes.items():
         calls.clear()
@@ -480,7 +477,7 @@ def test_multi_delta_overflow_raises_without_a_warning():
 def test_a_tiny_volatility_quote_raises_without_a_warning():
     # z ~ 7e299 at sigma = 1e-300: z' R^{-1} z overflows, so log C is not representable
     spec = MarketSpec.single(mu=0.0, sigma=1e-300, rate=0.0, s0=1.0)
-    for call in (log_price_levered, price_levered, multi_delta, greeks, excess_growth_bound):
+    for call in (log_price_levered, price_levered, multi_delta, greeks):
         with pytest.raises(ValidationError, match="not even log_price_levered"):
             call(spec, 2.0, 1.0, 2.0)
     # the unlevered interior term C [Phi(x2) - Phi(x1)] is 0 there, since its cdf gap
@@ -779,19 +776,18 @@ def test_implied_vols_over_the_whole_finite_domain(args):
 
 @pytest.mark.filterwarnings("error")
 def test_excess_growth_bound_formula_and_limits():
+    # The hedge's excess growth is bounded by log C(S, t) / (T - t), which decreases
+    # to 0 as T grows: the hedge grows at the hindsight optimum's asymptotic rate.
     t, T = 1.0, 3.0
     s = state_price(SPEC, 1.1, t)
     z = z_score(SPEC, s, t)[0]
     expected = (0.03 * t + 0.5 * z * z + 0.5 * math.log(T / t)) / (T - t)
-    assert excess_growth_bound(SPEC, s, t, T) == pytest.approx(expected, rel=1e-12)
+    assert log_price_levered(SPEC, s, t, T) / (T - t) == pytest.approx(expected, rel=1e-12)
 
     horizons = [2.0, 5.0, 20.0, 100.0, 1e4, 1e6]
-    bounds = [excess_growth_bound(SPEC, s, t, T_) for T_ in horizons]
+    bounds = [log_price_levered(SPEC, s, t, T_) / (T_ - t) for T_ in horizons]
     assert all(a > b for a, b in zip(bounds, bounds[1:]))
     assert bounds[-1] < 1e-4
-    # log C / (T - t) overflows where T - t is subnormal
-    with pytest.raises(ValidationError, match="use log_price_levered$"):
-        excess_growth_bound(MarketSpec.single(0.0, 0.2, 0.0), 1.0, 1e-309, 3e-309)
 
 
 @pytest.mark.filterwarnings("error")

@@ -17,7 +17,6 @@ from hindsight_options import (
     SimulationConfig,
     best_rule,
     discrete_backtest,
-    excess_growth_bound,
     hedge_path,
     intrinsic_value,
     load_price_table,
@@ -36,7 +35,7 @@ from hindsight_options.replication import PriceTable
 from hindsight_options.errors import ValidationError
 from hindsight_options import hindsight, market, replication
 from hindsight_options.hindsight import _fractions, _log_levered
-from hindsight_options.market import _STREAM_PATHS, cholesky_with_tolerance, covariance
+from hindsight_options.market import _STREAM_PATHS, cholesky_with_tolerance
 from unlevered_reference import mp_unlevered_fraction
 
 SPEC = MarketSpec.single(mu=0.07, sigma=0.3, rate=0.02, s0=1.0)
@@ -135,7 +134,7 @@ def test_realized_excess_growth_respects_the_bound():
         ledger = hedge_path(SPEC, path, 1.5, 3.0)
         v_star = math.exp(log_intrinsic_value(SPEC, path.prices[-1], 3.0))
         excess = (math.log(v_star) - math.log(ledger.wealth[-1])) / (3.0 - 1.5)
-        bound = excess_growth_bound(SPEC, path.prices[i0], 1.5, 3.0)
+        bound = log_price_levered(SPEC, path.prices[i0], 1.5, 3.0) / (3.0 - 1.5)
         # equality holds in the continuous limit; 2pp covers discrete hedge error
         assert excess <= bound + 0.02
 
@@ -465,7 +464,7 @@ def test_growth_endpoints_follow_the_exact_lognormal_law(name, monkeypatch):
     x = np.log(np.concatenate([s for s, _ in states])).reshape(config.n_paths, -1)
     mean = (np.log(spec.s0) + (spec.mu - 0.5 * spec.sigma**2) * t[:, None]).ravel()
     cov = (np.minimum.outer(t, t)[:, None, :, None]
-           * covariance(spec)[None, :, None, :]).reshape(x.shape[1], x.shape[1])
+           * (spec.sigma[:, None] * spec.corr * spec.sigma)[None, :, None, :]).reshape(x.shape[1], x.shape[1])
     n = config.n_paths
     assert np.all(np.abs(x.mean(axis=0) - mean) < 5.0 * np.sqrt(np.diag(cov) / n))
     sample = np.cov(x.T, ddof=1)

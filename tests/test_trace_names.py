@@ -3,10 +3,12 @@
 The benchmark's trace wraps every public function of the package and reports
 ``<module>.<function>.calls`` and ``.self_s`` for the ones BENCHMARK.json
 lists; it stops with an error when a listed function is missing.  Its
-counters also read named arguments of a few functions.  These tests make
-such a deletion or rename fail here first.
+counters also read named arguments of a few functions, and its workloads and
+kernel cases call package names as ``ho.<name>`` or ``ho.<module>.<name>``.
+These tests make such a deletion or rename fail here first.
 """
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -71,3 +73,34 @@ def test_tracer_counters_read_arguments_that_exist():
                                   "lattice.sum_terms"}
     summary = tracer.summary()
     assert all(summary[name]["calls"] == 1 for name in tracer_module.COUNTERS)
+
+
+def _package_names(source: str) -> set[str]:
+    """The dotted names ``source`` reads off the package's import alias, as ``ho.market.f``."""
+    tree = ast.parse(source)
+    aliases = {alias.asname or alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names if alias.name == "hindsight_options"}
+    names = set()
+    for node in ast.walk(tree):
+        chain = []
+        while isinstance(node, ast.Attribute):
+            chain.append(node.attr)
+            node = node.value
+        if chain and isinstance(node, ast.Name) and node.id in aliases:
+            names.add(".".join(reversed(chain)))
+    return names
+
+
+def test_every_package_name_perfbench_calls_resolves():
+    names = set().union(*(_package_names(path.read_text())
+                          for path in sorted((BENCHMARK.parent / "perfbench").glob("*.py"))))
+    assert {"scenario_config", "validate_market", "multi_delta",
+            "market.cholesky_with_tolerance"} <= names
+    missing = []
+    for name in sorted(names):
+        obj = ho
+        for part in name.split("."):
+            obj = getattr(obj, part, missing)
+        if obj is missing:
+            missing.append(name)
+    assert missing == []
