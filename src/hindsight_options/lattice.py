@@ -285,8 +285,8 @@ def demon_simulation(n_steps: int, p: float, seed: int) -> DemonLedger:
     p = _real(p, "p")
     if not 0.0 <= p <= 1.0:
         raise ValidationError("p must lie in [0, 1]")
-    rng = np.random.default_rng(np.random.SeedSequence(_seed(seed)))
     spec = shannon_spec(n_steps)
+    rng = np.random.default_rng(np.random.SeedSequence(_seed(seed)))
     ups = (rng.random(spec.n_steps) < p).astype(int)
     k = np.concatenate([[0], np.cumsum(ups)])
     n = np.arange(spec.n_steps + 1)
