@@ -17,6 +17,12 @@ state reaches every closed form through z alone, and z is formed in one
 kernel, which raises :class:`ValidationError` where z is not a finite
 float64; :func:`z_score` returns that array.
 
+A spec keeps its last one-state whitening in a one-entry slot keyed on the
+bits of the checked prices and the float t: read-only z and w = L^{-1} z, and
+|w|^2 once formed.  The next quote of that state (price, holdings, Greeks,
+unlevered price) reads them, runs all its own checks and returns the same
+bits.  A batch (prices of more than one row, or an array t) bypasses it.
+
 scipy is imported on first use, through :func:`_scipy`: the closed forms of
 the levered price and rule need only exp, log and sqrt, and a one-asset
 factor solves without LAPACK, so a process that never calls a scipy kernel
@@ -39,6 +45,8 @@ MODES = ("levered", "unlevered")
 _TINY = np.finfo(float).tiny
 # Entries up to which a finiteness check reads floats: below one ufunc call and its reduction.
 _FEW = 8
+# The spec's one-entry slot of the last quoted state: (key, z, w, |w|^2 or None).
+_STATE = "_quoted_state"
 _QUAD_OVERFLOW = ("z' R^{-1} z is not a finite float64 at this state; "
                   "not even log_price_levered can represent it")
 
@@ -233,9 +241,18 @@ def _whiten(spec: MarketSpec, z: np.ndarray) -> np.ndarray:
 
 
 def _whitened(spec: MarketSpec, s: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
-    """The state (z, w = L^{-1} z) that log C and b(S, t) both read."""
-    z = _z(spec, s, t)
-    return z, _whiten(spec, z)
+    """The state (z, w = L^{-1} z) that log C and b(S, t) both read; one state via ``_STATE``."""
+    if s.ndim > 1 or not isinstance(t, float):
+        z = _z(spec, s, t)
+        return z, _whiten(spec, z)
+    key = (s.tobytes(), t)
+    slot = spec.__dict__.get(_STATE)
+    if slot is None or slot[0] != key:
+        z = _z(spec, s, t)
+        w = _whiten(spec, z)
+        z.flags.writeable = w.flags.writeable = False
+        slot = spec.__dict__[_STATE] = (key, z, w, None)
+    return slot[1], slot[2]
 
 
 def _log_floor(n: int, t, T: float, rate: float):
@@ -250,8 +267,13 @@ def _log_levered_of(spec: MarketSpec, z: np.ndarray, w: np.ndarray, t, T: float,
     Refused where z' R^{-1} z = |w|^2, and so log C, is not a finite float64,
     unless ``needed`` is false there: such a log C is +inf.
     """
-    with np.errstate(over="ignore"):  # an overflow is refused just below
-        quad = np.add.reduce(w * w, axis=0).reshape(z.shape[:-1])[()]
+    slot = spec.__dict__.get(_STATE, (None,) * 4)
+    quad = slot[3] if slot[2] is w else None  # |w|^2 of the slot's state, once formed
+    if quad is None:
+        with np.errstate(over="ignore"):  # an overflow is refused just below
+            quad = np.add.reduce(w * w, axis=0).reshape(z.shape[:-1])[()]
+        if slot[2] is w:
+            spec.__dict__[_STATE] = (*slot[:3], quad)
     if not (_all_finite(quad) or _all_finite(quad[needed])):
         raise ValidationError(_QUAD_OVERFLOW)
     return _log_floor(spec.n, t, T, spec.rate) + 0.5 * quad

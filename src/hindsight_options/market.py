@@ -50,7 +50,10 @@ def _real(value, name: str) -> float:
     if type(value) is float:
         return value
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:  # an int beyond float64, whose repr may not even print
+            raise ValidationError(f"{name} must lie within the range of float64") from None
     raise ValidationError(f"{name} must be a real number, got {value!r}")
 
 
@@ -96,6 +99,8 @@ def _reals(value, name: str, ndmin: int = 1) -> np.ndarray:
         return np.array(value, dtype=float, ndmin=ndmin)
     except (TypeError, ValueError):
         raise ValidationError(f"{name} must be a rectangular array of numbers") from None
+    except OverflowError:
+        raise ValidationError(f"{name} must be numbers within the range of float64") from None
 
 
 @dataclass(frozen=True)

@@ -176,6 +176,9 @@ def _draws(rng: np.random.Generator, buf: np.ndarray, n: int):
     if n == 2:  # numpy's Gamma(1/2) sampler costs about three normals
         rng.standard_normal(out=r)
         np.square(r, out=r)
+    elif n == 3:  # 2 Gamma(1), which numpy draws with its exponential sampler
+        rng.standard_exponential(out=r)
+        r *= 2.0
     else:  # chisquare(n - 1), which numpy draws as 2 Gamma((n - 1) / 2)
         rng.standard_gamma(0.5 * (n - 1), out=r)
         r *= 2.0

@@ -258,29 +258,198 @@ def test_each_quote_checks_and_scores_its_state_once(monkeypatch):
         for name in ("_as_prices", "_z", "_check_horizon"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
-    s, t, T = 105.0, 0.5, 1.0
+    t, T = 0.5, 1.0
     quotes = {
-        "z_score": lambda: z_score(SPEC, s, t),
-        "best_rule": lambda: best_rule(SPEC, s, t, "unlevered"),
-        "wealth_of_rule": lambda: wealth_of_rule(SPEC, s, t, RebalancingRule(b=[0.5])),
-        "intrinsic_value": lambda: intrinsic_value(SPEC, s, t, "unlevered"),
-        "log_intrinsic_value": lambda: log_intrinsic_value(SPEC, s, t),
-        "min_rational_price": lambda: min_rational_price(1, t, T, 0.03),
-        "price_levered": lambda: price_levered(SPEC, s, t, T),
-        "unlevered_terms": lambda: unlevered_terms(SPEC, s, t, T),
-        "log_price_unlevered": lambda: log_price_unlevered(SPEC, s, t, T),
-        "price_unlevered": lambda: price_unlevered(SPEC, s, t, T),
-        "price_unlevered at expiry": lambda: price_unlevered(SPEC, s, T, T),
-        "greeks": lambda: greeks(SPEC, s, t, T),
-        "multi_delta": lambda: multi_delta(SPEC, s, t, T),
-        "implied_vols": lambda: implied_vols(1.5, s, 100.0, t, T, 0.03),
+        "z_score": lambda s: z_score(SPEC, s, t),
+        "best_rule": lambda s: best_rule(SPEC, s, t, "unlevered"),
+        "wealth_of_rule": lambda s: wealth_of_rule(SPEC, s, t, RebalancingRule(b=[0.5])),
+        "intrinsic_value": lambda s: intrinsic_value(SPEC, s, t, "unlevered"),
+        "log_intrinsic_value": lambda s: log_intrinsic_value(SPEC, s, t),
+        "min_rational_price": lambda s: min_rational_price(1, t, T, 0.03),
+        "price_levered": lambda s: price_levered(SPEC, s, t, T),
+        "unlevered_terms": lambda s: unlevered_terms(SPEC, s, t, T),
+        "log_price_unlevered": lambda s: log_price_unlevered(SPEC, s, t, T),
+        "price_unlevered": lambda s: price_unlevered(SPEC, s, t, T),
+        "price_unlevered at expiry": lambda s: price_unlevered(SPEC, s, T, T),
+        "greeks": lambda s: greeks(SPEC, s, t, T),
+        "multi_delta": lambda s: multi_delta(SPEC, s, t, T),
+        "implied_vols": lambda s: implied_vols(1.5, s, 100.0, t, T, 0.03),
     }
-    for name, quote in quotes.items():
+    # each quote reads a state no earlier quote has scored, so none reads it from the slot
+    for i, (name, quote) in enumerate(quotes.items()):
         calls.clear()
-        quote()
+        quote(105.0 + 0.25 * i)
         assert max(calls.values()) == 1, (name, calls)
         if name.startswith(("price_unlevered", "greeks")):
             assert calls["_z"] == 1, (name, calls)
+
+
+@pytest.fixture
+def z_calls(monkeypatch):
+    """The number of calls to ``hindsight._z``, the one place z is scored."""
+    calls = collections.Counter()
+    z = hindsight._z
+
+    def counted(*args):
+        calls["_z"] += 1
+        return z(*args)
+
+    monkeypatch.setattr(hindsight, "_z", counted)
+    return calls
+
+
+def test_quotes_of_one_state_score_it_once_in_total(z_calls):
+    spec = MarketSpec.single(mu=0.0, sigma=0.2, rate=0.03, s0=100.0)
+    s, t, T = 107.5, 0.5, 1.0
+    price_levered(spec, s, t, T)
+    multi_delta(spec, s, t, T)
+    greeks(spec, s, t, T)
+    price_unlevered(spec, s, t, T)
+    assert z_calls["_z"] == 1
+    # one ulp away in s or in t is another state
+    price_levered(spec, math.nextafter(s, math.inf), t, T)
+    price_levered(spec, s, math.nextafter(t, 0.0), T)
+    assert z_calls["_z"] == 3
+
+
+def _fresh(spec):
+    """A new spec equal to ``spec``, with no quoted state."""
+    return MarketSpec(n=spec.n, mu=spec.mu, sigma=spec.sigma, corr=spec.corr,
+                      rate=spec.rate, s0=spec.s0)
+
+
+def _outcome(quote, spec, s, t, T):
+    """The text of a quote's result, every bit and type of it, or of the error it raises."""
+    try:
+        value = quote(spec, s, t, T)
+    except ValidationError as exc:
+        return repr(("error", str(exc)))
+    if isinstance(value, np.ndarray):
+        return repr((value.dtype.str, value.tolist()))
+    if isinstance(value, RebalancingRule):
+        return repr((value.mode, value.b.dtype.str, value.b.tolist()))
+    return repr(value)
+
+
+SLOT_QUOTES = {
+    "price_levered": price_levered,
+    "log_price_levered": log_price_levered,
+    "multi_delta": multi_delta,
+    "best_rule": lambda spec, s, t, T: best_rule(spec, s, t),
+    "intrinsic_value": lambda spec, s, t, T: intrinsic_value(spec, s, t),
+    "log_intrinsic_value": lambda spec, s, t, T: log_intrinsic_value(spec, s, t),
+    "z_score": lambda spec, s, t, T: z_score(spec, s, t),
+    "price_levered at expiry": lambda spec, s, t, T: price_levered(spec, s, t, t),
+    "price_levered past expiry": lambda spec, s, t, T: price_levered(spec, s, t, 0.5 * t),
+}
+SLOT_QUOTES_ONE_ASSET = {
+    "greeks": greeks,
+    "price_unlevered": price_unlevered,
+    "log_price_unlevered": log_price_unlevered,
+    "unlevered_terms": unlevered_terms,
+    "unlevered best_rule": lambda spec, s, t, T: best_rule(spec, s, t, "unlevered"),
+}
+
+
+def slot_states():
+    """Specs with n = 1, 2, 3 and states of each, with their neighbours one ulp away in s and t.
+
+    The one-asset spec has a state whose z' R^{-1} z overflows: log C is refused
+    there, while the unlevered price, which does not need C there, is not.
+    """
+    rng = np.random.default_rng(3203)
+    states = []
+    for n in (1, 2, 3):
+        spec = random_spec(rng, n)
+        for scale in (0.5, 3.0, 30.0):
+            T = float(rng.uniform(0.5, 4.0))
+            t = T * float(rng.uniform(0.05, 0.95))
+            g = rng.standard_normal(n) * scale
+            s = spec.s0 * np.exp(spec._log_drift * t + spec.sigma * math.sqrt(t) * (spec.lower @ g))
+            states += [(spec, s, t, T), (spec, np.nextafter(s, np.inf), t, T),
+                       (spec, s, math.nextafter(t, math.inf), T)]
+    deep = MarketSpec.single(mu=0.0, sigma=0.2, rate=0.03, s0=1.0)
+    states += [(deep, np.array([1e300]), 1e-310, 2e-310), (deep, np.array([1.0]), 0.5, 1.0)]
+    return states
+
+
+def test_interleaved_quotes_equal_quotes_on_a_fresh_spec(z_calls):
+    states = slot_states()
+    deep = states[-2]
+    assert "not even log_price_levered" in _outcome(log_price_levered, *deep)
+    assert "error" not in _outcome(log_price_unlevered, *deep)
+    # per spec, every quote of a state in a seeded order, state after state, each
+    # state twice; the specs' queues merged in a seeded order
+    rng = np.random.default_rng(3204)
+    queues = {}
+    for spec, s, t, T in states * 2:
+        quotes = [*SLOT_QUOTES.values(), *(SLOT_QUOTES_ONE_ASSET.values() if spec.n == 1 else ())]
+        queues.setdefault(id(spec), []).extend(
+            (quotes[i], (spec, s, t, T)) for i in rng.permutation(len(quotes)))
+    queues = list(queues.values())
+    shared_scores = fresh_scores = 0
+    while queues:
+        queue = queues[rng.integers(len(queues))]
+        quote, (spec, s, t, T) = queue.pop(0)
+        if not queue:
+            queues.remove(queue)
+        before = z_calls["_z"]
+        shared = _outcome(quote, spec, s, t, T)
+        between = z_calls["_z"]
+        assert shared == _outcome(quote, _fresh(spec), s, t, T), quote
+        shared_scores += between - before
+        fresh_scores += z_calls["_z"] - between
+    assert shared_scores < 0.5 * fresh_scores  # the slot was read
+
+
+def test_equal_specs_keep_their_own_slots(z_calls):
+    a, b = _fresh(SPEC), _fresh(SPEC)
+    assert a == b
+    log_price_levered(a, 110.0, 0.5, 1.0)
+    log_price_levered(b, 90.0, 0.5, 1.0)
+    assert z_calls["_z"] == 2
+    log_price_levered(a, 110.0, 0.5, 1.0)  # a's own state, not overwritten by b's
+    assert z_calls["_z"] == 2
+    log_price_levered(b, 110.0, 0.5, 1.0)  # a's state is not b's
+    assert z_calls["_z"] == 3
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_batches_neither_read_nor_write_the_slot(n, z_calls):
+    spec = random_spec(np.random.default_rng(3207 + n), n)
+    s, t, T = spec.s0 * 1.2, 0.5, 1.0
+    log_price_levered(spec, s, t, T)  # the slot holds this state and its z' R^{-1} z
+    batches = [(np.stack([s, s * 1.1]), np.array([t, 0.7])),
+               (s, np.array([t, 0.7])),  # one price row over two times is a batch too
+               (s[None], np.array([t]))]
+    for prices, times in batches:
+        for kernel in (lambda spec: _log_levered(spec, prices, times, T),
+                       lambda spec: _fractions(spec, prices, times)):
+            assert kernel(spec).tobytes() == kernel(_fresh(spec)).tobytes()
+    before = z_calls["_z"]
+    log_price_levered(spec, s, t, T)
+    assert z_calls["_z"] == before  # still the slot's state
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_quoted_arrays_are_writable_and_their_own(n):
+    spec = random_spec(np.random.default_rng(3205 + n), n)
+    s, t, T = spec.s0 * 1.1, 0.5, 1.0
+    quotes = [lambda: multi_delta(spec, s, t, T), lambda: z_score(spec, s, t),
+              lambda: best_rule(spec, s, t).b]
+    for quote in quotes * 2:
+        first = quote()
+        kept = first.copy()
+        assert first.flags.writeable
+        first *= -3.0
+        again = quote()
+        assert again.tobytes() == kept.tobytes() and not np.shares_memory(again, first)
+    # the slot's own arrays are read-only, so that no kernel can write through them
+    assert not any(a.flags.writeable for a in hindsight._whitened(spec, s.copy(), t))
+    # the caller's prices are read afresh at every quote
+    before = log_price_levered(spec, s, t, T)
+    s *= 1.5
+    assert log_price_levered(spec, s, t, T) == log_price_levered(_fresh(spec), s, t, T) != before
 
 
 def assert_unlevered_intrinsic_kernel(spec, s, t, T):
