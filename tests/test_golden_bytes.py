@@ -96,6 +96,9 @@ ROWS = {
     'lattice --what demon --N 200 --p 0.5 --seed 17': (0, {
         "stdout": "0f162be2b65b270817bca95636073378a59fa5ee7c846e86040e54538422aa4f",
         "demon.csv": "0f162be2b65b270817bca95636073378a59fa5ee7c846e86040e54538422aa4f"}),
+    'lattice --what demon --N 1000 --p 0.5 --seed 17': (0, {
+        "stdout": "df89ca465e953dd2ce7b1766e163ba25a2c37001c9051629da808d120165b545",
+        "demon.csv": "df89ca465e953dd2ce7b1766e163ba25a2c37001c9051629da808d120165b545"}),
     'lattice --N 60 --k 20 --n 30 --u 1.2 --d 0.9 --rper 0.01': (0, {
         "stdout": "7aad5b49df51bbafbb43a2ca5c773a63690b2b26bcf5fa1e40311a07f067d12b",
         "price.json": "7aad5b49df51bbafbb43a2ca5c773a63690b2b26bcf5fa1e40311a07f067d12b"}),

@@ -1,5 +1,6 @@
 """Lattice payoffs, closed sums vs. backward induction, replication, demon runs."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -229,6 +230,42 @@ def test_sweep_equals_closed_sum_at_every_node(spec, mode):
         closed = [lattice_log_price(spec, LatticeState(k, n), mode) for k in range(n + 1)]
         worst = max(worst, float(np.max(np.abs(row - closed))))
     assert worst < 1e-11
+
+
+SWEEP_SPECS = {"shannon": shannon_spec(300), "crr": LatticeSpec.crr(0.3, 0.03, 2.0, 300),
+               "generic": LatticeSpec(1.2, 0.9, 0.02, 60)}
+# SHA-256 over "n:repr(row.tolist())" of every row, in sweep order; "table"
+# rows are induction_price_table(crr) from n = 0 up.
+SWEEP_DIGESTS = {
+    ("shannon", "levered"): "bc39f2a026cad40a58a9c2220b1659d6122f00317333dd847fa94ba593927a70",
+    ("shannon", "unlevered"): "374dedae92d0fa14ce9b2f201f1199d78d495c8fdd585111fa2128c6d316626a",
+    ("crr", "levered"): "060fa14ef355b31bd7d7a19504a49f0600b4e620c3677eecf8a7e33cd49c4e9f",
+    ("crr", "unlevered"): "dec8c3b84edc6b9b85ddc9985ac03dcf1b96ed08faed46c484e79f70ef01e4a2",
+    ("generic", "levered"): "03881ed130cde5170c125401dced82187ad8c7d86621e61daa04ec9981c18d48",
+    ("generic", "unlevered"): "3848496979af7fc64ba963080cf99b15d85edf1329b1f793838367a5929b8e79",
+    ("table", "levered"): "4e76ebfcb0b9d11b8569de6d7fce35b5eeb9b8ad4f57d83110d7b3f1d89cbfef",
+    ("table", "unlevered"): "fdf9f49587474d0a1626e57a61f759ccef48763c3eccbe64fa8ccce547c0da38",
+}
+
+
+def _rows_digest(rows) -> str:
+    digest = hashlib.sha256()
+    for n, row in rows:
+        digest.update(f"{n}:{row.tolist()!r}\n".encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name, mode", list(SWEEP_DIGESTS),
+                         ids=[f"{name}-{mode}" for name, mode in SWEEP_DIGESTS])
+def test_sweep_keeps_its_bits(name, mode):
+    # Shannon has R = 1 exactly; the crr and generic lattices discount every row.
+    if name == "table":
+        rows = enumerate(induction_price_table(SWEEP_SPECS["crr"], mode))
+    else:
+        spec = SWEEP_SPECS[name]
+        assert (spec.gross_rate == 1.0) == (name == "shannon")
+        rows = _log_node_rows(spec, mode)
+    assert _rows_digest(rows) == SWEEP_DIGESTS[name, mode]
 
 
 def test_logsumexp_agrees_with_scipy():
