@@ -67,6 +67,8 @@ def _cells(column: Sequence) -> Iterator[str]:
     values = np.asarray(column)
     if values.dtype == np.float64:
         return map(repr, values.tolist())  # shortest round-trip, plain-float repr
+    if values.dtype.kind in "iub":
+        return map(str, values.tolist())  # str of a Python int or bool is str of its numpy scalar
     return map(str, column)
 
 

@@ -64,7 +64,7 @@ def _scipy(submodule: str):
     return importlib.import_module("scipy." + submodule)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RebalancingRule:
     """Wealth fractions bet per asset; unlevered rules are single-asset with b in [0, 1]."""
 

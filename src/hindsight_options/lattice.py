@@ -213,14 +213,21 @@ def lattice_price(spec: LatticeSpec, state: LatticeState, mode: str = "levered")
 def _log_node_rows(spec: LatticeSpec, mode: str = "levered"):
     """Yield (n, log C(., n)) for n = N, ..., 0, sweeping back from the payoff row.
 
-    row_n = logaddexp(log q + row_{n+1}[1:], log(1-q) + row_{n+1}[:-1]) - log R.
+    row_n = logaddexp(log q + row_{n+1}[1:], log(1-q) + row_{n+1}[:-1]) - log R,
+    in two ufunc calls per row: one broadcast add forms both branch-weighted
+    copies of row_{n+1}, and ``logaddexp`` reads their shifted halves.  The
+    discount is subtracted in place, and not at all when R = 1, where x - 0.0
+    would give back x anyway.
     """
-    log_up, log_down = math.log(spec.q), math.log1p(-spec.q)
+    weights = np.array([[math.log(spec.q)], [math.log1p(-spec.q)]])
     log_gross = math.log(spec.gross_rate)
     row = lattice_log_payoff(spec, np.arange(spec.n_steps + 1), mode)
     yield spec.n_steps, row
     for n in range(spec.n_steps - 1, -1, -1):
-        row = np.logaddexp(log_up + row[1:], log_down + row[:-1]) - log_gross
+        both = row + weights
+        row = np.logaddexp(both[0, 1:], both[1, :-1])
+        if log_gross != 0.0:
+            row -= log_gross
         yield n, row
 
 
@@ -265,7 +272,7 @@ def hedge_lattice_path(spec: LatticeSpec, moves, mode: str = "levered") -> np.nd
     return wealth
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DemonLedger:
     """One simulated double-or-half run: stock vs. replication wealth per step."""
 
@@ -290,7 +297,8 @@ def demon_simulation(n_steps: int, p: float, seed: int) -> DemonLedger:
     ups = (rng.random(spec.n_steps) < p).astype(int)
     k = np.concatenate([[0], np.cumsum(ups)])
     n = np.arange(spec.n_steps + 1)
-    log_c = np.array([row[k[step]] for step, row in _log_node_rows(spec)])[::-1]
+    path = k.tolist()
+    log_c = np.array([row[path[step]] for step, row in _log_node_rows(spec)])[::-1]
     log_wealth = log_c - log_c[0]
     _exp(float(log_wealth.max()), "lattice_log_price")
     with np.errstate(over="ignore"):  # exp2 of an integer is exact until it overflows

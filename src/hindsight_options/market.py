@@ -103,7 +103,7 @@ def _reals(value, name: str, ndmin: int = 1) -> np.ndarray:
         raise ValidationError(f"{name} must be numbers within the range of float64") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MarketSpec:
     """Constant-coefficient market: drifts, volatilities, correlation, rate.
 
@@ -129,7 +129,8 @@ class MarketSpec:
     Construction validates the spec (:func:`validate_market`) and raises
     ``ValidationError`` naming the first bad field, so every spec that exists
     is valid.  The arrays are read-only float copies (the caller's stay
-    writable), so the factor cannot go stale.
+    writable), so the factor cannot go stale.  Like every record that holds
+    arrays, a spec compares and hashes by identity.
     """
 
     n: int
@@ -175,7 +176,7 @@ class MarketSpec:
                    rate=rate, s0=s0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PricePath:
     """A simulated price history on a strictly increasing grid starting at 0.
 

@@ -29,7 +29,7 @@ from .pricing import _unlevered_fractions
 _GRID_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HedgeLedger:
     """Time series of a self-financing account: wealth, fractions, shares, cash.
 
@@ -70,7 +70,7 @@ class SimulationConfig:
             raise ValidationError("steps_per_year and n_paths must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimulationResult:
     """The growth summary of one scenario run: one terminal wealth and CAGR per path."""
 
@@ -84,7 +84,7 @@ class SimulationResult:
         return float(np.mean(self.cagr))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PriceTable:
     """Chronological price records ingested from CSV."""
 
@@ -93,7 +93,7 @@ class PriceTable:
     columns: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BacktestResult:
     """Wealth of a fixed-fraction backtest; ``cagr`` is NaN on a ruined account.
 

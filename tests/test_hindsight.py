@@ -149,6 +149,13 @@ def test_rebalancing_rule_validation():
         z_score(SPEC, [105.0, 95.0], 1.0)
 
 
+def test_rules_compare_by_identity_and_hash():
+    rule, twin = RebalancingRule([0.2, 0.3]), RebalancingRule([0.2, 0.3])
+    assert (rule == rule) is True and (rule != rule) is False
+    assert (rule == twin) is False and (rule != twin) is True
+    assert hash(rule) == hash(rule) and len({rule, twin, rule}) == 2
+
+
 @pytest.mark.filterwarnings("error")
 def test_a_rule_refuses_a_nonfinite_fraction():
     for b, mode in (([math.nan], "levered"), ([math.inf], "levered"),

@@ -68,6 +68,17 @@ def test_spec_arrays_and_cached_factor_are_read_only():
     assert spec.mu[0] == 0.05 and spec.corr[0, 1] == 0.3
 
 
+@pytest.mark.parametrize("n", sorted(SPECS_BY_N))
+def test_specs_compare_by_identity_and_hash(n):
+    # Array fields have no one truth value, so == is identity at every n.
+    spec = SPECS_BY_N[n]
+    twin = MarketSpec(n=spec.n, mu=spec.mu, sigma=spec.sigma, corr=spec.corr,
+                      rate=spec.rate, s0=spec.s0)
+    assert (spec == spec) is True and (spec != spec) is False
+    assert (spec == twin) is False and (spec != twin) is True
+    assert hash(spec) == hash(spec) and len({spec, twin, spec}) == 2
+
+
 def test_single_asset_identity_corr_is_valid():
     spec = MarketSpec.single(mu=0.0, sigma=0.7, rate=0.0)
     assert validate_market(spec) is spec
