@@ -238,7 +238,7 @@ def _cmd_simulate(args) -> int:
                               n_paths=args.paths, seed=args.seed)
     result = run_growth_simulation(config)
     paths = functools.partial(_csv_table, ["path", "terminal_wealth", "cagr"],
-                              [range(config.n_paths), result.terminal_wealth, result.cagr])
+                              [np.arange(config.n_paths), result.terminal_wealth, result.cagr])
     summary = {
         "scenario": args.scenario,
         "mean_cagr": result.mean_cagr,
